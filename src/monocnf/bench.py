@@ -6,9 +6,9 @@ clause memberships (the occurrence budget).  Randomness comes from
 SplitMix64, a fixed 64-bit stream generator, so a seed reproduces the
 same instance on any platform and Python version.
 
-Blowup accounting runs every reduction pipeline on an instance, records
-output sizes and wall time, and checks the measured counts against the
-closed forms implied by the per-rule arithmetic.
+Blowup accounting runs every target of ``reduce.TARGETS`` on an
+instance, records output sizes and wall time, and checks the measured
+counts against the closed forms given by each target's growth.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .formula import Clause, CnfFormula
-from .reduce import eliminate_mixed, to_monotone_3sat4, to_monotone_3sat5
+from .reduce import TARGETS, eliminate_mixed
 
 
 class GenerationError(ValueError):
@@ -151,30 +151,13 @@ class BlowupRecord:
     outcomes: tuple[PipelineOutcome, ...]
 
 
-# (vars per 2-clause, clauses per 2-clause) growth after mixed elimination
-_GROWTH = {
-    "mono23sat4": (0, 0),
-    "mono3sat5": (18, 18),
-    "mono3sat5-compact": (16, 16),
-    "mono3sat4": (21, 25),
-}
-
-
 def _expected_counts(pipeline: str, record: BlowupRecord) -> tuple[int, int]:
     two = record.pos2 + record.neg2
-    var_growth, clause_growth = _GROWTH[pipeline]
+    var_growth, clause_growth = TARGETS[pipeline].growth
     return (
         record.input_vars + record.mixed + var_growth * two,
         record.input_clauses + record.mixed + clause_growth * two,
     )
-
-
-_PIPELINES = {
-    "mono23sat4": lambda f: eliminate_mixed(f),
-    "mono3sat5": lambda f: to_monotone_3sat5(f),
-    "mono3sat5-compact": lambda f: to_monotone_3sat5(f, compact=True),
-    "mono3sat4": lambda f: to_monotone_3sat4(f),
-}
 
 
 def blowup_report(formula: CnfFormula) -> BlowupRecord:
@@ -186,9 +169,9 @@ def blowup_report(formula: CnfFormula) -> BlowupRecord:
     neg2 = sum(1 for c in intermediate.clauses if c.width == 2 and c.is_negative)
 
     outcomes: list[PipelineOutcome] = []
-    for name, pipeline in _PIPELINES.items():
+    for name, target in TARGETS.items():
         start = time.perf_counter()
-        out, _ = pipeline(formula)
+        out, _ = target.reduce(formula)
         millis = (time.perf_counter() - start) * 1000.0
         outcomes.append(PipelineOutcome(name, out.num_vars, len(out.clauses), millis))
 

@@ -26,12 +26,10 @@ from .profiles import PROFILES, check_profile
 from .reduce import (
     FORCE_FALSE_GADGET,
     FORCE_TRUE_GADGET,
+    TARGETS,
     FreshAllocator,
     ProfileError,
-    eliminate_mixed,
     instantiate_gadget,
-    to_monotone_3sat4,
-    to_monotone_3sat5,
 )
 from .solve import VariableLimitError, check_equisat, solve_dpll, solve_exhaustive, verify_forcing
 
@@ -40,18 +38,18 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
+# --compact-r3 selects the table entry named "<target>-compact"
+_COMPACT = "-compact"
+_COMPACTABLE = tuple(name.removesuffix(_COMPACT) for name in TARGETS if name.endswith(_COMPACT))
+
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    if args.compact_r3 and args.target != "mono3sat5":
-        print("error: --compact-r3 applies only to --target mono3sat5", file=sys.stderr)
+    name = args.target + _COMPACT if args.compact_r3 else args.target
+    if name not in TARGETS:
+        print(f"error: --compact-r3 applies only to --target {', '.join(_COMPACTABLE)}", file=sys.stderr)
         return EXIT_USAGE
     doc = dimacs.load(args.input)
-    if args.target == "mono23sat4":
-        out, trace = eliminate_mixed(doc.formula)
-    elif args.target == "mono3sat5":
-        out, trace = to_monotone_3sat5(doc.formula, compact=args.compact_r3)
-    else:
-        out, trace = to_monotone_3sat4(doc.formula)
+    out, trace = TARGETS[name].reduce(doc.formula)
     comments: tuple[str, ...] = ()
     if args.trace:
         comments = tuple(
@@ -141,12 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="rewrite a DIMACS formula into a monotone target class")
     p.add_argument(
-        "--target", required=True, choices=("mono23sat4", "mono3sat5", "mono3sat4"),
+        "--target", required=True, choices=[name for name in TARGETS if not name.endswith(_COMPACT)],
         help="output class to produce",
     )
     p.add_argument(
         "--compact-r3", action="store_true", dest="compact_r3",
-        help="use the 17-clause 2-clause expansion (mono3sat5 only)",
+        help=f"use the 17-clause 2-clause expansion ({', '.join(_COMPACTABLE)} only)",
     )
     p.add_argument("--trace", action="store_true", help="embed per-clause provenance comments")
     p.add_argument("input", help="input DIMACS CNF file")
@@ -207,6 +205,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (DimacsError, FormulaError, ProfileError, VariableLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: search too deep for the recursive DPLL solver", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -51,14 +51,18 @@ class DimacsDocument:
 def parse(text: str | bytes) -> DimacsDocument:
     """Parse a DIMACS CNF document.
 
-    Clauses appear in file order.  Raises DimacsError on: missing or
-    malformed header, literals before the header, a non-integer token,
-    a variable index above the declared count, a clause not terminated
-    by 0, a duplicate-variable or tautological clause, or a clause count
-    that disagrees with the header.
+    Clauses appear in file order.  Raises DimacsError on: bytes that are
+    not UTF-8, a missing or malformed header, literals before the
+    header, a non-integer token, a variable index above the declared
+    count, a clause not terminated by 0, a duplicate-variable or
+    tautological clause, or a clause count that disagrees with the
+    header.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DimacsError(f"input is not UTF-8: byte {exc.start} cannot be decoded") from None
 
     comments: list[str] = []
     clauses: list[Clause] = []

@@ -8,27 +8,12 @@ transformations build new values.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class FormulaError(ValueError):
     """Raised when a clause or formula violates a structural invariant."""
-
-
-class Polarity(enum.Enum):
-    ALL_POSITIVE = "all-positive"
-    ALL_NEGATIVE = "all-negative"
-    MIXED = "mixed"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-class ClauseKind(NamedTuple):
-    width: int
-    polarity: Polarity
 
 
 @dataclass(frozen=True)
@@ -106,10 +91,6 @@ class PolaritySplit:
 
     positive: tuple[int, ...]
     negative: tuple[int, ...]
-
-    def merge(self) -> Clause:
-        """Recombine the two parts into the original clause."""
-        return Clause(self.positive + self.negative)
 
 
 @dataclass(frozen=True)
@@ -197,26 +178,6 @@ class OccurrenceTable:
         """Yield (variable, positive, negative, total) for vars 1..num_vars."""
         for v in range(1, self.num_vars + 1):
             yield v, self._pos[v], self._neg[v], self._pos[v] + self._neg[v]
-
-
-def classify_clause(clause: Clause) -> ClauseKind:
-    """Width and polarity class of a clause.
-
-    A clause is all-positive or all-negative when every literal has that
-    sign, and mixed otherwise; a mixed clause necessarily has width >= 2.
-    """
-    if clause.is_positive:
-        polarity = Polarity.ALL_POSITIVE
-    elif clause.is_negative:
-        polarity = Polarity.ALL_NEGATIVE
-    else:
-        polarity = Polarity.MIXED
-    return ClauseKind(clause.width, polarity)
-
-
-def var_set(clause: Clause) -> frozenset[int]:
-    """The underlying variable set of a clause, negations stripped."""
-    return clause.variables()
 
 
 def polarity_split(clause: Clause) -> PolaritySplit:

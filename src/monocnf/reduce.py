@@ -10,9 +10,16 @@ Three layers:
 * Gadget: a fixed 25-clause monotone collection whose models all agree
   on a designated variable; instantiated per widened 2-clause so nothing
   exceeds four occurrences.
-* Pipelines: ``eliminate_mixed`` (mixed 3-clauses out, 2-or-3 monotone
-  in), ``to_monotone_3sat5`` (r3 per 2-clause, cap five), and
-  ``to_monotone_3sat4`` (gadget per 2-clause, cap four).
+* Pipelines: the ``TARGETS`` table maps each target name
+  (``mono23sat4``, ``mono3sat5``, ``mono3sat5-compact``, ``mono3sat4``)
+  to its output profile, its 2-clause expansion (none, r3, compact r3,
+  or gadget) and the growth per 2-clause derived from ``RULE_STATS``
+  and the gadget's size.  ``Target.reduce`` is the one driver: entry
+  check, gold pass, optional 2-clause pass, output formula and trace.
+  ``eliminate_mixed`` (mixed 3-clauses out, 2-or-3 monotone in),
+  ``to_monotone_3sat5`` (r3 per 2-clause, cap five) and
+  ``to_monotone_3sat4`` (gadget per 2-clause, cap four) run their
+  table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
 a replaced clause's children are inserted at its position, and fresh
@@ -23,7 +30,8 @@ declared count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import partial
+from typing import Callable
 
 from .formula import Clause, CnfFormula, polarity_split
 from .profiles import PROFILES, ViolationReport, check_profile
@@ -49,7 +57,6 @@ class FreshAllocator:
     def __init__(self, next_index: int):
         if next_index < 1:
             raise ValueError(f"variable indices start at 1, got {next_index}")
-        self._first = next_index
         self._next = next_index
 
     @classmethod
@@ -67,9 +74,6 @@ class FreshAllocator:
 
     def fresh_many(self, count: int) -> tuple[int, ...]:
         return tuple(self.fresh() for _ in range(count))
-
-    def allocated(self) -> range:
-        return range(self._first, self._next)
 
 
 @dataclass(frozen=True)
@@ -306,46 +310,21 @@ class ReductionTrace:
 _Expansion = Callable[[Clause, FreshAllocator], tuple[list[Clause], list[str]]]
 
 
-def _gold_pass(
-    clauses: Iterable[Clause], alloc: FreshAllocator
-) -> tuple[list[Clause], list[ClauseOrigin], list[TraceStep]]:
-    out: list[Clause] = []
-    origins: list[ClauseOrigin] = []
-    steps: list[TraceStep] = []
-    for index, clause in enumerate(clauses):
-        if clause.is_mixed:
-            first_fresh = alloc.next_index
-            children = gold_step(clause, alloc)
-            ordered = sorted(children, key=lambda c: c.width, reverse=True)
-            position = len(out)
-            out.extend(ordered)
-            origins.extend(ClauseOrigin("gold", index) for _ in ordered)
-            steps.append(
-                TraceStep(
-                    rule="gold",
-                    source=index,
-                    produced=tuple(range(position, position + len(ordered))),
-                    fresh_vars=tuple(range(first_fresh, alloc.next_index)),
-                )
-            )
-        else:
-            out.append(clause)
-            origins.append(ClauseOrigin("input", index))
-    return out, origins, steps
-
-
-def _two_clause_pass(
+def _rewrite_pass(
     clauses: list[Clause],
     origins: list[ClauseOrigin],
     alloc: FreshAllocator,
+    selected: Callable[[Clause], bool],
     expand: _Expansion,
-    step_rule: str,
+    rule: str,
 ) -> tuple[list[Clause], list[ClauseOrigin], list[TraceStep]]:
+    """Replace every selected clause in place by its expansion, each
+    produced clause tracing back to the replaced clause's input source."""
     out: list[Clause] = []
     out_origins: list[ClauseOrigin] = []
     steps: list[TraceStep] = []
     for index, clause in enumerate(clauses):
-        if clause.width == 2:
+        if selected(clause):
             first_fresh = alloc.next_index
             produced, labels = expand(clause, alloc)
             root = origins[index].source
@@ -354,7 +333,7 @@ def _two_clause_pass(
             out_origins.extend(ClauseOrigin(label, root) for label in labels)
             steps.append(
                 TraceStep(
-                    rule=step_rule,
+                    rule=rule,
                     source=index,
                     produced=tuple(range(position, position + len(produced))),
                     fresh_vars=tuple(range(first_fresh, alloc.next_index)),
@@ -366,24 +345,87 @@ def _two_clause_pass(
     return out, out_origins, steps
 
 
-def _pipeline_entry(
-    formula: CnfFormula,
-) -> tuple[list[Clause], list[ClauseOrigin], list[TraceStep], FreshAllocator]:
-    """Validate a pipeline input and run the mixed-clause stage.
+def _expand_gold(clause: Clause, alloc: FreshAllocator) -> tuple[list[Clause], list[str]]:
+    children = sorted(gold_step(clause, alloc), key=lambda c: c.width, reverse=True)
+    return children, ["gold"] * len(children)
 
-    Inputs that are already monotone (2,3)-SAT-4 (the mixed-elimination
-    output class) are accepted as-is and skip straight to the 2-clause
-    stage.
+
+def _expand_r3(clause: Clause, alloc: FreshAllocator, compact: bool) -> tuple[list[Clause], list[str]]:
+    produced = apply_r3(clause, alloc, compact=compact)
+    return produced, ["r3"] * len(produced)
+
+
+def _expand_gadget(clause: Clause, alloc: FreshAllocator) -> tuple[list[Clause], list[str]]:
+    template = FORCE_TRUE_GADGET if clause.is_negative else FORCE_FALSE_GADGET
+    gadget_clauses, designated = instantiate_gadget(template, alloc)
+    widen_lit = -designated if clause.is_negative else designated
+    widened = Clause(clause.lits + (widen_lit,))
+    return [widened] + gadget_clauses, ["widen"] + ["gadget"] * len(gadget_clauses)
+
+
+def _rule_growth(rule: str) -> tuple[int, int]:
+    # the rule's clauses replace the 2-clause
+    stats = RULE_STATS[rule]
+    return stats.vars_added, stats.clauses_added - 1
+
+
+@dataclass(frozen=True)
+class Target:
+    """One reduction target.
+
+    ``profile`` names the class the output meets.  ``expand`` rewrites
+    each monotone 2-clause left by mixed elimination, logged as one
+    ``rule`` step; a target without it keeps the 2-clauses.  ``growth``
+    is what each such 2-clause adds to the output, in (variables,
+    clauses).
     """
-    strict = check_profile(formula, PROFILES["3sat4"])
-    alloc = FreshAllocator.for_formula(formula)
-    if strict.ok:
-        return (*_gold_pass(formula.clauses, alloc), alloc)
-    relaxed = check_profile(formula, PROFILES["mono23sat4"])
-    if relaxed.ok:
-        origins = [ClauseOrigin("input", i) for i in range(len(formula.clauses))]
-        return list(formula.clauses), origins, [], alloc
-    raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
+
+    profile: str
+    rule: str | None
+    expand: _Expansion | None
+    growth: tuple[int, int]
+
+    def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
+        """Run the pipeline: check the input, split its mixed clauses,
+        expand its 2-clauses, and log every rewrite.
+
+        Every target accepts 3-SAT-4 input.  A target with an expansion
+        also accepts monotone (2,3)-SAT-4 input (the mixed-elimination
+        output class), which skips straight to the 2-clause stage.
+        """
+        alloc = FreshAllocator.for_formula(formula)
+        clauses = list(formula.clauses)
+        origins = [ClauseOrigin("input", i) for i in range(len(clauses))]
+        steps: list[TraceStep] = []
+        strict = check_profile(formula, PROFILES["3sat4"])
+        if strict.ok:
+            clauses, origins, steps = _rewrite_pass(
+                clauses, origins, alloc, lambda c: c.is_mixed, _expand_gold, "gold"
+            )
+        elif self.expand is None:
+            raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", strict)
+        elif not check_profile(formula, PROFILES["mono23sat4"]).ok:
+            raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
+        if self.expand is not None:
+            clauses, origins, expand_steps = _rewrite_pass(
+                clauses, origins, alloc, lambda c: c.width == 2, self.expand, self.rule
+            )
+            steps += expand_steps
+        out = CnfFormula(clauses, num_vars=alloc.next_index - 1)
+        return out, ReductionTrace(tuple(steps), formula.num_vars, tuple(origins))
+
+
+TARGETS: dict[str, Target] = {
+    "mono23sat4": Target("mono23sat4", None, None, (0, 0)),
+    "mono3sat5": Target("mono3sat5", "r3", partial(_expand_r3, compact=False), _rule_growth("r3")),
+    "mono3sat5-compact": Target(
+        "mono3sat5", "r3", partial(_expand_r3, compact=True), _rule_growth("r3-compact")
+    ),
+    # the widened clause replaces the 2-clause, so the gadget's clauses are the growth
+    "mono3sat4": Target(
+        "mono3sat4", "gadget", _expand_gadget, (FORCE_TRUE_GADGET.var_count, len(FORCE_TRUE_GADGET.clauses))
+    ),
+}
 
 
 def eliminate_mixed(formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
@@ -393,14 +435,7 @@ def eliminate_mixed(formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
     is equisatisfiable with the input (monotone (2,3)-SAT-4).  Children
     replace their parent in place, wider child first.
     """
-    report = check_profile(formula, PROFILES["3sat4"])
-    if not report.ok:
-        raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", report)
-    alloc = FreshAllocator.for_formula(formula)
-    clauses, origins, steps = _gold_pass(formula.clauses, alloc)
-    out = CnfFormula(clauses, num_vars=alloc.next_index - 1)
-    trace = ReductionTrace(tuple(steps), formula.num_vars, tuple(origins))
-    return out, trace
+    return TARGETS["mono23sat4"].reduce(formula)
 
 
 def to_monotone_3sat5(formula: CnfFormula, compact: bool = False) -> tuple[CnfFormula, ReductionTrace]:
@@ -408,16 +443,7 @@ def to_monotone_3sat5(formula: CnfFormula, compact: bool = False) -> tuple[CnfFo
     expand every 2-clause with apply_r3 (compact switches to the 17-clause
     variant).  Output is equisatisfiable, all clauses monotone 3-clauses,
     no variable occurring more than five times."""
-
-    def expand(clause: Clause, alloc: FreshAllocator) -> tuple[list[Clause], list[str]]:
-        produced = apply_r3(clause, alloc, compact=compact)
-        return produced, ["r3"] * len(produced)
-
-    mid_clauses, mid_origins, steps, alloc = _pipeline_entry(formula)
-    out_clauses, origins, expand_steps = _two_clause_pass(mid_clauses, mid_origins, alloc, expand, "r3")
-    out = CnfFormula(out_clauses, num_vars=alloc.next_index - 1)
-    trace = ReductionTrace(tuple(steps + expand_steps), formula.num_vars, tuple(origins))
-    return out, trace
+    return TARGETS["mono3sat5-compact" if compact else "mono3sat5"].reduce(formula)
 
 
 def to_monotone_3sat4(formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
@@ -430,16 +456,4 @@ def to_monotone_3sat4(formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
     designated variable ends at four occurrences (three in the gadget,
     one in the widened clause); everything else stays within four.
     """
-
-    def expand(clause: Clause, alloc: FreshAllocator) -> tuple[list[Clause], list[str]]:
-        template = FORCE_TRUE_GADGET if clause.is_negative else FORCE_FALSE_GADGET
-        gadget_clauses, designated = instantiate_gadget(template, alloc)
-        widen_lit = -designated if clause.is_negative else designated
-        widened = Clause(clause.lits + (widen_lit,))
-        return [widened] + gadget_clauses, ["widen"] + ["gadget"] * len(gadget_clauses)
-
-    mid_clauses, mid_origins, steps, alloc = _pipeline_entry(formula)
-    out_clauses, origins, expand_steps = _two_clause_pass(mid_clauses, mid_origins, alloc, expand, "gadget")
-    out = CnfFormula(out_clauses, num_vars=alloc.next_index - 1)
-    trace = ReductionTrace(tuple(steps + expand_steps), formula.num_vars, tuple(origins))
-    return out, trace
+    return TARGETS["mono3sat4"].reduce(formula)

@@ -12,6 +12,7 @@ from monocnf import (
     FORCE_FALSE_GADGET,
     FORCE_TRUE_GADGET,
     PROFILES,
+    TARGETS,
     Clause,
     CnfFormula,
     DimacsDocument,
@@ -22,7 +23,6 @@ from monocnf import (
     apply_r3,
     blowup_report,
     check_profile,
-    eliminate_mixed,
     evaluate,
     generate,
     instantiate_gadget,
@@ -31,28 +31,12 @@ from monocnf import (
     serialize,
     solve_dpll,
     solve_exhaustive,
-    to_monotone_3sat4,
-    to_monotone_3sat5,
     verify_forcing,
 )
 
 # (variables, clauses) shapes cycled through the corpus seeds; all within
 # the generator's occurrence budget, at most 8 variables and 10 clauses
 SHAPES = [(4, 5), (5, 6), (6, 8), (7, 9), (8, 10), (4, 4), (5, 5), (6, 7), (7, 8), (8, 9)]
-
-PIPELINES = {
-    "mono23sat4": lambda f: eliminate_mixed(f)[0],
-    "mono3sat5": lambda f: to_monotone_3sat5(f)[0],
-    "mono3sat5-compact": lambda f: to_monotone_3sat5(f, compact=True)[0],
-    "mono3sat4": lambda f: to_monotone_3sat4(f)[0],
-}
-
-PROFILE_OF_PIPELINE = {
-    "mono23sat4": "mono23sat4",
-    "mono3sat5": "mono3sat5",
-    "mono3sat5-compact": "mono3sat5",
-    "mono3sat4": "mono3sat4",
-}
 
 
 def _criterion(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -74,7 +58,7 @@ def corpus():
 def reductions(corpus):
     table = []
     for formula in corpus:
-        outputs = {name: pipeline(formula) for name, pipeline in PIPELINES.items()}
+        outputs = {name: target.reduce(formula)[0] for name, target in TARGETS.items()}
         table.append((formula, outputs))
     return table
 
@@ -131,7 +115,7 @@ def test_criterion_04_rule_arithmetic():
         for compact, clause_count, var_count in ((False, 19, 18), (True, 17, 16)):
             alloc = FreshAllocator(3)
             produced = apply_r3(pair, alloc, compact=compact)
-            fresh = alloc.allocated()
+            fresh = range(3, alloc.next_index)
             label = f"sign={sign} compact={compact}"
             if len(produced) != clause_count:
                 failures.append(f"{label}: {len(produced)} clauses")
@@ -215,7 +199,7 @@ def test_criterion_07_profile_guarantees(reductions):
     failures = []
     for index, (_, outputs) in enumerate(reductions):
         for name, reduced in outputs.items():
-            report = check_profile(reduced, PROFILES[PROFILE_OF_PIPELINE[name]])
+            report = check_profile(reduced, PROFILES[TARGETS[name].profile])
             if not report.ok:
                 failures.append(f"instance {index} {name}: {len(report)} violations")
     _criterion(

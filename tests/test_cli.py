@@ -2,7 +2,7 @@
 
 import pytest
 
-from monocnf import parse
+from monocnf import TARGETS, parse
 from monocnf.cli import run
 
 SAT_MIXED = "p cnf 3 1\n1 -2 3 0\n"
@@ -17,10 +17,12 @@ def _write(tmp_path, name, text):
 
 def test_reduce_then_validate_holds_for_every_target(tmp_path, capsys):
     source = _write(tmp_path, "in.cnf", SAT_MIXED)
-    for target in ("mono23sat4", "mono3sat5", "mono3sat4"):
-        out = str(tmp_path / f"{target}.cnf")
-        assert run(["reduce", "--target", target, source, out]) == 0
-        assert run(["validate", "--profile", target, out]) == 0
+    for name, target in TARGETS.items():
+        # a "<target>-compact" entry is reached through --compact-r3
+        base, compact, _ = name.partition("-compact")
+        out = str(tmp_path / f"{name}.cnf")
+        assert run(["reduce", "--target", base, *(["--compact-r3"] if compact else []), source, out]) == 0
+        assert run(["validate", "--profile", target.profile, out]) == 0
     capsys.readouterr()
 
 
@@ -164,6 +166,25 @@ def test_malformed_dimacs_is_input_error(tmp_path, capsys):
     bad = _write(tmp_path, "bad.cnf", "p cnf 1 1\n1\n")
     assert run(["solve", bad]) == 3
     assert "not terminated" in capsys.readouterr().err
+
+
+def test_undecodable_input_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cnf"
+    bad.write_bytes(b"p cnf 1 1\n\xff 0\n")
+    assert run(["validate", "--profile", "3sat4", str(bad)]) == 3
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_too_deep_search_is_input_error(tmp_path, capsys):
+    # no unit and no pure literal, so the recursive DPLL branches once per pair
+    pairs = 1200
+    lines = [f"p cnf {2 * pairs} {2 * pairs}"]
+    for x in range(1, 2 * pairs, 2):
+        lines += [f"{x} {x + 1} 0", f"-{x} -{x + 1} 0"]
+    source = _write(tmp_path, "deep.cnf", "\n".join(lines) + "\n")
+    assert run(["solve", source]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_2(capsys):

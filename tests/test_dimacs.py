@@ -13,6 +13,11 @@ def test_parse_basic_document():
     assert [c.lits for c in doc.formula.clauses] == [(1, -2, 3), (-1, 2)]
 
 
+def test_parse_rejects_undecodable_bytes():
+    with pytest.raises(DimacsError, match="UTF-8"):
+        parse(b"p cnf 1 1\n1 0\n\xff\n")
+
+
 def test_parse_accepts_crlf_and_extra_whitespace():
     doc = parse("p cnf 2 1\r\n  1   2  0\r\n")
     assert doc.formula.clauses[0].lits == (1, 2)

@@ -4,14 +4,10 @@ import pytest
 
 from monocnf import (
     Clause,
-    ClauseKind,
     CnfFormula,
     FormulaError,
-    Polarity,
-    classify_clause,
     occurrence_table,
     polarity_split,
-    var_set,
 )
 
 
@@ -68,22 +64,10 @@ def test_clause_container_protocol():
     assert clause.variables() == frozenset({1, 3})
 
 
-def test_classify_clause():
-    assert classify_clause(Clause((1, 2))) == ClauseKind(2, Polarity.ALL_POSITIVE)
-    assert classify_clause(Clause((-1, -2, -3))) == ClauseKind(3, Polarity.ALL_NEGATIVE)
-    assert classify_clause(Clause((1, -2, 3))) == ClauseKind(3, Polarity.MIXED)
-    assert str(Polarity.ALL_POSITIVE) == "all-positive"
-
-
-def test_polarity_split_and_merge():
+def test_polarity_split_separates_signs():
     split = polarity_split(Clause((1, -2, 3)))
     assert split.positive == (1, 3)
     assert split.negative == (-2,)
-    assert split.merge() == Clause((1, -2, 3))
-
-
-def test_var_set_strips_signs():
-    assert var_set(Clause((-4, 2, -9))) == frozenset({2, 4, 9})
 
 
 def test_formula_num_vars_defaults_to_max_referenced():

@@ -6,6 +6,7 @@ import pytest
 
 from monocnf import (
     PROFILES,
+    TARGETS,
     Clause,
     CnfFormula,
     ProfileError,
@@ -168,6 +169,22 @@ def test_pipelines_reject_out_of_class_input():
         to_monotone_3sat5(bad)
     with pytest.raises(ProfileError, match="neither"):
         to_monotone_3sat4(bad)
+
+
+def test_eliminate_mixed_rejects_monotone_23_input():
+    # monotone (2,3)-SAT-4 enters only the targets that expand 2-clauses
+    with pytest.raises(ProfileError, match="eliminate_mixed requires a 3-SAT-4 instance"):
+        eliminate_mixed(UNSAT_MONO23)
+
+
+def test_target_growth_matches_closed_forms():
+    growth = {name: target.growth for name, target in TARGETS.items()}
+    assert growth == {
+        "mono23sat4": (0, 0),
+        "mono3sat5": (18, 18),
+        "mono3sat5-compact": (16, 16),
+        "mono3sat4": (21, 25),
+    }
 
 
 def test_trace_provenance_covers_every_output_clause():
