@@ -54,7 +54,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.trace:
         comments = tuple(
             f"trace {index} {origin.rule} {origin.source}"
-            for index, origin in enumerate(trace.provenance)
+            for index, origin in enumerate(trace)
         )
     dimacs.dump(DimacsDocument(out, comments), args.output)
     return EXIT_OK
@@ -205,9 +205,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (DimacsError, FormulaError, ProfileError, VariableLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RecursionError:
-        print("error: search too deep for the recursive DPLL solver", file=sys.stderr)
         return EXIT_INPUT
 
 

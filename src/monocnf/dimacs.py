@@ -1,11 +1,12 @@
 """DIMACS CNF parsing and serialization.
 
 Standard "p cnf <vars> <clauses>" documents with zero-terminated clauses.
-Input accepts LF or CRLF, extra whitespace, multi-line clauses, and
-interleaved comment lines; output is canonical: comment lines first, then
-the header, then one clause per line with literals in ascending variable
-order, LF line endings.  ``serialize(parse(serialize(doc)))`` is
-byte-identical to ``serialize(doc)``.
+Input accepts LF or CRLF, extra whitespace, multi-line clauses,
+interleaved comment lines, and a SATLIB "%" trailer; output is
+canonical: comment lines first, then the header, then one clause per
+line with literals in ascending variable order, LF line endings.
+``serialize(parse(serialize(doc)))`` is byte-identical to
+``serialize(doc)``.
 
 Comment lines starting with "trace " carry clause provenance emitted by
 the reduction pipelines; they are informational only and never affect
@@ -51,12 +52,15 @@ class DimacsDocument:
 def parse(text: str | bytes) -> DimacsDocument:
     """Parse a DIMACS CNF document.
 
-    Clauses appear in file order.  Raises DimacsError on: bytes that are
-    not UTF-8, a missing or malformed header, literals before the
-    header, a non-integer token, a variable index above the declared
-    count, a clause not terminated by 0, a duplicate-variable or
-    tautological clause, or a clause count that disagrees with the
-    header.
+    Clauses appear in file order.  A line starting with "%" ends the
+    input (SATLIB's trailer): the rest is ignored, and the header count
+    covers the clauses before it.
+
+    Raises DimacsError on: bytes that are not UTF-8, a missing or
+    malformed header, literals before the header, a non-integer token,
+    a variable index above the declared count, a clause not terminated
+    by 0 (also at "%"), a duplicate-variable or tautological clause, or
+    a clause count that disagrees with the header.
     """
     if isinstance(text, bytes):
         try:
@@ -75,6 +79,8 @@ def parse(text: str | bytes) -> DimacsDocument:
         line = raw.strip()
         if not line:
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("c"):
             body = line[1:]
             if body.startswith(" "):

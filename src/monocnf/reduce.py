@@ -15,7 +15,8 @@ Three layers:
   to its output profile, its 2-clause expansion (none, r3, compact r3,
   or gadget) and the growth per 2-clause derived from ``RULE_STATS``
   and the gadget's size.  ``Target.reduce`` is the one driver: entry
-  check, gold pass, optional 2-clause pass, output formula and trace.
+  check, gold pass, optional 2-clause pass, then the output formula
+  and the provenance of each output clause.
   ``eliminate_mixed`` (mixed 3-clauses out, 2-or-3 monotone in),
   ``to_monotone_3sat5`` (r3 per 2-clause, cap five) and
   ``to_monotone_3sat4`` (gadget per 2-clause, cap four) run their
@@ -269,42 +270,13 @@ def instantiate_gadget(template: GadgetTemplate, alloc: FreshAllocator) -> tuple
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One rewrite event: ``source`` is the replaced clause's position in
-    the working formula just before the event, ``produced`` the positions
-    of the emitted clauses just after it."""
-
-    rule: str
-    source: int | None
-    produced: tuple[int, ...]
-    fresh_vars: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ClauseOrigin:
-    """Final provenance of one output clause: the rule that created it
+    """Provenance of one output clause: the rule that created it
     ("input" for clauses carried over verbatim) and the index of the
     input clause it descends from."""
 
     rule: str
-    source: int | None
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Event log of a transformation run plus per-output-clause provenance.
-
-    ``steps`` is the ordered rewrite log; each step's indices refer to
-    the working formula at the time of that event (a two-stage pipeline
-    first rewrites mixed clauses, then rewrites the intermediate result's
-    2-clauses).  ``provenance`` has one entry per output clause.  Fresh
-    variable allocations are disjoint across steps and strictly
-    increasing.
-    """
-
-    steps: tuple[TraceStep, ...]
-    original_variable_ceiling: int
-    provenance: tuple[ClauseOrigin, ...]
+    source: int
 
 
 _Expansion = Callable[[Clause, FreshAllocator], tuple[list[Clause], list[str]]]
@@ -316,33 +288,20 @@ def _rewrite_pass(
     alloc: FreshAllocator,
     selected: Callable[[Clause], bool],
     expand: _Expansion,
-    rule: str,
-) -> tuple[list[Clause], list[ClauseOrigin], list[TraceStep]]:
+) -> tuple[list[Clause], list[ClauseOrigin]]:
     """Replace every selected clause in place by its expansion, each
     produced clause tracing back to the replaced clause's input source."""
     out: list[Clause] = []
     out_origins: list[ClauseOrigin] = []
-    steps: list[TraceStep] = []
-    for index, clause in enumerate(clauses):
+    for clause, origin in zip(clauses, origins):
         if selected(clause):
-            first_fresh = alloc.next_index
             produced, labels = expand(clause, alloc)
-            root = origins[index].source
-            position = len(out)
             out.extend(produced)
-            out_origins.extend(ClauseOrigin(label, root) for label in labels)
-            steps.append(
-                TraceStep(
-                    rule=rule,
-                    source=index,
-                    produced=tuple(range(position, position + len(produced))),
-                    fresh_vars=tuple(range(first_fresh, alloc.next_index)),
-                )
-            )
+            out_origins.extend(ClauseOrigin(label, origin.source) for label in labels)
         else:
             out.append(clause)
-            out_origins.append(origins[index])
-    return out, out_origins, steps
+            out_origins.append(origin)
+    return out, out_origins
 
 
 def _expand_gold(clause: Clause, alloc: FreshAllocator) -> tuple[list[Clause], list[str]]:
@@ -374,20 +333,23 @@ class Target:
     """One reduction target.
 
     ``profile`` names the class the output meets.  ``expand`` rewrites
-    each monotone 2-clause left by mixed elimination, logged as one
-    ``rule`` step; a target without it keeps the 2-clauses.  ``growth``
-    is what each such 2-clause adds to the output, in (variables,
-    clauses).
+    each monotone 2-clause left by mixed elimination; a target without
+    it keeps the 2-clauses.  ``growth`` is what each such 2-clause adds
+    to the output, in (variables, clauses).
     """
 
     profile: str
-    rule: str | None
     expand: _Expansion | None
     growth: tuple[int, int]
 
-    def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
-        """Run the pipeline: check the input, split its mixed clauses,
-        expand its 2-clauses, and log every rewrite.
+    def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
+        """Run the pipeline: check the input, split its mixed clauses and
+        expand its 2-clauses.  Returns the output and the provenance of
+        each output clause.
+
+        Every rewrite is clause-local, so the outputs of one input clause
+        form one contiguous run, runs follow input order, and each fresh
+        variable occurs in one run only.
 
         Every target accepts 3-SAT-4 input.  A target with an expansion
         also accepts monotone (2,3)-SAT-4 input (the mixed-elimination
@@ -396,39 +358,32 @@ class Target:
         alloc = FreshAllocator.for_formula(formula)
         clauses = list(formula.clauses)
         origins = [ClauseOrigin("input", i) for i in range(len(clauses))]
-        steps: list[TraceStep] = []
         strict = check_profile(formula, PROFILES["3sat4"])
         if strict.ok:
-            clauses, origins, steps = _rewrite_pass(
-                clauses, origins, alloc, lambda c: c.is_mixed, _expand_gold, "gold"
-            )
+            clauses, origins = _rewrite_pass(clauses, origins, alloc, lambda c: c.is_mixed, _expand_gold)
         elif self.expand is None:
             raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", strict)
         elif not check_profile(formula, PROFILES["mono23sat4"]).ok:
             raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
         if self.expand is not None:
-            clauses, origins, expand_steps = _rewrite_pass(
-                clauses, origins, alloc, lambda c: c.width == 2, self.expand, self.rule
-            )
-            steps += expand_steps
-        out = CnfFormula(clauses, num_vars=alloc.next_index - 1)
-        return out, ReductionTrace(tuple(steps), formula.num_vars, tuple(origins))
+            clauses, origins = _rewrite_pass(clauses, origins, alloc, lambda c: c.width == 2, self.expand)
+        return CnfFormula(clauses, num_vars=alloc.next_index - 1), tuple(origins)
 
 
 TARGETS: dict[str, Target] = {
-    "mono23sat4": Target("mono23sat4", None, None, (0, 0)),
-    "mono3sat5": Target("mono3sat5", "r3", partial(_expand_r3, compact=False), _rule_growth("r3")),
+    "mono23sat4": Target("mono23sat4", None, (0, 0)),
+    "mono3sat5": Target("mono3sat5", partial(_expand_r3, compact=False), _rule_growth("r3")),
     "mono3sat5-compact": Target(
-        "mono3sat5", "r3", partial(_expand_r3, compact=True), _rule_growth("r3-compact")
+        "mono3sat5", partial(_expand_r3, compact=True), _rule_growth("r3-compact")
     ),
     # the widened clause replaces the 2-clause, so the gadget's clauses are the growth
     "mono3sat4": Target(
-        "mono3sat4", "gadget", _expand_gadget, (FORCE_TRUE_GADGET.var_count, len(FORCE_TRUE_GADGET.clauses))
+        "mono3sat4", _expand_gadget, (FORCE_TRUE_GADGET.var_count, len(FORCE_TRUE_GADGET.clauses))
     ),
 }
 
 
-def eliminate_mixed(formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
+def eliminate_mixed(formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
     """Rewrite every mixed clause of a 3-SAT-4 instance via gold_step.
 
     The output has no mixed clauses, every clause of width 2 or 3, and
@@ -438,7 +393,9 @@ def eliminate_mixed(formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
     return TARGETS["mono23sat4"].reduce(formula)
 
 
-def to_monotone_3sat5(formula: CnfFormula, compact: bool = False) -> tuple[CnfFormula, ReductionTrace]:
+def to_monotone_3sat5(
+    formula: CnfFormula, compact: bool = False
+) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
     """Full pipeline to monotone 3-SAT-5: eliminate mixed clauses, then
     expand every 2-clause with apply_r3 (compact switches to the 17-clause
     variant).  Output is equisatisfiable, all clauses monotone 3-clauses,
@@ -446,7 +403,7 @@ def to_monotone_3sat5(formula: CnfFormula, compact: bool = False) -> tuple[CnfFo
     return TARGETS["mono3sat5-compact" if compact else "mono3sat5"].reduce(formula)
 
 
-def to_monotone_3sat4(formula: CnfFormula) -> tuple[CnfFormula, ReductionTrace]:
+def to_monotone_3sat4(formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
     """Full pipeline to monotone 3-SAT-4: eliminate mixed clauses, then
     widen every 2-clause with a fresh forced variable and attach one
     fresh gadget per 2-clause.

@@ -229,24 +229,30 @@ def solve_dpll(formula: CnfFormula, assumptions: Mapping[int, bool] | None = Non
             clauses = next_clauses
 
     def search(clauses: list[list[int]], assignment: Assignment) -> Assignment | None:
+        # Depth-first over pending nodes: a node is a residual formula, its
+        # assignment, and the branch literal that produced it (None at the
+        # root).  The false branch is pushed first so the true one runs first.
         nonlocal decisions
-        propagated = propagate(clauses, assignment)
-        if propagated is None:
-            return None
-        clauses, assignment = propagated
-        if not clauses:
-            return assignment
-        var = min(abs(lit) for clause in clauses for lit in clause)
-        for value in (True, False):
-            decisions += 1
-            child = assign(clauses, var if value else -var)
-            if child is None:
+        pending: list[tuple[list[list[int]], Assignment, int | None]] = [(clauses, assignment, None)]
+        while pending:
+            clauses, assignment, branch = pending.pop()
+            if branch is not None:
+                decisions += 1
+                child = assign(clauses, branch)
+                if child is None:
+                    continue
+                clauses = child
+                assignment = dict(assignment)
+                assignment[abs(branch)] = branch > 0
+            propagated = propagate(clauses, assignment)
+            if propagated is None:
                 continue
-            child_assignment = dict(assignment)
-            child_assignment[var] = value
-            result = search(child, child_assignment)
-            if result is not None:
-                return result
+            clauses, assignment = propagated
+            if not clauses:
+                return assignment
+            var = min(abs(lit) for clause in clauses for lit in clause)
+            pending.append((clauses, assignment, -var))
+            pending.append((clauses, assignment, var))
         return None
 
     model = search(clauses, {})

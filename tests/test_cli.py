@@ -168,6 +168,12 @@ def test_malformed_dimacs_is_input_error(tmp_path, capsys):
     assert "not terminated" in capsys.readouterr().err
 
 
+def test_validate_accepts_satlib_trailer(tmp_path, capsys):
+    source = _write(tmp_path, "satlib.cnf", "p cnf 3 1\n1 -2 3 0\n%\n0\n")
+    assert run(["validate", "--profile", "3sat4", source]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_undecodable_input_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_bytes(b"p cnf 1 1\n\xff 0\n")
@@ -175,16 +181,19 @@ def test_undecodable_input_is_input_error(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
-def test_too_deep_search_is_input_error(tmp_path, capsys):
-    # no unit and no pure literal, so the recursive DPLL branches once per pair
+def test_deep_search_is_solved(tmp_path, capsys):
+    # no unit and no pure literal, so DPLL branches once per pair
     pairs = 1200
     lines = [f"p cnf {2 * pairs} {2 * pairs}"]
     for x in range(1, 2 * pairs, 2):
         lines += [f"{x} {x + 1} 0", f"-{x} -{x + 1} 0"]
     source = _write(tmp_path, "deep.cnf", "\n".join(lines) + "\n")
-    assert run(["solve", source]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(["solve", source]) == 0
+    verdict, witness = capsys.readouterr().out.splitlines()
+    assert verdict == "SAT"
+    v, *lits, end = witness.split()
+    assert (v, end) == ("v", "0")
+    assert len(lits) == 2 * pairs
 
 
 def test_usage_errors_exit_2(capsys):

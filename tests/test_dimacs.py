@@ -28,6 +28,11 @@ def test_parse_accepts_multi_line_clause():
     assert doc.formula.clauses[0].lits == (1, 2, 3)
 
 
+def test_parse_stops_at_satlib_trailer():
+    doc = parse("p cnf 3 1\n1 -2 3 0\n%\n0\n")
+    assert [c.lits for c in doc.formula.clauses] == [(1, -2, 3)]
+
+
 def test_parse_accepts_bytes():
     doc = parse(b"p cnf 1 1\n1 0\n")
     assert doc.declared_vars == 1
@@ -64,6 +69,7 @@ def test_serialize_parse_serialize_idempotent():
         ("p cnf 2 1\n1 two 0\n", "invalid literal token", 2),
         ("p cnf 2 1\n1 3 0\n", "exceeds declared count", 2),
         ("p cnf 2 1\n1 2\n", "not terminated", 2),
+        ("p cnf 2 1\n1 2\n%\n0\n", "not terminated", 2),
         ("p cnf 2 1\n0\n", "empty clause", 2),
         ("p cnf 2 1\n1 -1 0\n", "tautological", 2),
         ("p cnf 2 1\n1 1 0\n", "duplicate variable", 2),
@@ -83,6 +89,8 @@ def test_parse_missing_header():
 def test_parse_clause_count_mismatch():
     with pytest.raises(DimacsError, match="declares 2 clauses but 1"):
         parse("p cnf 2 2\n1 0\n")
+    with pytest.raises(DimacsError, match="declares 2 clauses but 1"):
+        parse("p cnf 2 2\n1 0\n%\n2 0\n")
 
 
 def test_multi_line_clause_error_points_at_first_line():

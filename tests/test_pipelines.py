@@ -8,11 +8,14 @@ from monocnf import (
     PROFILES,
     TARGETS,
     Clause,
+    ClauseOrigin,
     CnfFormula,
+    GenConfig,
     ProfileError,
     check_equisat,
     check_profile,
     eliminate_mixed,
+    generate,
     occurrence_table,
     solve_dpll,
     solve_exhaustive,
@@ -35,20 +38,14 @@ def test_eliminate_mixed_on_worked_example():
     assert [c.lits for c in out.clauses] == [(1, 3, 4), (-2, -4)]
     assert out.num_vars == 4
     assert check_profile(out, PROFILES["mono23sat4"]).ok
-    assert len(trace.steps) == 1
-    step = trace.steps[0]
-    assert step.rule == "gold" and step.source == 0
-    assert step.produced == (0, 1)
-    assert step.fresh_vars == (4,)
-    assert trace.original_variable_ceiling == 3
+    assert trace == (ClauseOrigin("gold", 0),) * 2
 
 
 def test_eliminate_mixed_identity_on_monotone_input():
     formula = CnfFormula.from_ints([[1, 2, 3], [-1, -2, -3]])
     out, trace = eliminate_mixed(formula)
     assert out == formula
-    assert trace.steps == ()
-    assert [o.rule for o in trace.provenance] == ["input", "input"]
+    assert trace == (ClauseOrigin("input", 0), ClauseOrigin("input", 1))
 
 
 def test_eliminate_mixed_children_replace_parent_in_place():
@@ -97,7 +94,7 @@ def test_monotone_3sat4_worked_example_sizes():
 def test_monotone_3sat4_designated_variable_reaches_cap():
     out, trace = to_monotone_3sat4(MIXED_ONE)
     widened_positions = [
-        i for i, origin in enumerate(trace.provenance) if origin.rule == "widen"
+        i for i, origin in enumerate(trace) if origin.rule == "widen"
     ]
     assert len(widened_positions) == 1
     widened = out.clauses[widened_positions[0]]
@@ -116,7 +113,8 @@ def test_pipelines_accept_monotone_23_input_directly():
     # six 2-clauses expanded, nothing carried over
     assert len(out5.clauses) == 6 * 19
     assert len(out4.clauses) == 6 * 26
-    assert all(step.rule in ("r3", "gadget") for step in trace5.steps + trace4.steps)
+    assert {origin.rule for origin in trace5} == {"r3"}
+    assert {origin.rule for origin in trace4} == {"widen", "gadget"}
 
 
 def test_unsat_instance_stays_unsat_through_every_pipeline():
@@ -190,34 +188,41 @@ def test_target_growth_matches_closed_forms():
 def test_trace_provenance_covers_every_output_clause():
     formula = CnfFormula.from_ints([[1, 2, 3], [1, -2, 3]])
     out, trace = to_monotone_3sat4(formula)
-    assert len(trace.provenance) == len(out.clauses)
-    rules = [origin.rule for origin in trace.provenance]
+    assert len(trace) == len(out.clauses)
+    rules = [origin.rule for origin in trace]
     assert rules[0] == "input"
     assert rules.count("widen") == 1
     assert rules.count("gadget") == 25
     # every derived clause points back at the mixed input clause
-    assert all(
-        origin.source == 1 for origin in trace.provenance if origin.rule != "input"
-    )
+    assert all(origin.source == 1 for origin in trace if origin.rule != "input")
 
 
-def test_trace_fresh_variables_are_disjoint_and_increasing():
-    formula = CnfFormula.from_ints([[1, -2, 3], [-1, 2, 3], [1, 2, -3]])
-    _, trace = to_monotone_3sat5(formula)
-    seen: list[int] = []
-    for step in trace.steps:
-        seen.extend(step.fresh_vars)
-    assert seen == sorted(seen)
-    assert len(seen) == len(set(seen))
-    assert all(v > trace.original_variable_ceiling for v in seen)
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_each_input_clause_maps_to_one_run_with_its_own_fresh_variables(name):
+    for seed in range(8):
+        formula = generate(GenConfig(12, 16, seed))
+        out, trace = TARGETS[name].reduce(formula)
+        runs: dict[int, list[Clause]] = {}
+        for clause, origin in zip(out.clauses, trace):
+            runs.setdefault(origin.source, []).append(clause)
+        # one contiguous run per input clause, in input order
+        sources = [origin.source for origin in trace]
+        assert sources == sorted(sources)
+        assert list(runs) == list(range(len(formula.clauses)))
+        fresh = [
+            {v for clause in run for v in clause.variables() if v > formula.num_vars}
+            for run in runs.values()
+        ]
+        covered = set().union(*fresh)
+        assert sum(len(block) for block in fresh) == len(covered)
+        assert covered == set(range(formula.num_vars + 1, out.num_vars + 1))
 
 
 def test_gold_children_positions_recorded_in_intermediate_coordinates():
     formula = CnfFormula.from_ints([[1, 2, 3], [1, -2, 3], [-1, -2, -3]])
     _, trace = eliminate_mixed(formula)
-    (step,) = trace.steps
-    assert step.source == 1
-    assert step.produced == (1, 2)
+    assert trace[1:3] == (ClauseOrigin("gold", 1),) * 2
+    assert [origin.rule for origin in trace] == ["input", "gold", "gold", "input"]
 
 
 def test_empty_formula_passes_through_every_pipeline():
@@ -230,4 +235,4 @@ def test_empty_formula_passes_through_every_pipeline():
         out, trace = pipeline(empty)
         assert out.clauses == ()
         assert out.num_vars == 3
-        assert trace.steps == ()
+        assert trace == ()
