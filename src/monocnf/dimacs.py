@@ -1,8 +1,9 @@
 """DIMACS CNF parsing and serialization.
 
 Standard "p cnf <vars> <clauses>" documents with zero-terminated clauses.
-Input accepts LF or CRLF, extra whitespace, multi-line clauses,
-interleaved comment lines, and a SATLIB "%" trailer; output is
+Input accepts LF or CRLF line ends (no other character ends a line, so
+a form feed inside a comment stays in it), extra whitespace, multi-line
+clauses, interleaved comment lines, and a SATLIB "%" trailer; output is
 canonical: comment lines first, then the header, then one clause per
 line with literals in ascending variable order, LF line endings.
 ``serialize(parse(serialize(doc)))`` is byte-identical to
@@ -40,14 +41,6 @@ class DimacsDocument:
     formula: CnfFormula
     comments: tuple[str, ...] = ()
 
-    @property
-    def declared_vars(self) -> int:
-        return self.formula.num_vars
-
-    @property
-    def declared_clauses(self) -> int:
-        return len(self.formula.clauses)
-
 
 def parse(text: str | bytes) -> DimacsDocument:
     """Parse a DIMACS CNF document.
@@ -70,12 +63,12 @@ def parse(text: str | bytes) -> DimacsDocument:
 
     comments: list[str] = []
     clauses: list[Clause] = []
-    declared_vars: int | None = None
-    declared_clauses: int | None = None
+    num_vars: int | None = None
+    num_clauses: int | None = None
     pending: list[int] = []
     pending_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -88,15 +81,18 @@ def parse(text: str | bytes) -> DimacsDocument:
             comments.append(body)
             continue
         if line.startswith("p"):
-            if declared_vars is not None:
+            if num_vars is not None:
                 raise DimacsError("duplicate header", lineno)
             match = _HEADER_RE.match(line)
             if match is None:
                 raise DimacsError(f"malformed header: {line!r}", lineno)
-            declared_vars = int(match.group(1))
-            declared_clauses = int(match.group(2))
+            try:
+                num_vars = int(match.group(1))
+                num_clauses = int(match.group(2))
+            except ValueError:
+                raise DimacsError("header count has too many digits", lineno) from None
             continue
-        if declared_vars is None:
+        if num_vars is None:
             raise DimacsError("clause data before header", lineno)
         for token in line.split():
             try:
@@ -114,18 +110,18 @@ def parse(text: str | bytes) -> DimacsDocument:
                 continue
             if not pending:
                 pending_line = lineno
-            if abs(lit) > declared_vars:
-                raise DimacsError(f"variable {abs(lit)} exceeds declared count {declared_vars}", lineno)
+            if abs(lit) > num_vars:
+                raise DimacsError(f"variable {abs(lit)} exceeds declared count {num_vars}", lineno)
             pending.append(lit)
 
-    if declared_vars is None:
+    if num_vars is None:
         raise DimacsError("missing header")
     if pending:
         raise DimacsError("last clause not terminated by 0", pending_line)
-    if len(clauses) != declared_clauses:
-        raise DimacsError(f"header declares {declared_clauses} clauses but {len(clauses)} were found")
+    if len(clauses) != num_clauses:
+        raise DimacsError(f"header declares {num_clauses} clauses but {len(clauses)} were found")
 
-    formula = CnfFormula(clauses, num_vars=declared_vars)
+    formula = CnfFormula(clauses, num_vars=num_vars)
     return DimacsDocument(formula=formula, comments=tuple(comments))
 
 
@@ -134,8 +130,9 @@ def serialize(doc: DimacsDocument) -> str:
     lines: list[str] = []
     for comment in doc.comments:
         lines.append(f"c {comment}" if comment else "c")
-    lines.append(f"p cnf {doc.declared_vars} {doc.declared_clauses}")
-    for clause in doc.formula.clauses:
+    formula = doc.formula
+    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
+    for clause in formula.clauses:
         lines.append(" ".join(str(lit) for lit in clause.lits) + " 0")
     return "\n".join(lines) + "\n"
 

@@ -8,7 +8,9 @@ transformations build new values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -68,10 +70,6 @@ class Clause:
     def variables(self) -> frozenset[int]:
         return frozenset(abs(lit) for lit in self.lits)
 
-    def negated(self) -> "Clause":
-        """The literal-wise negation of this clause."""
-        return Clause(-lit for lit in self.lits)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.lits)
 
@@ -83,14 +81,6 @@ class Clause:
 
     def __repr__(self) -> str:
         return f"Clause({list(self.lits)})"
-
-
-@dataclass(frozen=True)
-class PolaritySplit:
-    """A clause separated into its positive and negative literals."""
-
-    positive: tuple[int, ...]
-    negative: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,7 @@ class CnfFormula:
 
     def __init__(self, clauses: Iterable[Clause], num_vars: int | None = None):
         clause_tuple = tuple(clauses)
-        max_ref = max((max(c.variables()) for c in clause_tuple), default=0)
+        max_ref = max(map(abs, chain.from_iterable(c.lits for c in clause_tuple)), default=0)
         if num_vars is None:
             num_vars = max_ref
         if num_vars < 0:
@@ -139,55 +129,10 @@ class CnfFormula:
         return f"CnfFormula({len(self.clauses)} clauses, {self.num_vars} vars)"
 
 
-class OccurrenceTable:
-    """Per-variable occurrence counters for a formula.
+def occurrences(formula: CnfFormula) -> Counter[int]:
+    """The number of clauses each variable occurs in, whatever its sign.
 
-    Counts every literal of every clause; since clauses cannot repeat a
-    variable, the literal count equals the number of clauses containing
-    the variable.  Declared-but-unreferenced indices report zero.
+    Clauses cannot repeat a variable, so this is also its literal count.
+    A variable no clause references reads 0.
     """
-
-    def __init__(self, formula: CnfFormula):
-        n = formula.num_vars
-        pos = [0] * (n + 1)
-        neg = [0] * (n + 1)
-        for clause in formula.clauses:
-            for lit in clause:
-                if lit > 0:
-                    pos[lit] += 1
-                else:
-                    neg[-lit] += 1
-        self._pos = pos
-        self._neg = neg
-        self.num_vars = n
-
-    def positive(self, var: int) -> int:
-        return self._pos[var] if 0 < var <= self.num_vars else 0
-
-    def negative(self, var: int) -> int:
-        return self._neg[var] if 0 < var <= self.num_vars else 0
-
-    def total(self, var: int) -> int:
-        return self.positive(var) + self.negative(var)
-
-    def max_total(self) -> int:
-        """Largest occurrence count over all variables (0 for an empty table)."""
-        return max((self.total(v) for v in range(1, self.num_vars + 1)), default=0)
-
-    def items(self) -> Iterator[tuple[int, int, int, int]]:
-        """Yield (variable, positive, negative, total) for vars 1..num_vars."""
-        for v in range(1, self.num_vars + 1):
-            yield v, self._pos[v], self._neg[v], self._pos[v] + self._neg[v]
-
-
-def polarity_split(clause: Clause) -> PolaritySplit:
-    """Separate a clause into positive and negative literals, losslessly."""
-    return PolaritySplit(
-        positive=tuple(lit for lit in clause.lits if lit > 0),
-        negative=tuple(lit for lit in clause.lits if lit < 0),
-    )
-
-
-def occurrence_table(formula: CnfFormula) -> OccurrenceTable:
-    """Recompute exact per-variable occurrence counts from scratch."""
-    return OccurrenceTable(formula)
+    return Counter(map(abs, chain.from_iterable(c.lits for c in formula.clauses)))

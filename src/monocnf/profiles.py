@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formula import CnfFormula, occurrence_table
+from .formula import CnfFormula, occurrences
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,8 @@ def check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
             )
         if profile.monotone and clause.is_mixed:
             violations.append(Violation("monotonicity", index, "mixed clause in a monotone profile"))
-    table = occurrence_table(formula)
-    for var, _, _, total in table.items():
-        if total > profile.occurrence_cap:
-            violations.append(
-                Violation("occurrence", var, f"{total} occurrences, cap is {profile.occurrence_cap}")
-            )
+    cap = profile.occurrence_cap
+    over = sorted((var, total) for var, total in occurrences(formula).items() if total > cap)
+    for var, total in over:
+        violations.append(Violation("occurrence", var, f"{total} occurrences, cap is {cap}"))
     return ViolationReport(profile=profile, violations=tuple(violations))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .formula import Clause, CnfFormula, polarity_split
+from .formula import Clause, CnfFormula
 from .profiles import PROFILES, ViolationReport, check_profile
 
 
@@ -51,18 +51,14 @@ class ProfileError(ValueError):
 class FreshAllocator:
     """Hands out consecutive fresh variable indices, strictly increasing.
 
-    Seed it past every existing index (``for_formula`` starts at
-    ``num_vars + 1``) so allocations never collide.
+    Seed it past every existing index (``num_vars + 1`` for a formula)
+    so allocations never collide.
     """
 
     def __init__(self, next_index: int):
         if next_index < 1:
             raise ValueError(f"variable indices start at 1, got {next_index}")
         self._next = next_index
-
-    @classmethod
-    def for_formula(cls, formula: CnfFormula) -> "FreshAllocator":
-        return cls(formula.num_vars + 1)
 
     @property
     def next_index(self) -> int:
@@ -120,9 +116,10 @@ def gold_step(clause: Clause, alloc: FreshAllocator) -> tuple[Clause, Clause]:
         raise ValueError(f"gold_step requires a 3-clause, got width {clause.width}")
     if not clause.is_mixed:
         raise ValueError(f"gold_step requires a mixed clause, got {clause!r}")
-    split = polarity_split(clause)
+    positive = tuple(lit for lit in clause.lits if lit > 0)
+    negative = tuple(lit for lit in clause.lits if lit < 0)
     bridge = alloc.fresh()
-    return Clause(split.positive + (bridge,)), Clause(split.negative + (-bridge,))
+    return Clause(positive + (bridge,)), Clause(negative + (-bridge,))
 
 
 def apply_r1(clause: Clause, alloc: FreshAllocator) -> list[Clause]:
@@ -355,7 +352,7 @@ class Target:
         also accepts monotone (2,3)-SAT-4 input (the mixed-elimination
         output class), which skips straight to the 2-clause stage.
         """
-        alloc = FreshAllocator.for_formula(formula)
+        alloc = FreshAllocator(formula.num_vars + 1)
         clauses = list(formula.clauses)
         origins = [ClauseOrigin("input", i) for i in range(len(clauses))]
         strict = check_profile(formula, PROFILES["3sat4"])

@@ -112,15 +112,16 @@ class _TruthTable:
         return {v: bool((index >> i) & 1) for i, v in enumerate(self.variables)}
 
 
-def solve_exhaustive(formula: CnfFormula, var_limit: int = DEFAULT_VAR_LIMIT) -> SatVerdict:
+def solve_exhaustive(formula: CnfFormula) -> SatVerdict:
     """Decide satisfiability by enumerating all 2^num_vars assignments.
 
     The witness is the first satisfying assignment in ascending counter
-    order.  Raises VariableLimitError when num_vars exceeds var_limit.
+    order.  Raises VariableLimitError when num_vars exceeds
+    DEFAULT_VAR_LIMIT.
     """
     n = formula.num_vars
-    if n > var_limit:
-        raise VariableLimitError(f"{n} variables exceed the exhaustive limit of {var_limit}")
+    if n > DEFAULT_VAR_LIMIT:
+        raise VariableLimitError(f"{n} variables exceed the exhaustive limit of {DEFAULT_VAR_LIMIT}")
     table = _TruthTable(range(1, n + 1))
     mask = table.formula_mask(formula.clauses)
     if not mask:
@@ -132,9 +133,7 @@ def solve_exhaustive(formula: CnfFormula, var_limit: int = DEFAULT_VAR_LIMIT) ->
     return SatVerdict(satisfiable=True, witness=witness, method="exhaustive", explored=table.size)
 
 
-def verify_forcing(
-    clauses: Sequence[Clause], designated: int, var_limit: int = DEFAULT_VAR_LIMIT
-) -> ForcingReport:
+def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     """Enumerate all assignments of a clause collection and report the
     variables fixed to the same value in every model.
 
@@ -148,8 +147,10 @@ def verify_forcing(
     if designated not in universe:
         raise ValueError(f"designated variable {designated} does not occur in the clauses")
     ordered = sorted(universe)
-    if len(ordered) > var_limit:
-        raise VariableLimitError(f"{len(ordered)} variables exceed the exhaustive limit of {var_limit}")
+    if len(ordered) > DEFAULT_VAR_LIMIT:
+        raise VariableLimitError(
+            f"{len(ordered)} variables exceed the exhaustive limit of {DEFAULT_VAR_LIMIT}"
+        )
     table = _TruthTable(ordered)
     mask = table.formula_mask(clauses)
     count = mask.bit_count()
@@ -170,19 +171,14 @@ def verify_forcing(
     )
 
 
-def solve_dpll(formula: CnfFormula, assumptions: Mapping[int, bool] | None = None) -> SatVerdict:
+def solve_dpll(formula: CnfFormula) -> SatVerdict:
     """Decide satisfiability by DPLL search.
 
     Unit propagation and pure-literal elimination run to fixpoint before
     each decision; the branching variable is the lowest-index variable in
     the residual formula, true branch first, so runs are deterministic.
-    ``assumptions`` seed fixed values (used to check that a model of an
-    original formula extends to a model of its reduction).
     """
     clauses = [list(clause.lits) for clause in formula.clauses]
-    if assumptions:
-        for var, value in sorted(assumptions.items()):
-            clauses.append([var if value else -var])
     decisions = 0
 
     def assign(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
@@ -264,20 +260,18 @@ def solve_dpll(formula: CnfFormula, assumptions: Mapping[int, bool] | None = Non
     return SatVerdict(satisfiable=True, witness=witness, method="dpll", explored=decisions)
 
 
-def check_equisat(
-    original: CnfFormula, reduced: CnfFormula, var_limit: int = DEFAULT_VAR_LIMIT
-) -> bool:
+def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
     """True iff both formulas have the same SAT verdict.
 
-    Each side is decided exhaustively when it fits under var_limit and by
-    DPLL otherwise.
+    Each side is decided exhaustively when it has at most
+    DEFAULT_VAR_LIMIT variables and by DPLL otherwise.
     """
-    return _decide(original, var_limit).satisfiable == _decide(reduced, var_limit).satisfiable
+    return _decide(original).satisfiable == _decide(reduced).satisfiable
 
 
-def _decide(formula: CnfFormula, var_limit: int = DEFAULT_VAR_LIMIT) -> SatVerdict:
-    if formula.num_vars <= var_limit:
-        return solve_exhaustive(formula, var_limit)
+def _decide(formula: CnfFormula) -> SatVerdict:
+    if formula.num_vars <= DEFAULT_VAR_LIMIT:
+        return solve_exhaustive(formula)
     return solve_dpll(formula)
 
 

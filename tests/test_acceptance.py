@@ -26,7 +26,7 @@ from monocnf import (
     evaluate,
     generate,
     instantiate_gadget,
-    occurrence_table,
+    occurrences,
     parse,
     serialize,
     solve_dpll,
@@ -93,11 +93,11 @@ def test_criterion_02_known_witness():
 
 def test_criterion_03_gadget_occurrence_profile():
     clauses, designated = instantiate_gadget(FORCE_TRUE_GADGET, FreshAllocator(1))
-    table = occurrence_table(CnfFormula(clauses, num_vars=21))
+    counts = occurrences(CnfFormula(clauses, num_vars=21))
     checks = {
-        "designated occurs 3 times": table.total(designated) == 3,
-        "no variable above 4": table.max_total() <= 4,
-        "last variable occurs twice": table.total(21) == 2,
+        "designated occurs 3 times": counts[designated] == 3,
+        "no variable above 4": max(counts.values()) <= 4,
+        "last variable occurs twice": counts[21] == 2,
     }
     failed = [name for name, ok in checks.items() if not ok]
     _criterion(
@@ -121,10 +121,10 @@ def test_criterion_04_rule_arithmetic():
                 failures.append(f"{label}: {len(produced)} clauses")
             if len(fresh) != var_count:
                 failures.append(f"{label}: {len(fresh)} fresh variables")
-            table = occurrence_table(CnfFormula(produced))
-            if table.total(1) != 1 or table.total(2) != 1:
+            counts = occurrences(CnfFormula(produced))
+            if counts[1] != 1 or counts[2] != 1:
                 failures.append(f"{label}: original variable occurrences changed")
-            if max(table.total(v) for v in fresh) > 5:
+            if max(counts[v] for v in fresh) > 5:
                 failures.append(f"{label}: fresh variable above 5 occurrences")
     _criterion(
         4,

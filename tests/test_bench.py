@@ -14,7 +14,7 @@ from monocnf import (
     check_profile,
     csv_rows,
     generate,
-    occurrence_table,
+    occurrences,
 )
 
 # first outputs of the SplitMix64 reference stream, frozen from a run
@@ -93,8 +93,8 @@ def test_generated_instances_satisfy_3sat4_profile():
 def test_generate_handles_tight_budget():
     # 3 variables, 4 clauses consumes the entire occurrence budget
     formula = generate(GenConfig(3, 4, 11))
-    table = occurrence_table(formula)
-    assert all(table.total(v) == 4 for v in (1, 2, 3))
+    counts = occurrences(formula)
+    assert all(counts[v] == 4 for v in (1, 2, 3))
 
 
 def test_blowup_record_counts_on_worked_example():

@@ -117,8 +117,8 @@ def test_gen_writes_valid_instance(tmp_path, capsys):
     assert run(["gen", "--vars", "6", "--clauses", "8", "--seed", "42", out]) == 0
     assert run(["validate", "--profile", "3sat4", out]) == 0
     doc = parse((tmp_path / "gen.cnf").read_text())
-    assert doc.declared_vars == 6
-    assert doc.declared_clauses == 8
+    assert doc.formula.num_vars == 6
+    assert len(doc.formula.clauses) == 8
     capsys.readouterr()
 
 
@@ -172,6 +172,23 @@ def test_validate_accepts_satlib_trailer(tmp_path, capsys):
     source = _write(tmp_path, "satlib.cnf", "p cnf 3 1\n1 -2 3 0\n%\n0\n")
     assert run(["validate", "--profile", "3sat4", source]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_huge_header_count_is_input_error(tmp_path, capsys):
+    source = _write(tmp_path, "huge.cnf", "p cnf " + "9" * 5000 + " 0\n")
+    assert run(["validate", "--profile", "3sat4", source]) == 3
+    assert "line 1: header count has too many digits" in capsys.readouterr().err
+
+
+def test_declared_count_beyond_index_range_is_accepted(tmp_path, capsys):
+    # the declared count exceeds sys.maxsize; nothing may be sized by it
+    source = _write(tmp_path, "wide.cnf", "p cnf 99999999999999999999 1\n1 2 3 0\n")
+    assert run(["validate", "--profile", "3sat4", source]) == 0
+    output = str(tmp_path / "out.cnf")
+    assert run(["reduce", "--target", "mono3sat4", source, output]) == 0
+    assert capsys.readouterr().out == ""
+    with open(output) as handle:
+        assert handle.read() == "p cnf 99999999999999999999 1\n1 2 3 0\n"
 
 
 def test_undecodable_input_is_input_error(tmp_path, capsys):

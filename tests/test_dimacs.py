@@ -7,8 +7,8 @@ from monocnf import CnfFormula, DimacsDocument, DimacsError, dump, load, parse, 
 
 def test_parse_basic_document():
     doc = parse("c a comment\np cnf 3 2\n1 -2 3 0\n-1 2 0\n")
-    assert doc.declared_vars == 3
-    assert doc.declared_clauses == 2
+    assert doc.formula.num_vars == 3
+    assert len(doc.formula.clauses) == 2
     assert doc.comments == ("a comment",)
     assert [c.lits for c in doc.formula.clauses] == [(1, -2, 3), (-1, 2)]
 
@@ -33,9 +33,18 @@ def test_parse_stops_at_satlib_trailer():
     assert [c.lits for c in doc.formula.clauses] == [(1, -2, 3)]
 
 
+@pytest.mark.parametrize("char", ["\x0c", "\u2028"], ids=["form-feed", "line-separator"])
+def test_parse_keeps_line_break_characters_inside_comments(char):
+    text = f"c made by tool{char}v2\np cnf 3 1\n1 -2 3 0\n"
+    doc = parse(text)
+    assert doc.comments == (f"made by tool{char}v2",)
+    assert [c.lits for c in doc.formula.clauses] == [(1, -2, 3)]
+    assert serialize(doc) == text
+
+
 def test_parse_accepts_bytes():
     doc = parse(b"p cnf 1 1\n1 0\n")
-    assert doc.declared_vars == 1
+    assert doc.formula.num_vars == 1
 
 
 def test_parse_interleaved_comments_collected_in_order():
@@ -45,7 +54,7 @@ def test_parse_interleaved_comments_collected_in_order():
 
 def test_parse_empty_formula():
     doc = parse("p cnf 0 0\n")
-    assert doc.declared_vars == 0
+    assert doc.formula.num_vars == 0
     assert doc.formula.clauses == ()
 
 
@@ -65,6 +74,8 @@ def test_serialize_parse_serialize_idempotent():
     [
         ("p cnf 2 1\np cnf 2 1\n1 0\n", "duplicate header", 2),
         ("p cnf x 1\n1 0\n", "malformed header", 1),
+        # int() refuses more than 4300 digits by default
+        pytest.param("p cnf " + "9" * 5000 + " 0\n", "too many digits", 1, id="huge-header-count"),
         ("1 0\np cnf 1 1\n", "before header", 1),
         ("p cnf 2 1\n1 two 0\n", "invalid literal token", 2),
         ("p cnf 2 1\n1 3 0\n", "exceeds declared count", 2),

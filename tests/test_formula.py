@@ -2,13 +2,7 @@
 
 import pytest
 
-from monocnf import (
-    Clause,
-    CnfFormula,
-    FormulaError,
-    occurrence_table,
-    polarity_split,
-)
+from monocnf import Clause, CnfFormula, FormulaError, occurrences
 
 
 def test_clause_canonical_order():
@@ -51,23 +45,12 @@ def test_width_and_polarity_properties():
     assert not mixed.is_positive and not mixed.is_negative
 
 
-def test_clause_negated_is_literal_wise():
-    assert Clause((1, -2, 3)).negated() == Clause((-1, 2, -3))
-    assert Clause((1, -2)).negated().negated() == Clause((1, -2))
-
-
 def test_clause_container_protocol():
     clause = Clause((3, -1))
     assert len(clause) == 2
     assert list(clause) == [-1, 3]
     assert -1 in clause and 1 not in clause
     assert clause.variables() == frozenset({1, 3})
-
-
-def test_polarity_split_separates_signs():
-    split = polarity_split(Clause((1, -2, 3)))
-    assert split.positive == (1, 3)
-    assert split.negative == (-2,)
 
 
 def test_formula_num_vars_defaults_to_max_referenced():
@@ -100,18 +83,9 @@ def test_formula_is_immutable():
         formula.num_vars = 5
 
 
-def test_occurrence_table_counts_both_polarities():
+def test_occurrences_count_both_polarities():
     formula = CnfFormula.from_ints([[1, -2, 3], [-1, -2], [1, 3]], num_vars=4)
-    table = occurrence_table(formula)
-    assert table.positive(1) == 2 and table.negative(1) == 1 and table.total(1) == 3
-    assert table.positive(2) == 0 and table.negative(2) == 2
-    assert table.total(3) == 2
-    assert table.total(4) == 0
-    assert table.max_total() == 3
-
-
-def test_occurrence_table_items_cover_declared_range():
-    formula = CnfFormula.from_ints([[1, 2]], num_vars=3)
-    rows = list(occurrence_table(formula).items())
-    assert [row[0] for row in rows] == [1, 2, 3]
-    assert rows[2] == (3, 0, 0, 0)
+    counts = occurrences(formula)
+    assert counts == {1: 3, 2: 2, 3: 2}
+    # declared but unreferenced
+    assert counts[4] == 0

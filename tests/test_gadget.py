@@ -11,7 +11,7 @@ from monocnf import (
     GadgetTemplate,
     evaluate,
     instantiate_gadget,
-    occurrence_table,
+    occurrences,
     verify_forcing,
 )
 
@@ -66,11 +66,11 @@ def test_instantiation_maps_template_ids_to_allocation_order():
 
 def test_occurrence_profile():
     clauses, designated = instantiate_gadget(FORCE_TRUE_GADGET, FreshAllocator(1))
-    table = occurrence_table(CnfFormula(clauses, num_vars=21))
-    assert table.total(designated) == 3
-    assert table.max_total() == 4
-    assert table.total(21) == 2  # the last-introduced variable
-    assert sum(table.total(v) for v in range(1, 22)) == 75
+    counts = occurrences(CnfFormula(clauses, num_vars=21))
+    assert counts[designated] == 3
+    assert max(counts.values()) == 4
+    assert counts[21] == 2  # the last-introduced variable
+    assert sum(counts[v] for v in range(1, 22)) == 75
 
 
 def test_force_true_gadget_forces_exactly_its_designated_variable():

@@ -16,7 +16,7 @@ from monocnf import (
     check_profile,
     eliminate_mixed,
     generate,
-    occurrence_table,
+    occurrences,
     solve_dpll,
     solve_exhaustive,
     to_monotone_3sat4,
@@ -39,6 +39,10 @@ def test_eliminate_mixed_on_worked_example():
     assert out.num_vars == 4
     assert check_profile(out, PROFILES["mono23sat4"]).ok
     assert trace == (ClauseOrigin("gold", 0),) * 2
+    # fresh variables start past the declared count, not the largest referenced
+    out, _ = eliminate_mixed(CnfFormula(MIXED_ONE.clauses, num_vars=7))
+    assert [c.lits for c in out.clauses] == [(1, 3, 8), (-2, -8)]
+    assert out.num_vars == 8
 
 
 def test_eliminate_mixed_identity_on_monotone_input():
@@ -100,9 +104,9 @@ def test_monotone_3sat4_designated_variable_reaches_cap():
     widened = out.clauses[widened_positions[0]]
     # the widened clause is the 2-clause plus the designated literal
     designated = max(widened.variables())
-    table = occurrence_table(out)
-    assert table.total(designated) == 4
-    assert table.max_total() == 4
+    counts = occurrences(out)
+    assert counts[designated] == 4
+    assert max(counts.values()) == 4
 
 
 def test_pipelines_accept_monotone_23_input_directly():
@@ -158,7 +162,8 @@ def test_every_original_model_extends_to_the_fresh_variables():
         to_monotone_3sat4(formula),
     ):
         for model in models:
-            assert solve_dpll(out, assumptions=model).satisfiable
+            fixed = [Clause((v if value else -v,)) for v, value in model.items()]
+            assert solve_dpll(CnfFormula(out.clauses + tuple(fixed), out.num_vars)).satisfiable
 
 
 def test_pipelines_reject_out_of_class_input():

@@ -59,7 +59,7 @@ def test_exhaustive_respects_variable_limit():
     formula = CnfFormula((), num_vars=25)
     with pytest.raises(VariableLimitError):
         solve_exhaustive(formula)
-    assert solve_exhaustive(formula, var_limit=25).satisfiable
+    assert solve_exhaustive(CnfFormula((), num_vars=24)).satisfiable
 
 
 def test_dpll_agrees_on_simple_cases():
@@ -84,14 +84,10 @@ def test_dpll_witness_satisfies_formula():
     assert set(verdict.witness) == {1, 2, 3}
 
 
-def test_dpll_assumptions_constrain_search():
-    formula = CnfFormula.from_ints([[1, 2]])
-    verdict = solve_dpll(formula, assumptions={1: False})
+def test_dpll_unit_clauses_constrain_search():
+    verdict = solve_dpll(CnfFormula.from_ints([[1, 2], [-1]]))
     assert verdict.satisfiable and verdict.witness is not None
     assert verdict.witness[1] is False and verdict.witness[2] is True
-
-    pinned = solve_dpll(CnfFormula.from_ints([[1]]), assumptions={1: False})
-    assert not pinned.satisfiable
 
 
 def test_dpll_empty_formula_is_satisfiable():
