@@ -83,9 +83,18 @@ def test_formula_is_immutable():
         formula.num_vars = 5
 
 
-def test_occurrences_count_both_polarities():
+def test_occurrence_table_counts_both_polarities():
     formula = CnfFormula.from_ints([[1, -2, 3], [-1, -2], [1, 3]], num_vars=4)
     counts = occurrences(formula)
     assert counts == {1: 3, 2: 2, 3: 2}
-    # declared but unreferenced
-    assert counts[4] == 0
+    # a purely negative variable counts as fully as a mixed one
+    assert counts[2] == 2
+    assert max(counts.values()) == 3
+
+
+def test_occurrence_table_items_cover_declared_range():
+    formula = CnfFormula.from_ints([[1, 2]], num_vars=3)
+    counts = occurrences(formula)
+    # every declared variable reads a count; unreferenced ones read 0
+    assert [counts[v] for v in range(1, formula.num_vars + 1)] == [1, 1, 0]
+    assert 3 not in counts

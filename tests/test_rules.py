@@ -26,6 +26,16 @@ def test_allocator_hands_out_consecutive_indices():
     assert alloc.next_index == 9
 
 
+def test_allocator_for_formula_starts_past_declared():
+    formula = CnfFormula.from_ints([[1, -2, 3]], num_vars=7)
+    alloc = FreshAllocator(formula.num_vars + 1)
+    positive, negative = gold_step(formula.clauses[0], alloc)
+    # the fresh variable is past the declared count, not the largest referenced
+    assert positive == Clause((1, 3, 8))
+    assert negative == Clause((-2, -8))
+    assert alloc.next_index == 9
+
+
 def test_allocator_rejects_nonpositive_start():
     with pytest.raises(ValueError, match="start at 1"):
         FreshAllocator(0)
