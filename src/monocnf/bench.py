@@ -7,8 +7,8 @@ SplitMix64, a fixed 64-bit stream generator, so a seed reproduces the
 same instance on any platform and Python version.
 
 Blowup accounting runs every target of ``reduce.TARGETS`` on an
-instance, records output sizes and wall time, and checks the measured
-counts against the closed forms given by each target's growth.
+instance, reports output sizes and wall time as CSV rows, and checks the
+measured counts against the closed forms given by each target's growth.
 """
 
 from __future__ import annotations
@@ -130,62 +130,6 @@ def _attempt(cfg: GenConfig, rng: SplitMix64) -> list[Clause] | None:
     return clauses
 
 
-@dataclass(frozen=True)
-class PipelineOutcome:
-    pipeline: str
-    output_vars: int
-    output_clauses: int
-    millis: float
-
-
-@dataclass(frozen=True)
-class BlowupRecord:
-    """Input shape, 2-clause census of the mixed-elimination stage, and
-    per-pipeline output sizes with wall time."""
-
-    input_vars: int
-    input_clauses: int
-    mixed: int
-    pos2: int
-    neg2: int
-    outcomes: tuple[PipelineOutcome, ...]
-
-
-def _expected_counts(pipeline: str, record: BlowupRecord) -> tuple[int, int]:
-    two = record.pos2 + record.neg2
-    var_growth, clause_growth = TARGETS[pipeline].growth
-    return (
-        record.input_vars + record.mixed + var_growth * two,
-        record.input_clauses + record.mixed + clause_growth * two,
-    )
-
-
-def blowup_report(formula: CnfFormula) -> BlowupRecord:
-    """Run every pipeline on a 3-SAT-4 instance and record sizes and wall
-    time, verifying the measured counts against the closed forms."""
-    mixed = sum(1 for c in formula.clauses if c.is_mixed)
-    outcomes: list[PipelineOutcome] = []
-    for name, target in TARGETS.items():
-        start = time.perf_counter()
-        out, _ = target.reduce(formula)
-        millis = (time.perf_counter() - start) * 1000.0
-        outcomes.append(PipelineOutcome(name, out.num_vars, len(out.clauses), millis))
-        if name == "mono23sat4":  # the 2-clause census of mixed elimination
-            pos2 = sum(1 for c in out.clauses if c.width == 2 and c.is_positive)
-            neg2 = sum(1 for c in out.clauses if c.width == 2 and c.is_negative)
-
-    record = BlowupRecord(formula.num_vars, len(formula.clauses), mixed, pos2, neg2, tuple(outcomes))
-    for outcome in record.outcomes:
-        expected = _expected_counts(outcome.pipeline, record)
-        measured = (outcome.output_vars, outcome.output_clauses)
-        if measured != expected:
-            raise RuntimeError(
-                f"blowup identity violated for {outcome.pipeline}: "
-                f"measured vars/clauses {measured}, expected {expected}"
-            )
-    return record
-
-
 CSV_HEADER = (
     "seed",
     "input_vars",
@@ -200,23 +144,34 @@ CSV_HEADER = (
 )
 
 
-def csv_rows(seed: int, record: BlowupRecord) -> list[tuple[str, ...]]:
-    """One CSV row per pipeline outcome, matching CSV_HEADER."""
-    prefix = (
-        str(seed),
-        str(record.input_vars),
-        str(record.input_clauses),
-        str(record.mixed),
-        str(record.pos2),
-        str(record.neg2),
-    )
-    return [
-        prefix
-        + (
-            outcome.pipeline,
-            str(outcome.output_vars),
-            str(outcome.output_clauses),
-            f"{outcome.millis:.3f}",
+def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
+    """Run every target on a 3-SAT-4 instance and return one CSV row per
+    target, matching CSV_HEADER.  Raises RuntimeError when a target's
+    measured size differs from the closed form given by its growth."""
+    mixed = sum(1 for c in formula.clauses if c.is_mixed)
+    sizes: dict[str, tuple[int, int, float]] = {}
+    for name, target in TARGETS.items():
+        start = time.perf_counter()
+        out, _ = target.reduce(formula)
+        millis = (time.perf_counter() - start) * 1000.0
+        sizes[name] = (out.num_vars, len(out.clauses), millis)
+        if name == "mono23sat4":  # the 2-clause census of mixed elimination
+            pos2 = sum(1 for c in out.clauses if c.width == 2 and c.is_positive)
+            neg2 = sum(1 for c in out.clauses if c.width == 2 and c.is_negative)
+
+    prefix = (seed, formula.num_vars, len(formula.clauses), mixed, pos2, neg2)
+    two = pos2 + neg2
+    rows = []
+    for name, (out_vars, out_clauses, millis) in sizes.items():
+        var_growth, clause_growth = TARGETS[name].growth
+        expected = (
+            formula.num_vars + mixed + var_growth * two,
+            len(formula.clauses) + mixed + clause_growth * two,
         )
-        for outcome in record.outcomes
-    ]
+        if (out_vars, out_clauses) != expected:
+            raise RuntimeError(
+                f"blowup identity violated for {name}: "
+                f"measured vars/clauses {(out_vars, out_clauses)}, expected {expected}"
+            )
+        rows.append(tuple(map(str, prefix + (name, out_vars, out_clauses))) + (f"{millis:.3f}",))
+    return rows

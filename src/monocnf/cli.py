@@ -125,8 +125,7 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
     writer.writerow(bench.CSV_HEADER)
     for seed in range(args.seeds):
         formula = bench.generate(GenConfig(args.vars, args.clauses, seed))
-        record = bench.blowup_report(formula)
-        writer.writerows(bench.csv_rows(seed, record))
+        writer.writerows(bench.blowup_rows(seed, formula))
     return EXIT_OK
 
 
@@ -144,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--compact-r3", action="store_true", dest="compact_r3",
-        help=f"use the 17-clause 2-clause expansion ({', '.join(_COMPACTABLE)} only)",
+        # its clauses replace the 2-clause
+        help=f"use the {TARGETS['mono3sat5-compact'].growth[1] + 1}-clause 2-clause expansion"
+        f" ({', '.join(_COMPACTABLE)} only)",
     )
     p.add_argument("--trace", action="store_true", help="embed per-clause provenance comments")
     p.add_argument("input", help="input DIMACS CNF file")

@@ -22,6 +22,15 @@ from dataclasses import dataclass
 from .formula import Clause, CnfFormula, FormulaError
 
 _HEADER_RE = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)$")
+_ECHO_LIMIT = 40
+
+
+def _clip(text: str, limit: int = _ECHO_LIMIT) -> str:
+    """Input echoed in an error message: whole when short, else its first
+    ``limit`` characters and its length, so the message stays one short line."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
 
 
 class DimacsError(ValueError):
@@ -85,7 +94,7 @@ def parse(text: str | bytes) -> DimacsDocument:
                 raise DimacsError("duplicate header", lineno)
             match = _HEADER_RE.match(line)
             if match is None:
-                raise DimacsError(f"malformed header: {line!r}", lineno)
+                raise DimacsError(f"malformed header: {_clip(repr(line))}", lineno)
             try:
                 num_vars = int(match.group(1))
                 num_clauses = int(match.group(2))
@@ -98,20 +107,24 @@ def parse(text: str | bytes) -> DimacsDocument:
             try:
                 lit = int(token)
             except ValueError:
-                raise DimacsError(f"invalid literal token {token!r}", lineno) from None
+                raise DimacsError(f"invalid literal token {_clip(repr(token))}", lineno) from None
             if lit == 0:
                 if not pending:
                     raise DimacsError("empty clause", lineno)
                 try:
                     clauses.append(Clause(pending))
                 except FormulaError as exc:
-                    raise DimacsError(str(exc), pending_line) from exc
+                    # the message may name a variable of thousands of digits
+                    raise DimacsError(_clip(str(exc), 100), pending_line) from exc
                 pending = []
                 continue
             if not pending:
                 pending_line = lineno
             if abs(lit) > num_vars:
-                raise DimacsError(f"variable {abs(lit)} exceeds declared count {num_vars}", lineno)
+                raise DimacsError(
+                    f"variable {_clip(str(abs(lit)))} exceeds declared count {_clip(str(num_vars))}",
+                    lineno,
+                )
             pending.append(lit)
 
     if num_vars is None:
@@ -119,7 +132,9 @@ def parse(text: str | bytes) -> DimacsDocument:
     if pending:
         raise DimacsError("last clause not terminated by 0", pending_line)
     if len(clauses) != num_clauses:
-        raise DimacsError(f"header declares {num_clauses} clauses but {len(clauses)} were found")
+        raise DimacsError(
+            f"header declares {_clip(str(num_clauses))} clauses but {len(clauses)} were found"
+        )
 
     formula = CnfFormula(clauses, num_vars=num_vars)
     return DimacsDocument(formula=formula, comments=tuple(comments))

@@ -13,8 +13,8 @@ Three layers:
 * Pipelines: the ``TARGETS`` table maps each target name
   (``mono23sat4``, ``mono3sat5``, ``mono3sat5-compact``, ``mono3sat4``)
   to its output profile, its 2-clause expansion (none, r3, compact r3,
-  or gadget) and the growth per 2-clause derived from ``RULE_STATS``
-  and the gadget's size.  ``Target.reduce`` is the one driver: entry
+  or gadget) and the growth per 2-clause, measured once by expanding a
+  probe 2-clause.  ``Target.reduce`` is the one driver: entry
   check, gold pass, optional 2-clause pass, then the output formula
   and the provenance of each output clause.
   ``eliminate_mixed`` (mixed 3-clauses out, 2-or-3 monotone in),
@@ -71,27 +71,6 @@ class FreshAllocator:
 
     def fresh_many(self, count: int) -> tuple[int, ...]:
         return tuple(self.fresh() for _ in range(count))
-
-
-@dataclass(frozen=True)
-class RuleStats:
-    """Bookkeeping for one 2-clause replacement rule: how much the two
-    original variables and the worst fresh variable grow, and the rule's
-    emitted clause/variable counts."""
-
-    delta_x: int
-    delta_y: int
-    delta_new: int
-    clauses_added: int
-    vars_added: int
-
-
-RULE_STATS: dict[str, RuleStats] = {
-    "r1": RuleStats(delta_x=2, delta_y=2, delta_new=2, clauses_added=4, vars_added=3),
-    "r2": RuleStats(delta_x=1, delta_y=1, delta_new=4, clauses_added=6, vars_added=5),
-    "r3": RuleStats(delta_x=0, delta_y=0, delta_new=5, clauses_added=19, vars_added=18),
-    "r3-compact": RuleStats(delta_x=0, delta_y=0, delta_new=5, clauses_added=17, vars_added=16),
-}
 
 
 def _monotone_pair_sign(clause: Clause, rule: str) -> int:
@@ -179,7 +158,7 @@ def apply_r3(clause: Clause, alloc: FreshAllocator, compact: bool = False) -> li
 # The forcing gadget: 25 monotone 3-clauses over 21 variables, numbered
 # by first appearance in the emission order below.  Variable 3 is the
 # designated one: the collection is satisfiable, and every model sets
-# variable 3 true (the negated template forces it false).  Variable 3
+# variable 3 true (its literal-wise negation forces it false).  Variable 3
 # occurs exactly 3 times, variable 21 exactly twice, and no variable
 # occurs more than 4 times, so adding the designated variable to one
 # more clause outside the gadget stays within an occurrence cap of 4.
@@ -214,15 +193,11 @@ _GADGET_PATTERN: tuple[tuple[int, int, int], ...] = (
 
 @dataclass(frozen=True)
 class GadgetTemplate:
-    """The 25-clause forcing pattern with its designated variable.
-
-    ``forces_true`` gives the sign: the as-printed pattern forces the
-    designated variable true; its literal-wise negation forces false.
-    """
+    """A forcing pattern over variables 1..var_count with its designated
+    variable."""
 
     clauses: tuple[tuple[int, int, int], ...]
     designated: int
-    forces_true: bool
 
     def __post_init__(self) -> None:
         counts: dict[int, int] = {}
@@ -242,28 +217,27 @@ class GadgetTemplate:
     def var_count(self) -> int:
         return max(abs(lit) for pattern in self.clauses for lit in pattern)
 
-    def negated(self) -> "GadgetTemplate":
-        flipped = tuple(tuple(-lit for lit in pattern) for pattern in self.clauses)
-        return GadgetTemplate(clauses=flipped, designated=self.designated, forces_true=not self.forces_true)
 
-
-FORCE_TRUE_GADGET = GadgetTemplate(clauses=_GADGET_PATTERN, designated=3, forces_true=True)
-FORCE_FALSE_GADGET = FORCE_TRUE_GADGET.negated()
+FORCE_TRUE_GADGET = GadgetTemplate(clauses=_GADGET_PATTERN, designated=3)
+FORCE_FALSE_GADGET = GadgetTemplate(
+    clauses=tuple(tuple(-lit for lit in pattern) for pattern in _GADGET_PATTERN), designated=3
+)
 
 
 def instantiate_gadget(template: GadgetTemplate, alloc: FreshAllocator) -> tuple[list[Clause], int]:
     """Emit the gadget over fresh variables, in template clause order.
 
-    Template variables map to fresh indices in numbering order (which is
-    first-appearance order in the emitted clause list).  Returns the 25
-    clauses and the concrete designated variable.
+    Template variables map to consecutive fresh indices in numbering
+    order (which is first-appearance order in the emitted clause list):
+    variable t becomes ``first + t - 1``.  Returns the clauses and the
+    concrete designated variable.
     """
-    mapping = {t: alloc.fresh() for t in range(1, template.var_count + 1)}
+    offset = alloc.fresh_many(template.var_count)[0] - 1
     clauses = [
-        Clause(tuple((1 if lit > 0 else -1) * mapping[abs(lit)] for lit in pattern))
+        Clause(tuple(lit + offset if lit > 0 else lit - offset for lit in pattern))
         for pattern in template.clauses
     ]
-    return clauses, mapping[template.designated]
+    return clauses, template.designated + offset
 
 
 @dataclass(frozen=True)
@@ -319,12 +293,6 @@ def _expand_gadget(clause: Clause, alloc: FreshAllocator) -> tuple[list[Clause],
     return [widened] + gadget_clauses, ["widen"] + ["gadget"] * len(gadget_clauses)
 
 
-def _rule_growth(rule: str) -> tuple[int, int]:
-    # the rule's clauses replace the 2-clause
-    stats = RULE_STATS[rule]
-    return stats.vars_added, stats.clauses_added - 1
-
-
 @dataclass(frozen=True)
 class Target:
     """One reduction target.
@@ -332,7 +300,7 @@ class Target:
     ``profile`` names the class the output meets.  ``expand`` rewrites
     each monotone 2-clause left by mixed elimination; a target without
     it keeps the 2-clauses.  ``growth`` is what each such 2-clause adds
-    to the output, in (variables, clauses).
+    to the output, in (variables, clauses); ``_target`` measures it.
     """
 
     profile: str
@@ -367,16 +335,22 @@ class Target:
         return CnfFormula(clauses, num_vars=alloc.next_index - 1), tuple(origins)
 
 
+def _target(profile: str, expand: _Expansion | None) -> Target:
+    """A table entry whose growth is measured on one probe 2-clause over
+    variables 1 and 2: the fresh variables and the produced clauses, less
+    the probe they replace."""
+    if expand is None:
+        return Target(profile, None, (0, 0))
+    alloc = FreshAllocator(3)
+    produced, _ = expand(Clause((1, 2)), alloc)
+    return Target(profile, expand, (alloc.next_index - 3, len(produced) - 1))
+
+
 TARGETS: dict[str, Target] = {
-    "mono23sat4": Target("mono23sat4", None, (0, 0)),
-    "mono3sat5": Target("mono3sat5", partial(_expand_r3, compact=False), _rule_growth("r3")),
-    "mono3sat5-compact": Target(
-        "mono3sat5", partial(_expand_r3, compact=True), _rule_growth("r3-compact")
-    ),
-    # the widened clause replaces the 2-clause, so the gadget's clauses are the growth
-    "mono3sat4": Target(
-        "mono3sat4", _expand_gadget, (FORCE_TRUE_GADGET.var_count, len(FORCE_TRUE_GADGET.clauses))
-    ),
+    "mono23sat4": _target("mono23sat4", None),
+    "mono3sat5": _target("mono3sat5", partial(_expand_r3, compact=False)),
+    "mono3sat5-compact": _target("mono3sat5", partial(_expand_r3, compact=True)),
+    "mono3sat4": _target("mono3sat4", _expand_gadget),
 }
 
 
@@ -394,7 +368,7 @@ def to_monotone_3sat5(
     formula: CnfFormula, compact: bool = False
 ) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
     """Full pipeline to monotone 3-SAT-5: eliminate mixed clauses, then
-    expand every 2-clause with apply_r3 (compact switches to the 17-clause
+    expand every 2-clause with apply_r3 (compact switches to its compact
     variant).  Output is equisatisfiable, all clauses monotone 3-clauses,
     no variable occurring more than five times."""
     return TARGETS["mono3sat5-compact" if compact else "mono3sat5"].reduce(formula)

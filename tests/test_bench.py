@@ -1,18 +1,19 @@
 """Seeded generation and blowup accounting."""
 
+import dataclasses
+
 import pytest
 
 from monocnf import (
     CSV_HEADER,
     PROFILES,
-    BlowupRecord,
+    TARGETS,
     CnfFormula,
     GenConfig,
     GenerationError,
     SplitMix64,
-    blowup_report,
+    blowup_rows,
     check_profile,
-    csv_rows,
     generate,
     occurrences,
 )
@@ -99,39 +100,45 @@ def test_generate_handles_tight_budget():
 
 def test_blowup_record_counts_on_worked_example():
     formula = CnfFormula.from_ints([[1, -2, 3]])
-    record = blowup_report(formula)
-    assert record.input_vars == 3 and record.input_clauses == 1
-    assert record.mixed == 1
-    assert record.pos2 + record.neg2 == 1
-    by_name = {o.pipeline: o for o in record.outcomes}
-    assert by_name["mono23sat4"].output_clauses == 2
-    assert by_name["mono23sat4"].output_vars == 4
-    assert by_name["mono3sat5"].output_clauses == 20
-    assert by_name["mono3sat5"].output_vars == 22
-    assert by_name["mono3sat5-compact"].output_clauses == 18
-    assert by_name["mono3sat5-compact"].output_vars == 20
-    assert by_name["mono3sat4"].output_clauses == 27
-    assert by_name["mono3sat4"].output_vars == 25
+    by_name = {row[6]: dict(zip(CSV_HEADER, row)) for row in blowup_rows(0, formula)}
+    for row in by_name.values():
+        assert row["input_vars"] == "3" and row["input_clauses"] == "1"
+        assert row["mixed"] == "1"
+        assert int(row["pos2"]) + int(row["neg2"]) == 1
+    assert by_name["mono23sat4"]["out_clauses"] == "2"
+    assert by_name["mono23sat4"]["out_vars"] == "4"
+    assert by_name["mono3sat5"]["out_clauses"] == "20"
+    assert by_name["mono3sat5"]["out_vars"] == "22"
+    assert by_name["mono3sat5-compact"]["out_clauses"] == "18"
+    assert by_name["mono3sat5-compact"]["out_vars"] == "20"
+    assert by_name["mono3sat4"]["out_clauses"] == "27"
+    assert by_name["mono3sat4"]["out_vars"] == "25"
 
 
 def test_blowup_identity_on_monotone_input_without_two_clauses():
     formula = CnfFormula.from_ints([[1, 2, 3], [-1, -2, -3]])
-    record = blowup_report(formula)
-    assert record.mixed == record.pos2 == record.neg2 == 0
-    assert all(o.output_clauses == 2 for o in record.outcomes)
-    assert all(o.output_vars == 3 for o in record.outcomes)
+    rows = blowup_rows(0, formula)
+    assert all(row[3:6] == ("0", "0", "0") for row in rows)  # mixed, pos2, neg2
+    assert all(row[7:9] == ("3", "2") for row in rows)  # out_vars, out_clauses
 
 
 def test_blowup_two_clause_census_matches_mixed_count():
     for seed in range(20):
         formula = generate(GenConfig(8, 10, seed))
-        record = blowup_report(formula)
-        assert record.pos2 + record.neg2 == record.mixed
+        for row in blowup_rows(seed, formula):
+            assert int(row[4]) + int(row[5]) == int(row[3])
+
+
+def test_blowup_identity_violation_names_the_target(monkeypatch):
+    # one clause too few per 2-clause: the measured gadget output breaks it
+    wrong = dataclasses.replace(TARGETS["mono3sat4"], growth=(21, 24))
+    monkeypatch.setitem(TARGETS, "mono3sat4", wrong)
+    with pytest.raises(RuntimeError, match="blowup identity violated for mono3sat4"):
+        blowup_rows(0, CnfFormula.from_ints([[1, -2, 3]]))
 
 
 def test_csv_rows_match_header():
-    record = blowup_report(CnfFormula.from_ints([[1, -2, 3]]))
-    rows = csv_rows(7, record)
+    rows = blowup_rows(7, CnfFormula.from_ints([[1, -2, 3]]))
     assert len(rows) == 4
     assert len(CSV_HEADER) == 10
     for row in rows:

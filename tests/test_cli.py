@@ -180,6 +180,15 @@ def test_huge_header_count_is_input_error(tmp_path, capsys):
     assert "line 1: header count has too many digits" in capsys.readouterr().err
 
 
+def test_long_token_error_is_one_short_line(tmp_path, capsys):
+    source = _write(tmp_path, "long.cnf", "p cnf 3 1\n1 " + "9" * 5000 + " 0\n")
+    assert run(["validate", "--profile", "3sat4", source]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: line 2: invalid literal token")
+    assert len(err[0]) < 200
+
+
 def test_declared_count_beyond_index_range_is_accepted(tmp_path, capsys):
     # the declared count exceeds sys.maxsize; nothing may be sized by it
     source = _write(tmp_path, "wide.cnf", "p cnf 99999999999999999999 1\n1 2 3 0\n")

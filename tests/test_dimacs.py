@@ -84,12 +84,32 @@ def test_serialize_parse_serialize_idempotent():
         ("p cnf 2 1\n0\n", "empty clause", 2),
         ("p cnf 2 1\n1 -1 0\n", "tautological", 2),
         ("p cnf 2 1\n1 1 0\n", "duplicate variable", 2),
+        # long input is echoed as a bounded prefix and its length
+        pytest.param(
+            "p cnf 3 1\n1 " + "9" * 5000 + " 0\n",
+            r"invalid literal token '9{39}\.\.\. \(5002 characters\)$",
+            2,
+            id="long-literal-token",
+        ),
+        pytest.param(
+            "p cnf 3 1\n1 " + "9" * 4000 + " 0\n",
+            r"variable 9{40}\.\.\. \(4000 characters\) exceeds declared count 3$",
+            2,
+            id="long-variable-index",
+        ),
+        pytest.param(
+            "p cnf 3 1 " + "x" * 5000 + "\n1 0\n",
+            r"malformed header: 'p cnf 3 1 x{29}\.\.\. \(5012 characters\)$",
+            1,
+            id="long-header-tail",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):
     with pytest.raises(DimacsError, match=fragment) as excinfo:
         parse(text)
     assert excinfo.value.line == line
+    assert len(str(excinfo.value)) < 200
 
 
 def test_parse_missing_header():

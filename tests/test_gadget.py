@@ -29,8 +29,6 @@ def test_template_shape():
     assert len(FORCE_TRUE_GADGET.clauses) == 25
     assert FORCE_TRUE_GADGET.var_count == 21
     assert FORCE_TRUE_GADGET.designated == 3
-    assert FORCE_TRUE_GADGET.forces_true
-    assert not FORCE_FALSE_GADGET.forces_true
 
 
 def test_force_false_is_literal_wise_negation():
@@ -38,39 +36,49 @@ def test_force_false_is_literal_wise_negation():
         tuple(-lit for lit in pattern) for pattern in FORCE_TRUE_GADGET.clauses
     )
     assert FORCE_FALSE_GADGET.clauses == flipped
-    assert FORCE_FALSE_GADGET.negated() == FORCE_TRUE_GADGET
+    assert FORCE_FALSE_GADGET.designated == FORCE_TRUE_GADGET.designated
 
 
 def test_template_validation_rejects_bad_shapes():
     with pytest.raises(ValueError, match="monotone 3-clauses"):
-        GadgetTemplate(clauses=((1, -2, 3),) * 25, designated=3, forces_true=True)
+        GadgetTemplate(clauses=((1, -2, 3),) * 25, designated=3)
     with pytest.raises(ValueError, match="exactly 3 times"):
-        GadgetTemplate(clauses=FORCE_TRUE_GADGET.clauses, designated=1, forces_true=True)
+        GadgetTemplate(clauses=FORCE_TRUE_GADGET.clauses, designated=1)
+
+
+# both templates, each with the sign its pattern gives the template ids
+TEMPLATES = ((FORCE_TRUE_GADGET, 1), (FORCE_FALSE_GADGET, -1))
 
 
 def test_instantiation_maps_template_ids_to_allocation_order():
-    clauses, designated = instantiate_gadget(FORCE_TRUE_GADGET, FreshAllocator(100))
-    assert designated == 102  # third allocated index, template id 3
-    referenced = set()
-    for clause in clauses:
-        referenced.update(clause.variables())
-    assert referenced == set(range(100, 121))
-    assert len(clauses) == 25
-    # the designated variable appears positively in the 1st, 2nd, and 14th clauses
-    for index in (0, 1, 13):
-        assert designated in clauses[index].lits
-    for index in set(range(25)) - {0, 1, 13}:
-        assert designated not in clauses[index].lits
-        assert -designated not in clauses[index].lits
+    for template, sign in TEMPLATES:
+        clauses, designated = instantiate_gadget(template, FreshAllocator(100))
+        assert designated == 102  # third allocated index, template id 3
+        # template literal t maps to the fresh index 100 + |t| - 1, sign kept
+        for clause, pattern in zip(clauses, template.clauses):
+            assert clause == Clause(tuple((1 if lit > 0 else -1) * (abs(lit) + 99) for lit in pattern))
+        referenced = set()
+        for clause in clauses:
+            referenced.update(clause.variables())
+        assert referenced == set(range(100, 121))
+        assert len(clauses) == 25
+        # the designated variable appears, with the template's sign, in the
+        # 1st, 2nd, and 14th clauses
+        for index in (0, 1, 13):
+            assert sign * designated in clauses[index].lits
+        for index in set(range(25)) - {0, 1, 13}:
+            assert designated not in clauses[index].lits
+            assert -designated not in clauses[index].lits
 
 
 def test_occurrence_profile():
-    clauses, designated = instantiate_gadget(FORCE_TRUE_GADGET, FreshAllocator(1))
-    counts = occurrences(CnfFormula(clauses, num_vars=21))
-    assert counts[designated] == 3
-    assert max(counts.values()) == 4
-    assert counts[21] == 2  # the last-introduced variable
-    assert sum(counts[v] for v in range(1, 22)) == 75
+    for template, _ in TEMPLATES:
+        clauses, designated = instantiate_gadget(template, FreshAllocator(1))
+        counts = occurrences(CnfFormula(clauses, num_vars=21))
+        assert counts[designated] == 3
+        assert max(counts.values()) == 4
+        assert counts[21] == 2  # the last-introduced variable
+        assert sum(counts[v] for v in range(1, 22)) == 75
 
 
 def test_force_true_gadget_forces_exactly_its_designated_variable():

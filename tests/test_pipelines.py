@@ -1,6 +1,8 @@
 """End-to-end reduction pipelines: shapes, profiles, traces, verdicts."""
 
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +190,20 @@ def test_target_growth_matches_closed_forms():
         "mono3sat5-compact": (16, 16),
         "mono3sat4": (21, 25),
     }
+
+
+def test_readme_blowup_table_matches_target_growth():
+    # rows read "| `name` | mixed + V (pos2+neg2) | mixed + C (pos2+neg2) |",
+    # or "mixed" alone for a target that adds nothing per 2-clause
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    cell = r" mixed(?: \+ (\d+) \(pos2\+neg2\))? +\|"
+    row = re.compile(r"^\| `([\w-]+)` +\|" + cell + cell + "$")
+    table = {
+        match.group(1): (int(match.group(2) or 0), int(match.group(3) or 0))
+        for match in map(row.match, readme.splitlines())
+        if match
+    }
+    assert table == {name: target.growth for name, target in TARGETS.items()}
 
 
 def test_trace_provenance_covers_every_output_clause():
