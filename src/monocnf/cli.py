@@ -74,16 +74,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         verdict = solve_exhaustive(doc.formula)
     else:
         verdict = solve_dpll(doc.formula)
-    if verdict.satisfiable and verdict.witness is not None:
-        print("SAT")
-        parts = ["v"]
-        parts.extend(
-            str(v if verdict.witness[v] else -v) for v in range(1, doc.formula.num_vars + 1)
-        )
-        parts.append("0")
-        print(" ".join(parts))
-    else:
+    if verdict.witness is None:
         print("UNSAT")
+    else:
+        print("SAT")
+        print("v", *(v if value else -v for v, value in verdict.witness.items()), 0)
     return EXIT_OK
 
 

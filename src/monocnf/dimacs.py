@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .formula import Clause, CnfFormula, FormulaError
 
-_HEADER_RE = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)$")
+_HEADER_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)$")
 _ECHO_LIMIT = 40
 
 
@@ -58,6 +58,7 @@ def parse(text: str | bytes) -> DimacsDocument:
     input (SATLIB's trailer): the rest is ignored, and the header count
     covers the clauses before it.
 
+    Integers are ASCII digits, a literal's with an optional sign.
     Raises DimacsError on: bytes that are not UTF-8, a missing or
     malformed header, literals before the header, a non-integer token,
     a variable index above the declared count, a clause not terminated
@@ -105,6 +106,9 @@ def parse(text: str | bytes) -> DimacsDocument:
             raise DimacsError("clause data before header", lineno)
         for token in line.split():
             try:
+                # int() also reads "_" separators and non-ASCII digits
+                if not token.isascii() or "_" in token:
+                    raise ValueError
                 lit = int(token)
             except ValueError:
                 raise DimacsError(f"invalid literal token {_clip(repr(token))}", lineno) from None

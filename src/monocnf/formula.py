@@ -83,6 +83,14 @@ class Clause:
         return f"Clause({list(self.lits)})"
 
 
+def _trusted_clause(lits: tuple[int, ...]) -> Clause:
+    """A clause from literals already canonical (nonzero, distinct variables,
+    ascending), unchecked: for literals mapped from a validated clause."""
+    clause = object.__new__(Clause)
+    object.__setattr__(clause, "lits", lits)
+    return clause
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """An ordered clause list over variables 1..num_vars.

@@ -10,17 +10,11 @@ Three layers:
 * Gadget: a fixed 25-clause monotone collection whose models all agree
   on a designated variable; instantiated per widened 2-clause so nothing
   exceeds four occurrences.
-* Pipelines: the ``TARGETS`` table maps each target name
-  (``mono23sat4``, ``mono3sat5``, ``mono3sat5-compact``, ``mono3sat4``)
-  to its output profile, its 2-clause expansion (none, r3, compact r3,
-  or gadget) and the growth per 2-clause, measured once by expanding a
-  probe 2-clause.  ``Target.reduce`` is the one driver: entry
-  check, gold pass, optional 2-clause pass, then the output formula
-  and the provenance of each output clause.
-  ``eliminate_mixed`` (mixed 3-clauses out, 2-or-3 monotone in),
-  ``to_monotone_3sat5`` (r3 per 2-clause, cap five) and
-  ``to_monotone_3sat4`` (gadget per 2-clause, cap four) run their
-  table entries.
+* Pipelines: the ``TARGETS`` table maps each target name to its output
+  profile, its 2-clause template (none, r3, compact r3, or widening plus
+  gadget), compiled once from its rule, and the growth per 2-clause read
+  from it.  ``Target.reduce`` runs every target; ``eliminate_mixed``,
+  ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
 a replaced clause's children are inserted at its position, and fresh
@@ -32,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, repeat
+from operator import neg
 from typing import Callable
 
-from .formula import Clause, CnfFormula
+from .formula import Clause, CnfFormula, _trusted_clause
 from .profiles import PROFILES, ViolationReport, check_profile
 
 
@@ -250,107 +246,96 @@ class ClauseOrigin:
     source: int
 
 
-_Expansion = Callable[[Clause, FreshAllocator], tuple[list[Clause], list[str]]]
-
-
-def _rewrite_pass(
-    clauses: list[Clause],
-    origins: list[ClauseOrigin],
-    alloc: FreshAllocator,
-    selected: Callable[[Clause], bool],
-    expand: _Expansion,
-) -> tuple[list[Clause], list[ClauseOrigin]]:
-    """Replace every selected clause in place by its expansion, each
-    produced clause tracing back to the replaced clause's input source."""
-    out: list[Clause] = []
-    out_origins: list[ClauseOrigin] = []
-    for clause, origin in zip(clauses, origins):
-        if selected(clause):
-            produced, labels = expand(clause, alloc)
-            out.extend(produced)
-            out_origins.extend(ClauseOrigin(label, origin.source) for label in labels)
-        else:
-            out.append(clause)
-            out_origins.append(origin)
-    return out, out_origins
-
-
-def _expand_gold(clause: Clause, alloc: FreshAllocator) -> tuple[list[Clause], list[str]]:
-    children = sorted(gold_step(clause, alloc), key=lambda c: c.width, reverse=True)
-    return children, ["gold"] * len(children)
-
-
-def _expand_r3(clause: Clause, alloc: FreshAllocator, compact: bool) -> tuple[list[Clause], list[str]]:
-    produced = apply_r3(clause, alloc, compact=compact)
-    return produced, ["r3"] * len(produced)
-
-
-def _expand_gadget(clause: Clause, alloc: FreshAllocator) -> tuple[list[Clause], list[str]]:
-    template = FORCE_TRUE_GADGET if clause.is_negative else FORCE_FALSE_GADGET
-    gadget_clauses, designated = instantiate_gadget(template, alloc)
-    widen_lit = -designated if clause.is_negative else designated
-    widened = Clause(clause.lits + (widen_lit,))
-    return [widened] + gadget_clauses, ["widen"] + ["gadget"] * len(gadget_clauses)
+def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
+    """A monotone 2-clause widened by a fresh literal, then the gadget forcing that literal false."""
+    sign = _monotone_pair_sign(pair, "the gadget widening")
+    gadget, designated = instantiate_gadget(FORCE_FALSE_GADGET if sign > 0 else FORCE_TRUE_GADGET, alloc)
+    return [Clause(pair.lits + (sign * designated,)), *gadget]
 
 
 @dataclass(frozen=True)
 class Target:
-    """One reduction target.
-
-    ``profile`` names the class the output meets.  ``expand`` rewrites
-    each monotone 2-clause left by mixed elimination; a target without
-    it keeps the 2-clauses.  ``growth`` is what each such 2-clause adds
-    to the output, in (variables, clauses); ``_target`` measures it.
+    """One reduction target: the class its output meets, the template
+    that replaces each monotone 2-clause left by mixed elimination (one
+    (rule label, slot literals) per clause; a target without one keeps
+    the 2-clauses) and what each 2-clause adds, in (variables, clauses).
     """
 
     profile: str
-    expand: _Expansion | None
+    template: tuple[tuple[str, tuple[int, ...]], ...] | None
     growth: tuple[int, int]
 
     def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
-        """Run the pipeline: check the input, split its mixed clauses and
-        expand its 2-clauses.  Returns the output and the provenance of
-        each output clause.
+        """Check the input, then in one pass split its mixed clauses and
+        expand its 2-clauses.  Returns the output and the provenance of each
+        output clause.  Each input clause becomes one contiguous run, in
+        input order; the bridges are numbered from ``num_vars + 1`` and the
+        expansion blocks after them, so each fresh variable is in one run.
 
-        Every rewrite is clause-local, so the outputs of one input clause
-        form one contiguous run, runs follow input order, and each fresh
-        variable occurs in one run only.
-
-        Every target accepts 3-SAT-4 input.  A target with an expansion
-        also accepts monotone (2,3)-SAT-4 input (the mixed-elimination
-        output class), which skips straight to the 2-clause stage.
+        Every target accepts 3-SAT-4 input; one with a template also accepts
+        monotone (2,3)-SAT-4 input, the mixed-elimination output class.
         """
-        alloc = FreshAllocator(formula.num_vars + 1)
-        clauses = list(formula.clauses)
-        origins = [ClauseOrigin("input", i) for i in range(len(clauses))]
         strict = check_profile(formula, PROFILES["3sat4"])
-        if strict.ok:
-            clauses, origins = _rewrite_pass(clauses, origins, alloc, lambda c: c.is_mixed, _expand_gold)
-        elif self.expand is None:
-            raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", strict)
-        elif not check_profile(formula, PROFILES["mono23sat4"]).ok:
-            raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
-        if self.expand is not None:
-            clauses, origins = _rewrite_pass(clauses, origins, alloc, lambda c: c.width == 2, self.expand)
-        return CnfFormula(clauses, num_vars=alloc.next_index - 1), tuple(origins)
+        if not strict.ok:
+            if self.template is None:
+                raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", strict)
+            if not check_profile(formula, PROFILES["mono23sat4"]).ok:
+                raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
+        bridges = FreshAllocator(formula.num_vars + 1)
+        first = formula.num_vars + sum(clause.is_mixed for clause in formula.clauses) + 1
+        clauses: list[Clause] = []
+        origins: list[ClauseOrigin] = []
+        for source, clause in enumerate(formula.clauses):
+            if clause.is_mixed:
+                origin = ClauseOrigin("gold", source)
+                run = sorted(gold_step(clause, bridges), key=len, reverse=True)
+            else:
+                origin = ClauseOrigin("input", source)
+                run = [clause]
+            for child in run:
+                if self.template is None or child.width != 2:
+                    clauses.append(child)
+                    origins.append(origin)
+                    continue
+                for label, produced in self._instance(child, first):
+                    if origin.rule != label:
+                        origin = ClauseOrigin(label, source)
+                    clauses.append(produced)
+                    origins.append(origin)
+                first += self.growth[0]
+        return CnfFormula(clauses, num_vars=first - 1), tuple(origins)
+
+    def _instance(self, pair: Clause, first: int) -> list[tuple[str, Clause]]:
+        """The template on ``pair``: slots 1 and 2 become its variables and
+        slot k the fresh ``first + k - 3``, mirrored for a negative pair.
+        The pair lies below ``first``, so the map keeps variable order."""
+        x, y = pair.lits
+        fresh = range(first, first + self.growth[0])
+        values = [x, y, *(fresh if x > 0 else map(neg, fresh))]
+        lookup = [0, *values, *map(neg, reversed(values))].__getitem__  # lookup(-s) is -lookup(s)
+        return [(label, _trusted_clause(tuple(map(lookup, slots)))) for label, slots in self.template]
 
 
-def _target(profile: str, expand: _Expansion | None) -> Target:
-    """A table entry whose growth is measured on one probe 2-clause over
-    variables 1 and 2: the fresh variables and the produced clauses, less
-    the probe they replace."""
-    if expand is None:
+def _target(
+    profile: str, rule: Callable[..., list[Clause]] | None = None, labels: tuple[str, ...] = ()
+) -> Target:
+    """A table entry with its rule compiled into a template, by running it
+    once on the probe 2-clause (1, 2) with fresh variables from 3 on.
+    ``labels`` name the produced clauses, the last one repeating; growth
+    is the fresh variables and the clauses, less the probe they replace."""
+    if rule is None:
         return Target(profile, None, (0, 0))
     alloc = FreshAllocator(3)
-    produced, _ = expand(Clause((1, 2)), alloc)
-    return Target(profile, expand, (alloc.next_index - 3, len(produced) - 1))
+    labelled = zip(chain(labels, repeat(labels[-1])), rule(Clause((1, 2)), alloc))
+    template = tuple((label, clause.lits) for label, clause in labelled)
+    return Target(profile, template, (alloc.next_index - 3, len(template) - 1))
 
 
 TARGETS: dict[str, Target] = {
-    "mono23sat4": _target("mono23sat4", None),
-    "mono3sat5": _target("mono3sat5", partial(_expand_r3, compact=False)),
-    "mono3sat5-compact": _target("mono3sat5", partial(_expand_r3, compact=True)),
-    "mono3sat4": _target("mono3sat4", _expand_gadget),
+    "mono23sat4": _target("mono23sat4"),
+    "mono3sat5": _target("mono3sat5", partial(apply_r3, compact=False), ("r3",)),
+    "mono3sat5-compact": _target("mono3sat5", partial(apply_r3, compact=True), ("r3",)),
+    "mono3sat4": _target("mono3sat4", _widen_with_gadget, ("widen", "gadget")),
 }
 
 

@@ -19,6 +19,8 @@ from .formula import Clause, CnfFormula
 Assignment = dict[int, bool]
 
 DEFAULT_VAR_LIMIT = 24
+# DPLL's witness lists every declared variable; a mono3sat4 output at n=100k has ~2.3M
+WITNESS_VAR_LIMIT = 1 << 22
 
 
 class VariableLimitError(ValueError):
@@ -177,7 +179,11 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     Unit propagation and pure-literal elimination run to fixpoint before
     each decision; the branching variable is the lowest-index variable in
     the residual formula, true branch first, so runs are deterministic.
+    Raises VariableLimitError, before any search, when num_vars exceeds
+    WITNESS_VAR_LIMIT.
     """
+    if formula.num_vars > WITNESS_VAR_LIMIT:
+        raise VariableLimitError(f"declared variable count exceeds the witness limit of {WITNESS_VAR_LIMIT}")
     clauses = [list(clause.lits) for clause in formula.clauses]
     decisions = 0
 

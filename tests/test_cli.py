@@ -2,7 +2,7 @@
 
 import pytest
 
-from monocnf import TARGETS, parse
+from monocnf import TARGETS, parse, solve
 from monocnf.cli import run
 
 SAT_MIXED = "p cnf 3 1\n1 -2 3 0\n"
@@ -220,6 +220,22 @@ def test_deep_search_is_solved(tmp_path, capsys):
     v, *lits, end = witness.split()
     assert (v, end) == ("v", "0")
     assert len(lits) == 2 * pairs
+
+
+def test_witness_limit_is_input_error(tmp_path, capsys, monkeypatch):
+    # the witness lists every declared variable, so a huge count is refused
+    # before any search; a small limit keeps the test from allocating
+    monkeypatch.setattr(solve, "WITNESS_VAR_LIMIT", 30)
+    over = _write(tmp_path, "over.cnf", "p cnf 31 1\n1 2 3 0\n")
+    assert run(["solve", over]) == 3
+    assert run(["check-equisat", over, over]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: declared variable count exceeds the witness limit of 30"] * 2
+    at_limit = _write(tmp_path, "limit.cnf", "p cnf 30 1\n1 2 3 0\n")
+    assert run(["solve", at_limit]) == 0
+    verdict, witness = capsys.readouterr().out.splitlines()
+    assert verdict == "SAT"
+    assert len(witness.split()) == 32
 
 
 def test_usage_errors_exit_2(capsys):

@@ -78,6 +78,11 @@ def test_serialize_parse_serialize_idempotent():
         pytest.param("p cnf " + "9" * 5000 + " 0\n", "too many digits", 1, id="huge-header-count"),
         ("1 0\np cnf 1 1\n", "before header", 1),
         ("p cnf 2 1\n1 two 0\n", "invalid literal token", 2),
+        # integers are ASCII digits: int() alone reads "1_0" as 10 and
+        # Arabic-Indic digits as their values
+        pytest.param("p cnf 12 1\n1_0 -2 3 0\n", "invalid literal token '1_0'", 2, id="underscore-literal"),
+        pytest.param("p cnf ٣ ١\n١ -٢ ٣ ٠\n", "malformed header", 1, id="non-ascii-header"),
+        pytest.param("p cnf 3 1\n١ -2 3 0\n", "invalid literal token '١'", 2, id="non-ascii-literal"),
         ("p cnf 2 1\n1 3 0\n", "exceeds declared count", 2),
         ("p cnf 2 1\n1 2\n", "not terminated", 2),
         ("p cnf 2 1\n1 2\n%\n0\n", "not terminated", 2),

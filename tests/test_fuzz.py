@@ -1,0 +1,70 @@
+"""Seeded DIMACS fuzzing: mutated generator output never escapes the
+documented errors, in the parser or on the command line."""
+
+from monocnf import DimacsDocument, DimacsError, GenConfig, SplitMix64, generate, parse, serialize
+from monocnf.cli import run
+
+SEED = 0x5EED
+CASES = 1500
+CLI_EVERY = 10  # every tenth case also goes through validate and reduce
+
+SPLICED_LINES = ["%", "p cnf 3 1", "p cnf 99999999999999999999 1", "p", "c", "c trace 0 r3 0", "0"]
+ODD_TOKENS = ["_", "1_0", "١", "-٣", "+1", "-0", "--1", "x", "00", "9" * 30]
+RAW_BYTES = [b"\xff", b"\xc3", b"\xe0\x80", b"\x00", b"\r", b"\x0c", "١".encode()]
+
+
+def _pick(rng: SplitMix64, items):
+    return items[rng.below(len(items))]
+
+
+def _mutate(rng: SplitMix64, text: str) -> bytes:
+    lines = [line.split(" ") for line in text.split("\n")]
+    for _ in range(1 + rng.below(4)):
+        row = lines[rng.below(len(lines))]
+        at = rng.below(len(row))
+        kind = rng.below(5)
+        if kind == 0:  # flip a token's sign, or swap it for an odd one
+            token = row[at]
+            row[at] = token[1:] if token.startswith("-") else "-" + token
+            if rng.coin():
+                row[at] = _pick(rng, ODD_TOKENS)
+        elif kind == 1:
+            if len(row) > 1:
+                del row[at]
+        elif kind == 2:
+            row.insert(at, row[at])
+        elif kind == 3:
+            lines.insert(rng.below(len(lines) + 1), [_pick(rng, SPLICED_LINES)])
+        else:
+            token = row[at]
+            cut = rng.below(len(token) + 1)
+            row[at] = token[:cut] + _pick(rng, ["_", "١", "٣"]) + token[cut:]
+    data = "\n".join(" ".join(row) for row in lines).encode()
+    if rng.below(4) == 0:
+        cut = rng.below(len(data) + 1)
+        data = data[:cut] + _pick(rng, RAW_BYTES) + data[cut:]
+    return data
+
+
+def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(tmp_path, capsys):
+    rng = SplitMix64(SEED)
+    bases = [
+        serialize(DimacsDocument(generate(GenConfig(n, n * 4 // 3, seed)), ("gen",)))
+        for seed, n in enumerate(range(6, 14))
+    ]
+    source = tmp_path / "in.cnf"
+    output = str(tmp_path / "out.cnf")
+    for case in range(CASES):
+        data = _mutate(rng, _pick(rng, bases))
+        try:
+            parse(data)
+        except DimacsError:
+            pass
+        if case % CLI_EVERY:
+            continue
+        source.write_bytes(data)
+        profile = _pick(rng, ["3sat4", "mono23sat4", "mono3sat4"])
+        target = _pick(rng, ["mono23sat4", "mono3sat5", "mono3sat4"])
+        assert run(["validate", "--profile", profile, str(source)]) in (0, 1, 2, 3), data
+        assert run(["reduce", "--target", target, str(source), output]) in (0, 1, 2, 3), data
+    capsys.readouterr()

@@ -7,17 +7,22 @@ from pathlib import Path
 import pytest
 
 from monocnf import (
+    FORCE_FALSE_GADGET,
+    FORCE_TRUE_GADGET,
     PROFILES,
     TARGETS,
     Clause,
     ClauseOrigin,
     CnfFormula,
+    FreshAllocator,
     GenConfig,
     ProfileError,
+    apply_r3,
     check_equisat,
     check_profile,
     eliminate_mixed,
     generate,
+    instantiate_gadget,
     occurrences,
     solve_dpll,
     solve_exhaustive,
@@ -190,6 +195,28 @@ def test_target_growth_matches_closed_forms():
         "mono3sat5-compact": (16, 16),
         "mono3sat4": (21, 25),
     }
+
+
+def _direct_expansion(name, pair, first):
+    """What the rule itself produces for ``pair``, with its labels."""
+    alloc = FreshAllocator(first)
+    if name == "mono3sat4":
+        sign = 1 if pair.is_positive else -1
+        template = FORCE_FALSE_GADGET if sign > 0 else FORCE_TRUE_GADGET
+        gadget, designated = instantiate_gadget(template, alloc)
+        return [("widen", Clause(pair.lits + (sign * designated,)))] + [("gadget", c) for c in gadget]
+    produced = apply_r3(pair, alloc, compact=name.endswith("-compact"))
+    return [("r3", c) for c in produced]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("name", [name for name, target in TARGETS.items() if target.template])
+def test_template_instance_equals_direct_rule_output(name, sign):
+    target = TARGETS[name]
+    # far-apart pairs, and fresh variables just above the pair
+    for x, y, first in [(1, 2, 3), (1, 1000, 1001), (7, 9, 10), (2, 5, 40), (999, 1000, 5000)]:
+        pair = Clause((sign * x, sign * y))
+        assert target._instance(pair, first) == _direct_expansion(name, pair, first)
 
 
 def test_readme_blowup_table_matches_target_growth():
