@@ -7,6 +7,11 @@ ascending assignment counter).  A clause mask ORs its literal columns, a
 formula mask ANDs its clause masks, and the surviving bits are exactly
 the models.  This keeps full enumeration over 2^21 assignments in the
 tens of milliseconds while remaining an exact, deterministic sweep.
+
+DPLL (Davis, Logemann & Loveland, 1962) runs depth-first over an explicit
+stack of residual clause lists.  One loop sets every literal, whether a
+branch, a unit or a pure one, and ``_forced`` alone chooses which unit or
+pure literal comes next.
 """
 
 from __future__ import annotations
@@ -114,6 +119,13 @@ class _TruthTable:
         return {v: bool((index >> i) & 1) for i, v in enumerate(self.variables)}
 
 
+def _check_exhaustive_limit(count: int) -> None:
+    # Runs before any table is sized; the message does not echo a count
+    # that may be thousands of digits long.
+    if count > DEFAULT_VAR_LIMIT:
+        raise VariableLimitError(f"variable count exceeds the exhaustive limit of {DEFAULT_VAR_LIMIT}")
+
+
 def solve_exhaustive(formula: CnfFormula) -> SatVerdict:
     """Decide satisfiability by enumerating all 2^num_vars assignments.
 
@@ -121,10 +133,8 @@ def solve_exhaustive(formula: CnfFormula) -> SatVerdict:
     order.  Raises VariableLimitError when num_vars exceeds
     DEFAULT_VAR_LIMIT.
     """
-    n = formula.num_vars
-    if n > DEFAULT_VAR_LIMIT:
-        raise VariableLimitError(f"{n} variables exceed the exhaustive limit of {DEFAULT_VAR_LIMIT}")
-    table = _TruthTable(range(1, n + 1))
+    _check_exhaustive_limit(formula.num_vars)
+    table = _TruthTable(range(1, formula.num_vars + 1))
     mask = table.formula_mask(formula.clauses)
     if not mask:
         return SatVerdict(satisfiable=False, witness=None, method="exhaustive", explored=table.size)
@@ -148,11 +158,8 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
         universe.update(clause.variables())
     if designated not in universe:
         raise ValueError(f"designated variable {designated} does not occur in the clauses")
+    _check_exhaustive_limit(len(universe))
     ordered = sorted(universe)
-    if len(ordered) > DEFAULT_VAR_LIMIT:
-        raise VariableLimitError(
-            f"{len(ordered)} variables exceed the exhaustive limit of {DEFAULT_VAR_LIMIT}"
-        )
     table = _TruthTable(ordered)
     mask = table.formula_mask(clauses)
     count = mask.bit_count()
@@ -173,97 +180,74 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     )
 
 
+def _assign(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
+    # Returns the simplified clause list, or None on an emptied clause.
+    out: list[list[int]] = []
+    for clause in clauses:
+        if lit in clause:
+            continue
+        if -lit in clause:
+            reduced = [l for l in clause if l != -lit]
+            if not reduced:
+                return None
+            out.append(reduced)
+        else:
+            out.append(clause)
+    return out
+
+
+def _forced(clauses: list[list[int]]) -> int | None:
+    """The literal propagation sets next: the first unit clause's literal,
+    else the pure literal of the lowest variable, else None.  A literal is
+    pure when its negation does not occur in the clauses."""
+    for clause in clauses:
+        if len(clause) == 1:
+            return clause[0]
+    present = {lit for clause in clauses for lit in clause}
+    return min((lit for lit in present if -lit not in present), key=abs, default=None)
+
+
 def solve_dpll(formula: CnfFormula) -> SatVerdict:
     """Decide satisfiability by DPLL search.
 
-    Unit propagation and pure-literal elimination run to fixpoint before
-    each decision; the branching variable is the lowest-index variable in
-    the residual formula, true branch first, so runs are deterministic.
-    Raises VariableLimitError, before any search, when num_vars exceeds
-    WITNESS_VAR_LIMIT.
+    Before each decision, propagation sets literals until none is forced:
+    the first unit clause in input order, else the pure literal of the
+    lowest variable.  Then the search branches on the lowest live
+    variable, true branch first, so runs are deterministic; ``explored``
+    counts the branches taken.  Raises VariableLimitError, before any
+    search, when num_vars exceeds WITNESS_VAR_LIMIT.
     """
     if formula.num_vars > WITNESS_VAR_LIMIT:
         raise VariableLimitError(f"declared variable count exceeds the witness limit of {WITNESS_VAR_LIMIT}")
-    clauses = [list(clause.lits) for clause in formula.clauses]
     decisions = 0
-
-    def assign(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
-        # Returns the simplified clause list, or None on an emptied clause.
-        out: list[list[int]] = []
-        for clause in clauses:
-            if lit in clause:
-                continue
-            if -lit in clause:
-                reduced = [l for l in clause if l != -lit]
-                if not reduced:
-                    return None
-                out.append(reduced)
-            else:
-                out.append(clause)
-        return out
-
-    def propagate(
-        clauses: list[list[int]], assignment: Assignment
-    ) -> tuple[list[list[int]], Assignment] | None:
-        while True:
-            unit = next((c[0] for c in clauses if len(c) == 1), None)
-            if unit is not None:
-                assignment[abs(unit)] = unit > 0
-                next_clauses = assign(clauses, unit)
-                if next_clauses is None:
-                    return None
-                clauses = next_clauses
-                continue
-            polarity: dict[int, int] = {}
-            for clause in clauses:
-                for lit in clause:
-                    var = abs(lit)
-                    sign = 1 if lit > 0 else -1
-                    polarity[var] = 0 if polarity.get(var, sign) != sign else sign
-            pure = next((v for v in sorted(polarity) if polarity[v] != 0), None)
-            if pure is None:
-                return clauses, assignment
-            lit = pure * polarity[pure]
+    # Depth-first over pending nodes: a node is a residual formula, its
+    # assignment, and the branch literal to take (None at the root).  The
+    # false branch is pushed first so the true one runs first.
+    pending: list[tuple[list[list[int]], Assignment, int | None]] = [
+        ([list(clause.lits) for clause in formula.clauses], {}, None)
+    ]
+    while pending:
+        clauses, assignment, lit = pending.pop()
+        if lit is None:
+            lit = _forced(clauses)
+        else:
+            decisions += 1
+        assignment = dict(assignment)
+        while lit is not None:
             assignment[abs(lit)] = lit > 0
-            next_clauses = assign(clauses, lit)
-            if next_clauses is None:
-                return None  # unreachable: a pure literal cannot empty a clause
-            clauses = next_clauses
-
-    def search(clauses: list[list[int]], assignment: Assignment) -> Assignment | None:
-        # Depth-first over pending nodes: a node is a residual formula, its
-        # assignment, and the branch literal that produced it (None at the
-        # root).  The false branch is pushed first so the true one runs first.
-        nonlocal decisions
-        pending: list[tuple[list[list[int]], Assignment, int | None]] = [(clauses, assignment, None)]
-        while pending:
-            clauses, assignment, branch = pending.pop()
-            if branch is not None:
-                decisions += 1
-                child = assign(clauses, branch)
-                if child is None:
-                    continue
-                clauses = child
-                assignment = dict(assignment)
-                assignment[abs(branch)] = branch > 0
-            propagated = propagate(clauses, assignment)
-            if propagated is None:
-                continue
-            clauses, assignment = propagated
-            if not clauses:
-                return assignment
-            var = min(abs(lit) for clause in clauses for lit in clause)
-            pending.append((clauses, assignment, -var))
-            pending.append((clauses, assignment, var))
-        return None
-
-    model = search(clauses, {})
-    if model is None:
-        return SatVerdict(satisfiable=False, witness=None, method="dpll", explored=decisions)
-    witness = {v: model.get(v, False) for v in range(1, formula.num_vars + 1)}
-    if not evaluate(formula, witness):
-        raise RuntimeError("internal error: DPLL witness failed re-evaluation")
-    return SatVerdict(satisfiable=True, witness=witness, method="dpll", explored=decisions)
+            clauses = _assign(clauses, lit)
+            lit = None if clauses is None else _forced(clauses)
+        if clauses is None:
+            continue
+        if not clauses:
+            witness = {v: assignment.get(v, False) for v in range(1, formula.num_vars + 1)}
+            if not evaluate(formula, witness):
+                raise RuntimeError("internal error: DPLL witness failed re-evaluation")
+            return SatVerdict(satisfiable=True, witness=witness, method="dpll", explored=decisions)
+        var = min(abs(lit) for clause in clauses for lit in clause)
+        pending.append((clauses, assignment, -var))
+        pending.append((clauses, assignment, var))
+    return SatVerdict(satisfiable=False, witness=None, method="dpll", explored=decisions)
 
 
 def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:

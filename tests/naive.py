@@ -41,3 +41,87 @@ def naive_model_census(
     if count == 0:
         return 0, set(), set()
     return count, always_true, always_false
+
+
+def reference_dpll(clauses: Iterable[Iterable[int]]) -> tuple[dict[int, bool] | None, int]:
+    """(model or None, decisions) by the DPLL search the package first
+    shipped, frozen here as the reference for its choices.
+
+    Unit propagation, then pure-literal elimination of the lowest pure
+    variable, to fixpoint; then branch on the lowest variable, true first.
+    The model covers only the variables the search set.
+    """
+    decisions = 0
+
+    def assign(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
+        # Returns the simplified clause list, or None on an emptied clause.
+        out: list[list[int]] = []
+        for clause in clauses:
+            if lit in clause:
+                continue
+            if -lit in clause:
+                reduced = [l for l in clause if l != -lit]
+                if not reduced:
+                    return None
+                out.append(reduced)
+            else:
+                out.append(clause)
+        return out
+
+    def propagate(
+        clauses: list[list[int]], assignment: dict[int, bool]
+    ) -> tuple[list[list[int]], dict[int, bool]] | None:
+        while True:
+            unit = next((c[0] for c in clauses if len(c) == 1), None)
+            if unit is not None:
+                assignment[abs(unit)] = unit > 0
+                next_clauses = assign(clauses, unit)
+                if next_clauses is None:
+                    return None
+                clauses = next_clauses
+                continue
+            polarity: dict[int, int] = {}
+            for clause in clauses:
+                for lit in clause:
+                    var = abs(lit)
+                    sign = 1 if lit > 0 else -1
+                    polarity[var] = 0 if polarity.get(var, sign) != sign else sign
+            pure = next((v for v in sorted(polarity) if polarity[v] != 0), None)
+            if pure is None:
+                return clauses, assignment
+            lit = pure * polarity[pure]
+            assignment[abs(lit)] = lit > 0
+            next_clauses = assign(clauses, lit)
+            if next_clauses is None:
+                return None  # unreachable: a pure literal cannot empty a clause
+            clauses = next_clauses
+
+    def search(clauses: list[list[int]], assignment: dict[int, bool]) -> dict[int, bool] | None:
+        # Depth-first over pending nodes: a node is a residual formula, its
+        # assignment, and the branch literal that produced it (None at the
+        # root).  The false branch is pushed first so the true one runs first.
+        nonlocal decisions
+        pending: list[tuple[list[list[int]], dict[int, bool], int | None]] = [(clauses, assignment, None)]
+        while pending:
+            clauses, assignment, branch = pending.pop()
+            if branch is not None:
+                decisions += 1
+                child = assign(clauses, branch)
+                if child is None:
+                    continue
+                clauses = child
+                assignment = dict(assignment)
+                assignment[abs(branch)] = branch > 0
+            propagated = propagate(clauses, assignment)
+            if propagated is None:
+                continue
+            clauses, assignment = propagated
+            if not clauses:
+                return assignment
+            var = min(abs(lit) for clause in clauses for lit in clause)
+            pending.append((clauses, assignment, -var))
+            pending.append((clauses, assignment, var))
+        return None
+
+    model = search([list(clause) for clause in clauses], {})
+    return model, decisions

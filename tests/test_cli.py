@@ -189,6 +189,15 @@ def test_long_token_error_is_one_short_line(tmp_path, capsys):
     assert len(err[0]) < 200
 
 
+def test_exhaustive_limit_error_is_one_short_line(tmp_path, capsys):
+    source = _write(tmp_path, "wide.cnf", "p cnf " + "9" * 4000 + " 1\n1 2 3 0\n")
+    assert run(["solve", "--method", "exhaustive", source]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert len(err[0]) < 200
+
+
 def test_declared_count_beyond_index_range_is_accepted(tmp_path, capsys):
     # the declared count exceeds sys.maxsize; nothing may be sized by it
     source = _write(tmp_path, "wide.cnf", "p cnf 99999999999999999999 1\n1 2 3 0\n")

@@ -7,16 +7,26 @@ import pytest
 from monocnf import (
     Clause,
     CnfFormula,
+    GenConfig,
+    SplitMix64,
     VariableLimitError,
     check_equisat,
+    eliminate_mixed,
     evaluate,
+    generate,
     restrict_model,
     solve_dpll,
     solve_exhaustive,
+    to_monotone_3sat4,
+    to_monotone_3sat5,
     verify_forcing,
 )
 
-from naive import naive_model_census, naive_satisfiable
+from naive import naive_model_census, naive_satisfiable, reference_dpll
+
+# At least two of three true and at least two of three false: no unit, no
+# pure literal, and unsatisfiable.
+TRIANGLE = [[1, 2], [1, 3], [2, 3], [-1, -2], [-1, -3], [-2, -3]]
 
 
 def test_evaluate_requires_total_assignment():
@@ -60,6 +70,9 @@ def test_exhaustive_respects_variable_limit():
     with pytest.raises(VariableLimitError):
         solve_exhaustive(formula)
     assert solve_exhaustive(CnfFormula((), num_vars=24)).satisfiable
+    wide = [Clause((v, v + 1)) for v in range(1, 25)]
+    with pytest.raises(VariableLimitError):
+        verify_forcing(wide, 1)
 
 
 def test_dpll_agrees_on_simple_cases():
@@ -94,6 +107,67 @@ def test_dpll_empty_formula_is_satisfiable():
     verdict = solve_dpll(CnfFormula((), num_vars=2))
     assert verdict.satisfiable
     assert verdict.witness == {1: False, 2: False}
+
+
+def test_dpll_unit_clause_comes_before_pure_literal():
+    # 1 is pure, but the unit 2 goes first and satisfies (1 2), so 1 stays unset
+    verdict = solve_dpll(CnfFormula.from_ints([[1, 2], [2]]))
+    assert verdict.witness == {1: False, 2: True} and verdict.explored == 0
+
+
+def test_dpll_sets_the_pure_literal_of_the_lowest_variable():
+    # -1, 2 and 3 are all pure; -1 goes first, then 2 satisfies (2 3) and 3 stays unset
+    verdict = solve_dpll(CnfFormula.from_ints([[-1, 2], [2, 3]]))
+    assert verdict.witness == {1: False, 2: True, 3: False} and verdict.explored == 0
+
+
+def test_dpll_counts_a_branch_that_ends_in_conflict():
+    # either value of 1 forces two units that empty a clause
+    verdict = solve_dpll(CnfFormula.from_ints(TRIANGLE))
+    assert not verdict.satisfiable and verdict.explored == 2
+
+
+def _random_3cnf(rng: SplitMix64, num_vars: int) -> CnfFormula:
+    # about 4.26 clauses per variable, near the 3-SAT threshold
+    clauses = []
+    for _ in range(round(4.26 * num_vars)):
+        variables: set[int] = set()
+        while len(variables) < 3:
+            variables.add(1 + rng.below(num_vars))
+        clauses.append(Clause(v if rng.coin() else -v for v in sorted(variables)))
+    return CnfFormula(clauses, num_vars=num_vars)
+
+
+def _differential_corpus(sizes, seeds, random_count: int, random_vars: range):
+    """Generated instances at m=n and 4n/3 with their three pipeline
+    outputs, seeded random 3-CNF, and two planted-UNSAT instances: the
+    triangle on fresh variables beside a mixed-free formula."""
+    for n in sizes:
+        for m in (n, 4 * n // 3):
+            for seed in seeds:
+                formula = generate(GenConfig(n, m, seed))
+                yield formula
+                for pipeline in (eliminate_mixed, to_monotone_3sat5, to_monotone_3sat4):
+                    yield pipeline(formula)[0]
+    rng = SplitMix64(426)
+    for _ in range(random_count):
+        yield _random_3cnf(rng, random_vars[rng.below(len(random_vars))])
+    for n in (10, 16):
+        base, _ = eliminate_mixed(generate(GenConfig(n, 4 * n // 3, 7)))
+        k = base.num_vars
+        core = [Clause(lit + k if lit > 0 else lit - k for lit in pair) for pair in TRIANGLE]
+        yield CnfFormula([*base.clauses, *core], num_vars=k + 3)
+
+
+def test_dpll_matches_frozen_reference_search():
+    searched = 0
+    for formula in _differential_corpus(range(8, 13), range(2), 60, range(10, 21)):
+        model, decisions = reference_dpll(clause.lits for clause in formula.clauses)
+        verdict = solve_dpll(formula)
+        witness = None if model is None else {v: model.get(v, False) for v in range(1, formula.num_vars + 1)}
+        assert (verdict.satisfiable, verdict.witness, verdict.explored) == (model is not None, witness, decisions)
+        searched += decisions > 0
+    assert searched >= 50
 
 
 def _random_formula(rng: random.Random, num_vars: int, num_clauses: int) -> CnfFormula:
