@@ -1,10 +1,10 @@
 """Seeded random 3-SAT-4 instance generation and reduction blowup accounting.
 
 The generator draws width-3 clauses over distinct variables with
-independent random polarities while keeping every variable within four
-clause memberships (the occurrence budget).  Randomness comes from
-SplitMix64, a fixed 64-bit stream generator, so a seed reproduces the
-same instance on any platform and Python version.
+independent random polarities, keeping every variable within four clause
+memberships (the occurrence budget), in time linear in the clause count.
+Randomness comes from SplitMix64, a fixed 64-bit stream generator, so a
+seed reproduces the same instance on any platform and Python version.
 
 Blowup accounting runs every target of ``reduce.TARGETS`` on an
 instance, reports output sizes and wall time as CSV rows, and checks the
@@ -14,9 +14,10 @@ measured counts against the closed forms given by each target's growth.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .formula import Clause, CnfFormula
+from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula
 from .reduce import TARGETS
 
 
@@ -59,16 +60,6 @@ class SplitMix64:
         return bool(self.next_u64() & 1)
 
 
-def _sample_distinct(rng: SplitMix64, pool: list[int], count: int) -> list[int]:
-    # swap-remove: each draw removes the pick in O(1) without replacement
-    picked: list[int] = []
-    for _ in range(count):
-        i = rng.below(len(pool))
-        pool[i], pool[-1] = pool[-1], pool[i]
-        picked.append(pool.pop())
-    return picked
-
-
 @dataclass(frozen=True)
 class GenConfig:
     """Generator parameters: clause_count width-3 clauses over
@@ -98,36 +89,40 @@ _MAX_ATTEMPTS = 1000
 def generate(cfg: GenConfig) -> CnfFormula:
     """Deterministic random 3-SAT-4 instance for the given config.
 
-    Each clause draws 3 distinct variables uniformly from those with
-    remaining occurrence budget and flips an independent sign coin per
-    literal.  If fewer than 3 variables keep budget before the clause
-    count is met, the attempt is discarded and generation restarts on
-    the same stream, so tight configurations still terminate with a
-    deterministic result.
+    Each clause swap-removes 3 distinct variables, uniformly, from the
+    ascending list of those with occurrence budget left (simulated in
+    ``moved``, without a copy) and flips a sign coin per literal; a
+    variable leaves the list when its budget reaches 0.  If fewer than 3
+    are left before the clause count is met, generation restarts on the
+    same stream, so tight configurations still end deterministically.
     """
     rng = SplitMix64(cfg.seed)
     for _ in range(_MAX_ATTEMPTS):
-        clauses = _attempt(cfg, rng)
-        if clauses is not None:
-            return CnfFormula(clauses, num_vars=cfg.variable_count)
+        budget = [4] * (cfg.variable_count + 1)
+        eligible = list(range(1, cfg.variable_count + 1))
+        clauses: list[Clause] = []
+        for _ in range(cfg.clause_count):
+            size = len(eligible)
+            if size < 3:
+                break
+            moved: dict[int, int] = {}
+            picks = []
+            for last in range(size - 1, size - 4, -1):
+                i = rng.below(last + 1)
+                picks.append(moved.get(i, eligible[i]))
+                moved[i] = moved.get(last, eligible[last])
+            picks.sort()
+            clauses.append(_trusted_clause(tuple(v if rng.coin() else -v for v in picks)))
+            for v in picks:
+                budget[v] -= 1
+                if not budget[v]:
+                    del eligible[bisect_left(eligible, v)]
+        else:
+            return _trusted_formula(clauses, cfg.variable_count)
     raise GenerationError(
         f"no valid instance after {_MAX_ATTEMPTS} attempts for "
         f"vars={cfg.variable_count} clauses={cfg.clause_count} seed={cfg.seed}"
     )
-
-
-def _attempt(cfg: GenConfig, rng: SplitMix64) -> list[Clause] | None:
-    budget = dict.fromkeys(range(1, cfg.variable_count + 1), 4)
-    clauses: list[Clause] = []
-    for _ in range(cfg.clause_count):
-        eligible = [v for v in range(1, cfg.variable_count + 1) if budget[v] > 0]
-        if len(eligible) < 3:
-            return None
-        trio = sorted(_sample_distinct(rng, eligible, 3))
-        clauses.append(Clause(tuple(v if rng.coin() else -v for v in trio)))
-        for v in trio:
-            budget[v] -= 1
-    return clauses
 
 
 CSV_HEADER = (

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .formula import Clause, CnfFormula, FormulaError
+from .formula import Clause, CnfFormula, FormulaError, _trusted_formula
 
 _HEADER_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)$")
 _ECHO_LIMIT = 40
@@ -140,8 +140,7 @@ def parse(text: str | bytes) -> DimacsDocument:
             f"header declares {_clip(str(num_clauses))} clauses but {len(clauses)} were found"
         )
 
-    formula = CnfFormula(clauses, num_vars=num_vars)
-    return DimacsDocument(formula=formula, comments=tuple(comments))
+    return DimacsDocument(formula=_trusted_formula(clauses, num_vars), comments=tuple(comments))
 
 
 def serialize(doc: DimacsDocument) -> str:

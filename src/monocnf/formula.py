@@ -85,7 +85,7 @@ class Clause:
 
 def _trusted_clause(lits: tuple[int, ...]) -> Clause:
     """A clause from literals already canonical (nonzero, distinct variables,
-    ascending), unchecked: for literals mapped from a validated clause."""
+    ascending), unchecked: for literals canonical by construction."""
     clause = object.__new__(Clause)
     object.__setattr__(clause, "lits", lits)
     return clause
@@ -135,6 +135,15 @@ class CnfFormula:
 
     def __repr__(self) -> str:
         return f"CnfFormula({len(self.clauses)} clauses, {self.num_vars} vars)"
+
+
+def _trusted_formula(clauses: Iterable[Clause], num_vars: int) -> CnfFormula:
+    """A formula whose clauses are known to reference no variable beyond
+    ``num_vars``, unchecked: for outputs bounded by construction."""
+    formula = object.__new__(CnfFormula)
+    object.__setattr__(formula, "clauses", tuple(clauses))
+    object.__setattr__(formula, "num_vars", num_vars)
+    return formula
 
 
 def occurrences(formula: CnfFormula) -> Counter[int]:

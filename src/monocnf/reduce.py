@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from operator import neg
 from typing import Callable
 
-from .formula import Clause, CnfFormula, _trusted_clause
+from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula
 from .profiles import PROFILES, ViolationReport, check_profile
 
 
@@ -303,7 +303,7 @@ class Target:
                     clauses.append(produced)
                     origins.append(origin)
                 first += self.growth[0]
-        return CnfFormula(clauses, num_vars=first - 1), tuple(origins)
+        return _trusted_formula(clauses, first - 1), tuple(origins)
 
     def _instance(self, pair: Clause, first: int) -> list[tuple[str, Clause]]:
         """The template on ``pair``: slots 1 and 2 become its variables and

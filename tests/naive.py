@@ -8,6 +8,8 @@ implementations can honestly disagree.
 from itertools import product
 from typing import Iterable, Sequence
 
+from monocnf import SplitMix64
+
 
 def _satisfies(bits: Sequence[bool], clauses: Iterable[Iterable[int]]) -> bool:
     return all(any(bits[abs(lit) - 1] == (lit > 0) for lit in clause) for clause in clauses)
@@ -125,3 +127,40 @@ def reference_dpll(clauses: Iterable[Iterable[int]]) -> tuple[dict[int, bool] | 
 
     model = search([list(clause) for clause in clauses], {})
     return model, decisions
+
+
+def reference_generate(num_vars: int, num_clauses: int, seed: int) -> list[tuple[int, ...]] | None:
+    """The clauses of the instance the package's generator first produced,
+    frozen here as the reference for its stream: each clause rebuilds the
+    list of variables with occurrence budget left and swap-removes three
+    picks from it.  A failed attempt restarts on the same stream; None
+    after 1000 attempts.  It shares only the package's SplitMix64 stream.
+    """
+
+    def sample_distinct(rng: SplitMix64, pool: list[int], count: int) -> list[int]:
+        picked: list[int] = []
+        for _ in range(count):
+            i = rng.below(len(pool))
+            pool[i], pool[-1] = pool[-1], pool[i]
+            picked.append(pool.pop())
+        return picked
+
+    def attempt(rng: SplitMix64) -> list[tuple[int, ...]] | None:
+        budget = dict.fromkeys(range(1, num_vars + 1), 4)
+        clauses: list[tuple[int, ...]] = []
+        for _ in range(num_clauses):
+            eligible = [v for v in range(1, num_vars + 1) if budget[v] > 0]
+            if len(eligible) < 3:
+                return None
+            trio = sorted(sample_distinct(rng, eligible, 3))
+            clauses.append(tuple(v if rng.coin() else -v for v in trio))
+            for v in trio:
+                budget[v] -= 1
+        return clauses
+
+    rng = SplitMix64(seed)
+    for _ in range(1000):
+        clauses = attempt(rng)
+        if clauses is not None:
+            return clauses
+    return None

@@ -1,6 +1,7 @@
 """Seeded generation and blowup accounting."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -9,6 +10,7 @@ from monocnf import (
     PROFILES,
     TARGETS,
     CnfFormula,
+    DimacsDocument,
     GenConfig,
     GenerationError,
     SplitMix64,
@@ -16,7 +18,10 @@ from monocnf import (
     check_profile,
     generate,
     occurrences,
+    serialize,
 )
+from monocnf import bench
+from naive import reference_generate
 
 # first outputs of the SplitMix64 reference stream, frozen from a run
 # that matches the published vectors for these seeds
@@ -82,6 +87,35 @@ def test_generate_matches_frozen_instance():
         (-2, 5, -6),
     ]
     assert formula.num_vars == 6
+
+
+def test_generate_matches_frozen_reference_generator():
+    # m runs up to the largest count 4n allows; near it the reference
+    # restarts 546 times over the grid, so the restart path is compared too
+    for n in range(3, 16):
+        for m in range(4 * n // 3 - 2, 4 * n // 3 + 1):
+            for seed in range(60):
+                formula = generate(GenConfig(n, m, seed))
+                assert [c.lits for c in formula.clauses] == reference_generate(n, m, seed), (n, m, seed)
+                assert formula.num_vars == n
+
+
+def test_generate_matches_pinned_digest_at_scale():
+    # SHA-256 of the instance the package generated before the eligible
+    # list was kept up to date instead of rebuilt per clause
+    text = serialize(DimacsDocument(generate(GenConfig(2000, 2666, 7))))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2c6bac61cfdd7213925f19b013f95e89c70cdc1f616ef2552a07437872096453"
+    )
+
+
+def test_generate_gives_up_after_max_attempts(monkeypatch):
+    # the first attempt for this seed runs out of eligible variables
+    monkeypatch.setattr(bench, "_MAX_ATTEMPTS", 1)
+    with pytest.raises(GenerationError) as info:
+        generate(GenConfig(6, 8, 0))
+    assert str(info.value) == "no valid instance after 1 attempts for vars=6 clauses=8 seed=0"
+    assert generate(GenConfig(6, 8, 1)).clauses  # its first attempt succeeds
 
 
 def test_generated_instances_satisfy_3sat4_profile():
