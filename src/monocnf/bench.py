@@ -17,6 +17,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .dimacs import _clip
 from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula
 from .reduce import TARGETS
 
@@ -60,6 +61,10 @@ class SplitMix64:
         return bool(self.next_u64() & 1)
 
 
+# generate sizes its lists by the variable count, so it is bounded first
+_MAX_VARIABLES = 1 << 22
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Generator parameters: clause_count width-3 clauses over
@@ -70,15 +75,18 @@ class GenConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        # counts are echoed clipped: a command line may give thousands of digits
         if self.variable_count < 3:
-            raise GenerationError(f"need at least 3 variables, got {self.variable_count}")
+            raise GenerationError(f"need at least 3 variables, got {_clip(str(self.variable_count))}")
+        if self.variable_count > _MAX_VARIABLES:
+            raise GenerationError(f"variable count exceeds the generator limit of {_MAX_VARIABLES}")
         if self.clause_count < 0:
-            raise GenerationError(f"clause count must be nonnegative, got {self.clause_count}")
+            raise GenerationError(f"clause count must be nonnegative, got {_clip(str(self.clause_count))}")
         budget = 4 * self.variable_count
         needed = 3 * self.clause_count
         if needed > budget:
             raise GenerationError(
-                f"{self.clause_count} clauses need {needed} occurrences "
+                f"{_clip(str(self.clause_count))} clauses need {_clip(str(needed))} occurrences "
                 f"but {self.variable_count} variables allow only {budget}"
             )
 
@@ -121,7 +129,7 @@ def generate(cfg: GenConfig) -> CnfFormula:
             return _trusted_formula(clauses, cfg.variable_count)
     raise GenerationError(
         f"no valid instance after {_MAX_ATTEMPTS} attempts for "
-        f"vars={cfg.variable_count} clauses={cfg.clause_count} seed={cfg.seed}"
+        f"vars={cfg.variable_count} clauses={cfg.clause_count} seed={_clip(str(cfg.seed))}"
     )
 
 

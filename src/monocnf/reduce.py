@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from operator import neg
 from typing import Callable
 
-from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula
+from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula, occurrences
 from .profiles import PROFILES, ViolationReport, check_profile
 
 
@@ -196,14 +196,12 @@ class GadgetTemplate:
     designated: int
 
     def __post_init__(self) -> None:
-        counts: dict[int, int] = {}
-        for pattern in self.clauses:
-            clause = Clause(pattern)
+        clauses = tuple(map(Clause, self.clauses))
+        for pattern, clause in zip(self.clauses, clauses):
             if clause.width != 3 or not clause.is_monotone:
                 raise ValueError(f"gadget clauses must be monotone 3-clauses, got {pattern}")
-            for var in clause.variables():
-                counts[var] = counts.get(var, 0) + 1
-        if counts.get(self.designated) != 3:
+        counts = occurrences(CnfFormula(clauses))
+        if counts[self.designated] != 3:
             raise ValueError("designated variable must occur exactly 3 times")
         heaviest = max(count for var, count in counts.items() if var != self.designated)
         if heaviest > 4:

@@ -12,6 +12,10 @@ DPLL (Davis, Logemann & Loveland, 1962) runs depth-first over an explicit
 stack of residual clause lists.  One loop sets every literal, whether a
 branch, a unit or a pure one, and ``_forced`` alone chooses which unit or
 pure literal comes next.
+
+Each oracle job has one engine: ``check_equisat`` decides both sides by
+DPLL, while ``solve_exhaustive`` and ``verify_forcing`` share the truth
+table.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ class VariableLimitError(ValueError):
 class SatVerdict:
     satisfiable: bool
     witness: Assignment | None
-    method: str  # "exhaustive" or "dpll"
     explored: int  # assignments enumerated, or branching decisions taken
 
 
@@ -67,56 +70,36 @@ def evaluate(formula: CnfFormula, assignment: Mapping[int, bool]) -> bool:
     return True
 
 
-class _TruthTable:
-    """Bit-parallel truth table over an explicit variable list.
+def _truth_table(clauses: Iterable[Clause], variables: Sequence[int]) -> tuple[int, dict[int, int], int]:
+    """Evaluate clauses over every assignment of ``variables`` at once.
 
-    ``variables[i]`` occupies bit position ``i`` of the assignment
-    counter; assignment number ``j`` sets ``variables[i]`` true iff bit
-    ``i`` of ``j`` is set.
+    ``variables[i]`` is bit ``i`` of the assignment counter.  Returns the
+    model mask, the columns built for the variables the clauses reference
+    (all of them unless the mask emptied first), and the full mask.
     """
-
-    def __init__(self, variables: Sequence[int]):
-        self.variables = tuple(variables)
-        self.n = len(self.variables)
-        self.size = 1 << self.n
-        self.full = (1 << self.size) - 1
-        self._position = {v: i for i, v in enumerate(self.variables)}
-        self._columns: dict[int, int] = {}
-
-    def column(self, var: int) -> int:
-        cached = self._columns.get(var)
-        if cached is not None:
-            return cached
-        bit = self._position[var]
-        period = 1 << (bit + 1)
-        col = ((1 << (1 << bit)) - 1) << (1 << bit)
-        width = period
-        while width < self.size:
-            col |= col << width
-            width <<= 1
-        self._columns[var] = col
-        return col
-
-    def literal_mask(self, lit: int) -> int:
-        col = self.column(abs(lit))
-        return col if lit > 0 else self.full ^ col
-
-    def clause_mask(self, clause: Clause) -> int:
-        mask = 0
+    size = 1 << len(variables)
+    full = (1 << size) - 1
+    position = {v: i for i, v in enumerate(variables)}
+    columns: dict[int, int] = {}
+    mask = full
+    for clause in clauses:
+        clause_mask = 0
         for lit in clause:
-            mask |= self.literal_mask(lit)
-        return mask
-
-    def formula_mask(self, clauses: Iterable[Clause]) -> int:
-        mask = self.full
-        for clause in clauses:
-            mask &= self.clause_mask(clause)
-            if not mask:
-                break
-        return mask
-
-    def assignment_at(self, index: int) -> Assignment:
-        return {v: bool((index >> i) & 1) for i, v in enumerate(self.variables)}
+            var = abs(lit)
+            col = columns.get(var)
+            if col is None:
+                half = 1 << position[var]
+                col = ((1 << half) - 1) << half
+                width = half << 1
+                while width < size:
+                    col |= col << width
+                    width <<= 1
+                columns[var] = col
+            clause_mask |= col if lit > 0 else full ^ col
+        mask &= clause_mask
+        if not mask:
+            break
+    return mask, columns, full
 
 
 def _check_exhaustive_limit(count: int) -> None:
@@ -134,15 +117,15 @@ def solve_exhaustive(formula: CnfFormula) -> SatVerdict:
     DEFAULT_VAR_LIMIT.
     """
     _check_exhaustive_limit(formula.num_vars)
-    table = _TruthTable(range(1, formula.num_vars + 1))
-    mask = table.formula_mask(formula.clauses)
+    mask, _, _ = _truth_table(formula.clauses, range(1, formula.num_vars + 1))
+    explored = 1 << formula.num_vars
     if not mask:
-        return SatVerdict(satisfiable=False, witness=None, method="exhaustive", explored=table.size)
+        return SatVerdict(satisfiable=False, witness=None, explored=explored)
     first = (mask & -mask).bit_length() - 1
-    witness = table.assignment_at(first)
+    witness = {v: bool(first >> (v - 1) & 1) for v in range(1, formula.num_vars + 1)}
     if not evaluate(formula, witness):
         raise RuntimeError("internal error: exhaustive witness failed re-evaluation")
-    return SatVerdict(satisfiable=True, witness=witness, method="exhaustive", explored=table.size)
+    return SatVerdict(satisfiable=True, witness=witness, explored=explored)
 
 
 def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
@@ -159,23 +142,14 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     if designated not in universe:
         raise ValueError(f"designated variable {designated} does not occur in the clauses")
     _check_exhaustive_limit(len(universe))
-    ordered = sorted(universe)
-    table = _TruthTable(ordered)
-    mask = table.formula_mask(clauses)
+    mask, columns, full = _truth_table(clauses, sorted(universe))
     count = mask.bit_count()
-    forced_true: set[int] = set()
-    forced_false: set[int] = set()
-    if count:
-        for var in ordered:
-            col = table.column(var)
-            if mask & (table.full ^ col) == 0:
-                forced_true.add(var)
-            elif mask & col == 0:
-                forced_false.add(var)
+    # with no model, every variable would read as forced both ways
+    live = columns.items() if count else ()
     return ForcingReport(
         satisfiable=count > 0,
-        forced_true=frozenset(forced_true),
-        forced_false=frozenset(forced_false),
+        forced_true=frozenset(v for v, col in live if not mask & (full ^ col)),
+        forced_false=frozenset(v for v, col in live if not mask & col),
         model_count=count,
     )
 
@@ -243,26 +217,17 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
             witness = {v: assignment.get(v, False) for v in range(1, formula.num_vars + 1)}
             if not evaluate(formula, witness):
                 raise RuntimeError("internal error: DPLL witness failed re-evaluation")
-            return SatVerdict(satisfiable=True, witness=witness, method="dpll", explored=decisions)
+            return SatVerdict(satisfiable=True, witness=witness, explored=decisions)
         var = min(abs(lit) for clause in clauses for lit in clause)
         pending.append((clauses, assignment, -var))
         pending.append((clauses, assignment, var))
-    return SatVerdict(satisfiable=False, witness=None, method="dpll", explored=decisions)
+    return SatVerdict(satisfiable=False, witness=None, explored=decisions)
 
 
 def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
-    """True iff both formulas have the same SAT verdict.
-
-    Each side is decided exhaustively when it has at most
-    DEFAULT_VAR_LIMIT variables and by DPLL otherwise.
-    """
-    return _decide(original).satisfiable == _decide(reduced).satisfiable
-
-
-def _decide(formula: CnfFormula) -> SatVerdict:
-    if formula.num_vars <= DEFAULT_VAR_LIMIT:
-        return solve_exhaustive(formula)
-    return solve_dpll(formula)
+    """True iff both formulas have the same SAT verdict, each decided by
+    ``solve_dpll``, so its WITNESS_VAR_LIMIT applies to both sides."""
+    return solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
 
 
 def restrict_model(assignment: Mapping[int, bool], variables: Iterable[int]) -> Assignment:

@@ -64,6 +64,9 @@ def test_gen_config_validation():
         GenConfig(2, 1, 0)
     with pytest.raises(GenerationError, match="nonnegative"):
         GenConfig(3, -1, 0)
+    GenConfig(bench._MAX_VARIABLES, 0, 0)
+    with pytest.raises(GenerationError, match="generator limit"):
+        GenConfig(bench._MAX_VARIABLES + 1, 0, 0)
 
 
 def test_generate_is_deterministic_per_seed():

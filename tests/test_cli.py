@@ -99,17 +99,25 @@ def test_solve_methods_agree(tmp_path, capsys):
     assert exhaustive.splitlines()[0] == dpll.splitlines()[0] == "SAT"
 
 
+def test_solve_exhaustive_output_is_pinned(tmp_path, capsys):
+    source = _write(tmp_path, "in.cnf", SAT_MIXED)
+    assert run(["solve", "--method", "exhaustive", source]) == 0
+    # assignment 0 (all false) already satisfies 1 -2 3
+    assert capsys.readouterr().out == "SAT\nv -1 -2 -3 0\n"
+
+
+def _gadget_report(sign, forced_true, forced_false):
+    return (
+        f"sign: {sign}\ndesignated: 3\nsatisfiable: true\nmodel_count: 45927\n"
+        f"forced_true: {forced_true}\nforced_false: {forced_false}\nforcing_holds: true\n"
+    )
+
+
 def test_verify_gadget_both_signs(capsys):
     assert run(["verify-gadget"]) == 0
-    out = capsys.readouterr().out
-    assert "sign: true" in out
-    assert "forcing_holds: true" in out
-    assert "model_count: 45927" in out
-
+    assert capsys.readouterr().out == _gadget_report("true", "3", "-")
     assert run(["verify-gadget", "--sign", "false"]) == 0
-    out = capsys.readouterr().out
-    assert "sign: false" in out
-    assert "forced_false: 3" in out
+    assert capsys.readouterr().out == _gadget_report("false", "-", "3")
 
 
 def test_gen_writes_valid_instance(tmp_path, capsys):
@@ -134,6 +142,34 @@ def test_gen_infeasible_budget_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "gen.cnf")
     assert run(["gen", "--vars", "3", "--clauses", "5", "--seed", "1", out]) == 2
     assert "occurrences" in capsys.readouterr().err
+
+
+def _one_short_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert len(err[0]) < 200
+    return err[0]
+
+
+def test_gen_and_blowup_reject_huge_variable_count(tmp_path, capsys):
+    # no list may be sized by a count beyond the index range
+    out = str(tmp_path / "gen.cnf")
+    assert run(["gen", "--vars", "99999999999999999999", "--clauses", "0", "--seed", "0", out]) == 2
+    assert "generator limit" in _one_short_error_line(capsys)
+    assert run(["blowup", "--seeds", "1", "--vars", "99999999999999999999", "--clauses", "1"]) == 2
+    assert "generator limit" in _one_short_error_line(capsys)
+    assert not (tmp_path / "gen.cnf").exists()
+
+
+def test_gen_errors_on_long_counts_are_one_short_line(tmp_path, capsys):
+    out = str(tmp_path / "gen.cnf")
+    assert run(["gen", "--vars", "3", "--clauses", "9" * 4000, "--seed", "0", out]) == 2
+    assert "occurrences" in _one_short_error_line(capsys)
+    assert run(["gen", "--vars", "-" + "9" * 4000, "--clauses", "1", "--seed", "0", out]) == 2
+    assert "at least 3 variables" in _one_short_error_line(capsys)
+    assert run(["gen", "--vars", "3", "--clauses", "-" + "9" * 4000, "--seed", "0", out]) == 2
+    assert "nonnegative" in _one_short_error_line(capsys)
 
 
 def test_check_equisat_verdicts(tmp_path, capsys):

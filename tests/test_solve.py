@@ -45,7 +45,7 @@ def test_evaluate_basic():
 def test_exhaustive_sat_and_unsat():
     sat = solve_exhaustive(CnfFormula.from_ints([[1, 2], [-1, 2]]))
     assert sat.satisfiable and sat.witness == {1: False, 2: True}
-    assert sat.method == "exhaustive" and sat.explored == 4
+    assert sat.explored == 4
 
     unsat = solve_exhaustive(CnfFormula.from_ints([[1], [-1]]))
     assert not unsat.satisfiable and unsat.witness is None
@@ -79,7 +79,6 @@ def test_dpll_agrees_on_simple_cases():
     assert solve_dpll(CnfFormula.from_ints([[1, 2], [-1, 2]])).satisfiable
     verdict = solve_dpll(CnfFormula.from_ints([[1], [-1]]))
     assert not verdict.satisfiable and verdict.witness is None
-    assert verdict.method == "dpll"
 
 
 def test_dpll_detects_all_two_clause_combinations_unsat():
