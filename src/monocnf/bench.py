@@ -152,29 +152,24 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
     target, matching CSV_HEADER.  Raises RuntimeError when a target's
     measured size differs from the closed form given by its growth."""
     mixed = sum(1 for c in formula.clauses if c.is_mixed)
-    sizes: dict[str, tuple[int, int, float]] = {}
+    rows = []
     for name, target in TARGETS.items():
         start = time.perf_counter()
         out, _ = target.reduce(formula)
         millis = (time.perf_counter() - start) * 1000.0
-        sizes[name] = (out.num_vars, len(out.clauses), millis)
-        if name == "mono23sat4":  # the 2-clause census of mixed elimination
+        if name == "mono23sat4":  # the 2-clause census of mixed elimination, TARGETS' first entry
             pos2 = sum(1 for c in out.clauses if c.width == 2 and c.is_positive)
             neg2 = sum(1 for c in out.clauses if c.width == 2 and c.is_negative)
-
-    prefix = (seed, formula.num_vars, len(formula.clauses), mixed, pos2, neg2)
-    two = pos2 + neg2
-    rows = []
-    for name, (out_vars, out_clauses, millis) in sizes.items():
-        var_growth, clause_growth = TARGETS[name].growth
+        var_growth, clause_growth = target.growth
+        measured = (out.num_vars, len(out.clauses))
         expected = (
-            formula.num_vars + mixed + var_growth * two,
-            len(formula.clauses) + mixed + clause_growth * two,
+            formula.num_vars + mixed + var_growth * (pos2 + neg2),
+            len(formula.clauses) + mixed + clause_growth * (pos2 + neg2),
         )
-        if (out_vars, out_clauses) != expected:
+        if measured != expected:
             raise RuntimeError(
-                f"blowup identity violated for {name}: "
-                f"measured vars/clauses {(out_vars, out_clauses)}, expected {expected}"
+                f"blowup identity violated for {name}: measured vars/clauses {measured}, expected {expected}"
             )
-        rows.append(tuple(map(str, prefix + (name, out_vars, out_clauses))) + (f"{millis:.3f}",))
+        prefix = (seed, formula.num_vars, len(formula.clauses), mixed, pos2, neg2, name)
+        rows.append(tuple(map(str, prefix + measured)) + (f"{millis:.3f}",))
     return rows

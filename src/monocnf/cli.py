@@ -16,11 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import bench, dimacs
 from .bench import GenConfig, GenerationError
-from .dimacs import DimacsDocument, DimacsError
+from .dimacs import DimacsDocument, DimacsError, _clip
 from .formula import FormulaError
 from .profiles import PROFILES, check_profile
 from .reduce import (
@@ -116,6 +116,7 @@ def _cmd_check_equisat(args: argparse.Namespace) -> int:
 
 
 def _cmd_blowup(args: argparse.Namespace) -> int:
+    GenConfig(args.vars, args.clauses, 0)  # a usage error leaves stdout empty
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(bench.CSV_HEADER)
     for seed in range(args.seeds):
@@ -124,8 +125,16 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Clips its error message, which echoes the bad argument whole, however
+    many digits it has.  Subparsers are built from this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(_clip(message, 200))  # room for a whole list of choices
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monocnf",
         description="CNF reduction toolkit: monotone 3-SAT rewrites with bounded occurrences.",
     )

@@ -76,9 +76,6 @@ class Clause:
     def __len__(self) -> int:
         return len(self.lits)
 
-    def __contains__(self, lit: int) -> bool:
-        return lit in self.lits
-
     def __repr__(self) -> str:
         return f"Clause({list(self.lits)})"
 

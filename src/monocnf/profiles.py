@@ -18,7 +18,6 @@ from .formula import CnfFormula, occurrences
 
 @dataclass(frozen=True)
 class Profile:
-    name: str
     widths: frozenset[int]
     monotone: bool
     occurrence_cap: int
@@ -28,10 +27,10 @@ class Profile:
 
 
 PROFILES: dict[str, Profile] = {
-    "3sat4": Profile("3sat4", frozenset({3}), monotone=False, occurrence_cap=4),
-    "mono23sat4": Profile("mono23sat4", frozenset({2, 3}), monotone=True, occurrence_cap=4),
-    "mono3sat5": Profile("mono3sat5", frozenset({3}), monotone=True, occurrence_cap=5),
-    "mono3sat4": Profile("mono3sat4", frozenset({3}), monotone=True, occurrence_cap=4),
+    "3sat4": Profile(frozenset({3}), monotone=False, occurrence_cap=4),
+    "mono23sat4": Profile(frozenset({2, 3}), monotone=True, occurrence_cap=4),
+    "mono3sat5": Profile(frozenset({3}), monotone=True, occurrence_cap=5),
+    "mono3sat4": Profile(frozenset({3}), monotone=True, occurrence_cap=4),
 }
 
 
@@ -48,7 +47,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    profile: Profile
     violations: tuple[Violation, ...]
 
     @property
@@ -82,4 +80,4 @@ def check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
     over = sorted((var, total) for var, total in occurrences(formula).items() if total > cap)
     for var, total in over:
         violations.append(Violation("occurrence", var, f"{total} occurrences, cap is {cap}"))
-    return ViolationReport(profile=profile, violations=tuple(violations))
+    return ViolationReport(tuple(violations))

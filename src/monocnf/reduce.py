@@ -35,13 +35,12 @@ from .profiles import PROFILES, ViolationReport, check_profile
 
 
 class ProfileError(ValueError):
-    """Raised when a pipeline input fails its profile check."""
+    """Raised when a pipeline input fails its profile check.  The message
+    quotes the first violation and counts the rest, so it stays one line."""
 
     def __init__(self, message: str, report: ViolationReport):
-        self.report = report
-        if len(report):
-            message = f"{message}: " + "; ".join(str(v) for v in report)
-        super().__init__(message)
+        more = f" (and {len(report) - 1} more)" if len(report) > 1 else ""
+        super().__init__(f"{message}: {report.violations[0]}{more}")
 
 
 class FreshAllocator:
@@ -196,16 +195,14 @@ class GadgetTemplate:
     designated: int
 
     def __post_init__(self) -> None:
-        clauses = tuple(map(Clause, self.clauses))
-        for pattern, clause in zip(self.clauses, clauses):
-            if clause.width != 3 or not clause.is_monotone:
-                raise ValueError(f"gadget clauses must be monotone 3-clauses, got {pattern}")
-        counts = occurrences(CnfFormula(clauses))
-        if counts[self.designated] != 3:
+        # the designated variable's 3 occurrences are within the cap of 4
+        formula = CnfFormula.from_ints(self.clauses)
+        report = check_profile(formula, PROFILES["mono3sat4"])
+        if not report.ok:
+            first = report.violations[0]
+            raise ValueError(f"gadget clauses must be monotone 3-clauses, at most 4 per variable: {first}")
+        if occurrences(formula)[self.designated] != 3:
             raise ValueError("designated variable must occur exactly 3 times")
-        heaviest = max(count for var, count in counts.items() if var != self.designated)
-        if heaviest > 4:
-            raise ValueError("non-designated gadget variables must occur at most 4 times")
 
     @property
     def var_count(self) -> int:
@@ -245,10 +242,11 @@ class ClauseOrigin:
 
 
 def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
-    """A monotone 2-clause widened by a fresh literal, then the gadget forcing that literal false."""
-    sign = _monotone_pair_sign(pair, "the gadget widening")
-    gadget, designated = instantiate_gadget(FORCE_FALSE_GADGET if sign > 0 else FORCE_TRUE_GADGET, alloc)
-    return [Clause(pair.lits + (sign * designated,)), *gadget]
+    """A positive 2-clause widened by a fresh variable, then the gadget
+    forcing that variable false.  Only the positive probe of ``_target``
+    runs it; ``Target._instance`` mirrors the result for a negative pair."""
+    gadget, designated = instantiate_gadget(FORCE_FALSE_GADGET, alloc)
+    return [Clause(pair.lits + (designated,)), *gadget]
 
 
 @dataclass(frozen=True)

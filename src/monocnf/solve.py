@@ -136,9 +136,7 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     indices need not be contiguous; enumeration runs over the referenced
     variables only.
     """
-    universe: set[int] = set()
-    for clause in clauses:
-        universe.update(clause.variables())
+    universe = CnfFormula(clauses).variables()
     if designated not in universe:
         raise ValueError(f"designated variable {designated} does not occur in the clauses")
     _check_exhaustive_limit(len(universe))
@@ -228,12 +226,3 @@ def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
     """True iff both formulas have the same SAT verdict, each decided by
     ``solve_dpll``, so its WITNESS_VAR_LIMIT applies to both sides."""
     return solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
-
-
-def restrict_model(assignment: Mapping[int, bool], variables: Iterable[int]) -> Assignment:
-    """Restrict an assignment to the given variables."""
-    wanted = set(variables)
-    missing = sorted(wanted - assignment.keys())
-    if missing:
-        raise ValueError(f"variables not in assignment domain: {missing}")
-    return {v: assignment[v] for v in wanted}

@@ -145,7 +145,9 @@ def test_gen_infeasible_budget_is_usage_error(tmp_path, capsys):
 
 
 def _one_short_error_line(capsys):
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ")
     assert len(err[0]) < 200
@@ -170,6 +172,39 @@ def test_gen_errors_on_long_counts_are_one_short_line(tmp_path, capsys):
     assert "at least 3 variables" in _one_short_error_line(capsys)
     assert run(["gen", "--vars", "3", "--clauses", "-" + "9" * 4000, "--seed", "0", out]) == 2
     assert "nonnegative" in _one_short_error_line(capsys)
+
+
+def test_profile_error_is_one_short_line(tmp_path, capsys):
+    # the mixed-elimination output keeps one 2-clause per mixed clause, each
+    # a width violation of the 3-SAT-4 entry profile
+    source = str(tmp_path / "gen.cnf")
+    assert run(["gen", "--vars", "30", "--clauses", "40", "--seed", "1", source]) == 0
+    mono23 = str(tmp_path / "mono23.cnf")
+    assert run(["reduce", "--target", "mono23sat4", source, mono23]) == 0
+    assert run(["reduce", "--target", "mono23sat4", mono23, str(tmp_path / "out.cnf")]) == 3
+    line = _one_short_error_line(capsys)
+    assert line.startswith("error: eliminate_mixed requires a 3-SAT-4 instance: width violation at clause ")
+    assert line.endswith(" more)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--vars", "9" * 5000, "--clauses", "1", "--seed", "0", "x.cnf"],
+        ["gen", "--vars", "3", "--clauses", "9" * 5000, "--seed", "0", "x.cnf"],
+        ["gen", "--vars", "3", "--clauses", "1", "--seed", "9" * 5000, "x.cnf"],
+        ["blowup", "--seeds", "9" * 5000, "--vars", "3", "--clauses", "1"],
+        ["reduce", "--target", "x" * 5000, "a", "b"],
+        ["validate", "--profile", "x" * 5000, "a"],
+    ],
+)
+def test_argument_errors_are_short_lines(argv, capsys):
+    # argparse echoes the bad argument; the echo is clipped
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument --" in err
+    assert all(len(line) < 300 for line in err.splitlines())
 
 
 def test_check_equisat_verdicts(tmp_path, capsys):

@@ -68,6 +68,8 @@ def test_formula_may_declare_unreferenced_variables():
 def test_formula_rejects_undersized_declaration():
     with pytest.raises(FormulaError, match="beyond declared count"):
         CnfFormula.from_ints([[1, 5]], num_vars=3)
+    with pytest.raises(FormulaError, match="must be non-negative"):
+        CnfFormula((), num_vars=-1)
 
 
 def test_formula_preserves_clause_order():

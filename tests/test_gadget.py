@@ -44,6 +44,10 @@ def test_template_validation_rejects_bad_shapes():
         GadgetTemplate(clauses=((1, -2, 3),) * 25, designated=3)
     with pytest.raises(ValueError, match="exactly 3 times"):
         GadgetTemplate(clauses=FORCE_TRUE_GADGET.clauses, designated=1)
+    # variable 1 in five clauses; the designated variable 3 in exactly three
+    heavy = ((1, 2, 3), (1, 4, 3), (1, 5, 3), (1, 6, 7), (1, 8, 9))
+    with pytest.raises(ValueError, match="variable 1: 5 occurrences, cap is 4"):
+        GadgetTemplate(clauses=heavy, designated=3)
 
 
 # both templates, each with the sign its pattern gives the template ids

@@ -71,8 +71,14 @@ def test_eliminate_mixed_children_replace_parent_in_place():
 
 
 def test_eliminate_mixed_rejects_non_3sat4_input():
-    with pytest.raises(ProfileError, match="width"):
+    with pytest.raises(ProfileError) as one:
         eliminate_mixed(CnfFormula.from_ints([[1, -2]]))
+    prefix = "eliminate_mixed requires a 3-SAT-4 instance: width violation at clause 0: width 2, profile allows 3"
+    assert str(one.value) == prefix
+    # the first violation, then a count of the rest
+    with pytest.raises(ProfileError) as three:
+        eliminate_mixed(CnfFormula.from_ints([[1, -2], [2, 3], [-1, 3]]))
+    assert str(three.value) == prefix + " (and 2 more)"
     too_many = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [1, 5, 6], [1, 5, 7]]
     with pytest.raises(ProfileError, match="occurrence"):
         eliminate_mixed(CnfFormula.from_ints(too_many))

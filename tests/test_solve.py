@@ -14,7 +14,6 @@ from monocnf import (
     eliminate_mixed,
     evaluate,
     generate,
-    restrict_model,
     solve_dpll,
     solve_exhaustive,
     to_monotone_3sat4,
@@ -239,15 +238,10 @@ def test_verify_forcing_matches_naive_census_on_random_collections():
         assert {remap[v] for v in report.forced_false} == always_false
 
 
-def test_check_equisat_and_restrict():
+def test_check_equisat():
     sat_a = CnfFormula.from_ints([[1, 2]])
     sat_b = CnfFormula.from_ints([[3]])
     unsat = CnfFormula.from_ints([[1], [-1]])
     assert check_equisat(sat_a, sat_b)
     assert check_equisat(unsat, CnfFormula.from_ints([[2], [-2]]))
     assert not check_equisat(sat_a, unsat)
-
-    model = {1: True, 2: False, 3: True}
-    assert restrict_model(model, [1, 3]) == {1: True, 3: True}
-    with pytest.raises(ValueError, match="not in assignment domain"):
-        restrict_model(model, [4])
