@@ -120,7 +120,7 @@ def generate(cfg: GenConfig) -> CnfFormula:
                 picks.append(moved.get(i, eligible[i]))
                 moved[i] = moved.get(last, eligible[last])
             picks.sort()
-            clauses.append(_trusted_clause(tuple(v if rng.coin() else -v for v in picks)))
+            clauses.append(_trusted_clause(v if rng.coin() else -v for v in picks))
             for v in picks:
                 budget[v] -= 1
                 if not budget[v]:
@@ -158,8 +158,8 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
         out, _ = target.reduce(formula)
         millis = (time.perf_counter() - start) * 1000.0
         if name == "mono23sat4":  # the 2-clause census of mixed elimination, TARGETS' first entry
-            pos2 = sum(1 for c in out.clauses if c.width == 2 and c.is_positive)
-            neg2 = sum(1 for c in out.clauses if c.width == 2 and c.is_negative)
+            pos2 = sum(1 for c in out.clauses if len(c) == 2 and c.is_positive)
+            neg2 = sum(1 for c in out.clauses if len(c) == 2 and c.is_negative)
         var_growth, clause_growth = target.growth
         measured = (out.num_vars, len(out.clauses))
         expected = (

@@ -7,7 +7,7 @@ clauses, interleaved comment lines, and a SATLIB "%" trailer; output is
 canonical: comment lines first, then the header, then one clause per
 line with literals in ascending variable order, LF line endings.
 ``serialize(parse(serialize(doc)))`` is byte-identical to
-``serialize(doc)``.
+``serialize(doc)``: a comment may not hold LF or CR or end in whitespace.
 
 Comment lines starting with "trace " carry clause provenance emitted by
 the reduction pipelines; they are informational only and never affect
@@ -50,6 +50,12 @@ class DimacsDocument:
     formula: CnfFormula
     comments: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        # serialize writes each comment as one "c" line, which parse strips
+        for comment in self.comments:
+            if "\n" in comment or "\r" in comment or comment[-1:].isspace():
+                raise DimacsError(f"comment {_clip(repr(comment))} must be one line not ending in whitespace")
+
 
 def parse(text: str | bytes) -> DimacsDocument:
     """Parse a DIMACS CNF document.
@@ -62,8 +68,9 @@ def parse(text: str | bytes) -> DimacsDocument:
     Raises DimacsError on: bytes that are not UTF-8, a missing or
     malformed header, literals before the header, a non-integer token,
     a variable index above the declared count, a clause not terminated
-    by 0 (also at "%"), a duplicate-variable or tautological clause, or
-    a clause count that disagrees with the header.
+    by 0 (also at "%"), a duplicate-variable or tautological clause, a
+    clause count that disagrees with the header, or a comment line holding
+    a carriage return.
     """
     if isinstance(text, bytes):
         try:
@@ -151,7 +158,7 @@ def serialize(doc: DimacsDocument) -> str:
     formula = doc.formula
     lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
     for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause.lits) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,8 @@
 
 Literals follow the DIMACS convention: a positive integer ``v`` is the
 positive literal of variable ``v``, and ``-v`` is its negation.  Variables
-are 1-based.  All types in this module are immutable after construction;
-transformations build new values.
+are 1-based, and a ``Clause`` is the sorted tuple of its literals.  All
+values are immutable; transformations build new ones.
 """
 
 from __future__ import annotations
@@ -18,21 +18,20 @@ class FormulaError(ValueError):
     """Raised when a clause or formula violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A disjunction of literals over pairwise-distinct variables.
-
-    Literals are stored canonically, sorted by variable index, so two
-    clauses over the same literal set compare and hash equal.  A clause
-    mentioning the same variable twice is rejected at construction, with
-    opposite polarities (a tautology) called out separately: silently
-    dropping such clauses would corrupt occurrence accounting downstream.
+class Clause(tuple[int, ...]):
+    """A disjunction of literals over pairwise-distinct variables: the tuple
+    of its literals sorted by variable index, so ``len(clause)`` is its width
+    and clauses over the same literal set compare and hash equal, also to
+    that plain tuple.  A clause mentioning the same variable twice is
+    rejected at construction, with opposite polarities (a tautology) called
+    out separately: silently dropping such clauses would corrupt occurrence
+    accounting downstream.
     """
 
-    lits: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, lits: Iterable[int]):
-        canonical = tuple(sorted(lits, key=abs))
+    def __new__(cls, literals: Iterable[int]) -> Clause:
+        canonical = tuple(sorted(literals, key=abs))
         if not canonical:
             raise FormulaError("empty clause is not allowed")
         seen: set[int] = set()
@@ -45,19 +44,20 @@ class Clause:
                     raise FormulaError(f"tautological clause: variable {var} appears with both polarities")
                 raise FormulaError(f"duplicate variable {var} in clause")
             seen.add(var)
-        object.__setattr__(self, "lits", canonical)
+        return tuple.__new__(cls, canonical)
 
     @property
-    def width(self) -> int:
-        return len(self.lits)
+    def lits(self) -> Clause:
+        """The clause itself, kept because the benchmark workloads read it."""
+        return self
 
     @property
     def is_positive(self) -> bool:
-        return all(lit > 0 for lit in self.lits)
+        return all(lit > 0 for lit in self)
 
     @property
     def is_negative(self) -> bool:
-        return all(lit < 0 for lit in self.lits)
+        return all(lit < 0 for lit in self)
 
     @property
     def is_monotone(self) -> bool:
@@ -67,25 +67,14 @@ class Clause:
     def is_mixed(self) -> bool:
         return not self.is_monotone
 
-    def variables(self) -> frozenset[int]:
-        return frozenset(abs(lit) for lit in self.lits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.lits)
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
     def __repr__(self) -> str:
-        return f"Clause({list(self.lits)})"
+        return f"Clause({list(self)})"
 
 
-def _trusted_clause(lits: tuple[int, ...]) -> Clause:
+def _trusted_clause(literals: Iterable[int]) -> Clause:
     """A clause from literals already canonical (nonzero, distinct variables,
     ascending), unchecked: for literals canonical by construction."""
-    clause = object.__new__(Clause)
-    object.__setattr__(clause, "lits", lits)
-    return clause
+    return tuple.__new__(Clause, literals)
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,10 @@ class CnfFormula:
 
     def __init__(self, clauses: Iterable[Clause], num_vars: int | None = None):
         clause_tuple = tuple(clauses)
-        max_ref = max(map(abs, chain.from_iterable(c.lits for c in clause_tuple)), default=0)
+        for clause in clause_tuple:
+            if not isinstance(clause, Clause):  # a plain tuple was never sorted or checked
+                raise TypeError(f"formula clauses must be Clause values, got {type(clause).__name__}")
+        max_ref = max(map(abs, chain.from_iterable(clause_tuple)), default=0)
         if num_vars is None:
             num_vars = max_ref
         if num_vars < 0:
@@ -119,10 +111,7 @@ class CnfFormula:
 
     def variables(self) -> frozenset[int]:
         """All variables referenced by at least one clause."""
-        out: set[int] = set()
-        for clause in self.clauses:
-            out.update(clause.variables())
-        return frozenset(out)
+        return frozenset(map(abs, chain.from_iterable(self.clauses)))
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -149,4 +138,4 @@ def occurrences(formula: CnfFormula) -> Counter[int]:
     Clauses cannot repeat a variable, so this is also its literal count.
     A variable no clause references reads 0.
     """
-    return Counter(map(abs, chain.from_iterable(c.lits for c in formula.clauses)))
+    return Counter(map(abs, chain.from_iterable(formula.clauses)))

@@ -70,9 +70,9 @@ def check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
     """
     violations: list[Violation] = []
     for index, clause in enumerate(formula.clauses):
-        if clause.width not in profile.widths:
+        if len(clause) not in profile.widths:
             violations.append(
-                Violation("width", index, f"width {clause.width}, profile allows {profile.width_rule()}")
+                Violation("width", index, f"width {len(clause)}, profile allows {profile.width_rule()}")
             )
         if profile.monotone and clause.is_mixed:
             violations.append(Violation("monotonicity", index, "mixed clause in a monotone profile"))

@@ -69,8 +69,8 @@ class FreshAllocator:
 
 
 def _monotone_pair_sign(clause: Clause, rule: str) -> int:
-    if clause.width != 2:
-        raise ValueError(f"{rule} requires a 2-clause, got width {clause.width}")
+    if len(clause) != 2:
+        raise ValueError(f"{rule} requires a 2-clause, got width {len(clause)}")
     if clause.is_positive:
         return 1
     if clause.is_negative:
@@ -86,12 +86,12 @@ def gold_step(clause: Clause, alloc: FreshAllocator) -> tuple[Clause, Clause]:
     One output has width 2 and the other width 3; original variables
     keep their occurrence counts and the bridge occurs exactly twice.
     """
-    if clause.width != 3:
-        raise ValueError(f"gold_step requires a 3-clause, got width {clause.width}")
+    if len(clause) != 3:
+        raise ValueError(f"gold_step requires a 3-clause, got width {len(clause)}")
     if not clause.is_mixed:
         raise ValueError(f"gold_step requires a mixed clause, got {clause!r}")
-    positive = tuple(lit for lit in clause.lits if lit > 0)
-    negative = tuple(lit for lit in clause.lits if lit < 0)
+    positive = tuple(lit for lit in clause if lit > 0)
+    negative = tuple(lit for lit in clause if lit < 0)
     bridge = alloc.fresh()
     return Clause(positive + (bridge,)), Clause(negative + (-bridge,))
 
@@ -107,9 +107,9 @@ def apply_r1(clause: Clause, alloc: FreshAllocator) -> list[Clause]:
     sign = _monotone_pair_sign(clause, "apply_r1")
     u, v, w = alloc.fresh_many(3)
     return [
-        Clause(clause.lits + (sign * u,)),
-        Clause(clause.lits + (sign * v,)),
-        Clause(clause.lits + (sign * w,)),
+        Clause(clause + (sign * u,)),
+        Clause(clause + (sign * v,)),
+        Clause(clause + (sign * w,)),
         Clause((-sign * u, -sign * v, -sign * w)),
     ]
 
@@ -124,7 +124,7 @@ def apply_r2(clause: Clause, alloc: FreshAllocator) -> list[Clause]:
     """
     sign = _monotone_pair_sign(clause, "apply_r2")
     u, v = alloc.fresh_many(2)
-    out = [Clause(clause.lits + (sign * u,)), Clause(clause.lits + (sign * v,))]
+    out = [Clause(clause + (sign * u,)), Clause(clause + (sign * v,))]
     out.extend(apply_r1(Clause((-sign * u, -sign * v)), alloc))
     return out
 
@@ -142,7 +142,7 @@ def apply_r3(clause: Clause, alloc: FreshAllocator, compact: bool = False) -> li
     """
     sign = _monotone_pair_sign(clause, "apply_r3")
     u, v, w = alloc.fresh_many(3)
-    out = [Clause(clause.lits + (sign * u,))]
+    out = [Clause(clause + (sign * u,))]
     out.extend(apply_r2(Clause((-sign * u, -sign * v)), alloc))
     out.extend(apply_r2(Clause((-sign * u, -sign * w)), alloc))
     last_rule = apply_r1 if compact else apply_r2
@@ -246,7 +246,7 @@ def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
     forcing that variable false.  Only the positive probe of ``_target``
     runs it; ``Target._instance`` mirrors the result for a negative pair."""
     gadget, designated = instantiate_gadget(FORCE_FALSE_GADGET, alloc)
-    return [Clause(pair.lits + (designated,)), *gadget]
+    return [Clause(pair + (designated,)), *gadget]
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ class Target:
                 origin = ClauseOrigin("input", source)
                 run = [clause]
             for child in run:
-                if self.template is None or child.width != 2:
+                if self.template is None or len(child) != 2:
                     clauses.append(child)
                     origins.append(origin)
                     continue
@@ -305,11 +305,11 @@ class Target:
         """The template on ``pair``: slots 1 and 2 become its variables and
         slot k the fresh ``first + k - 3``, mirrored for a negative pair.
         The pair lies below ``first``, so the map keeps variable order."""
-        x, y = pair.lits
+        x, y = pair
         fresh = range(first, first + self.growth[0])
         values = [x, y, *(fresh if x > 0 else map(neg, fresh))]
         lookup = [0, *values, *map(neg, reversed(values))].__getitem__  # lookup(-s) is -lookup(s)
-        return [(label, _trusted_clause(tuple(map(lookup, slots)))) for label, slots in self.template]
+        return [(label, _trusted_clause(map(lookup, slots))) for label, slots in self.template]
 
 
 def _target(
@@ -323,7 +323,7 @@ def _target(
         return Target(profile, None, (0, 0))
     alloc = FreshAllocator(3)
     labelled = zip(chain(labels, repeat(labels[-1])), rule(Clause((1, 2)), alloc))
-    template = tuple((label, clause.lits) for label, clause in labelled)
+    template = tuple(labelled)
     return Target(profile, template, (alloc.next_index - 3, len(template) - 1))
 
 

@@ -196,7 +196,7 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     # assignment, and the branch literal to take (None at the root).  The
     # false branch is pushed first so the true one runs first.
     pending: list[tuple[list[list[int]], Assignment, int | None]] = [
-        ([list(clause.lits) for clause in formula.clauses], {}, None)
+        ([list(clause) for clause in formula.clauses], {}, None)
     ]
     while pending:
         clauses, assignment, lit = pending.pop()

@@ -156,7 +156,7 @@ def test_criterion_05_rule_level_equisatisfiability():
                         Clause(((2 if b else -2),)),
                     ]
                     extended = solve_exhaustive(CnfFormula(pinned, num_vars=num_vars)).satisfiable
-                    direct = any((lit > 0) == (a if abs(lit) == 1 else b) for lit in pair.lits)
+                    direct = any((lit > 0) == (a if abs(lit) == 1 else b) for lit in pair)
                     if extended != direct:
                         failures.append(f"{name} sign={sign} a={a} b={b}")
     elapsed = time.perf_counter() - start

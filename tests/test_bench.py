@@ -79,7 +79,7 @@ def test_generate_is_deterministic_per_seed():
 
 def test_generate_matches_frozen_instance():
     formula = generate(GenConfig(6, 8, 42))
-    assert [c.lits for c in formula.clauses] == [
+    assert list(formula.clauses) == [
         (-1, 3, 4),
         (1, 4, -6),
         (-1, 3, -4),
@@ -99,7 +99,7 @@ def test_generate_matches_frozen_reference_generator():
         for m in range(4 * n // 3 - 2, 4 * n // 3 + 1):
             for seed in range(60):
                 formula = generate(GenConfig(n, m, seed))
-                assert [c.lits for c in formula.clauses] == reference_generate(n, m, seed), (n, m, seed)
+                assert list(formula.clauses) == reference_generate(n, m, seed), (n, m, seed)
                 assert formula.num_vars == n
 
 

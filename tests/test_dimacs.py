@@ -10,7 +10,7 @@ def test_parse_basic_document():
     assert doc.formula.num_vars == 3
     assert len(doc.formula.clauses) == 2
     assert doc.comments == ("a comment",)
-    assert [c.lits for c in doc.formula.clauses] == [(1, -2, 3), (-1, 2)]
+    assert list(doc.formula.clauses) == [(1, -2, 3), (-1, 2)]
 
 
 def test_parse_rejects_undecodable_bytes():
@@ -20,17 +20,17 @@ def test_parse_rejects_undecodable_bytes():
 
 def test_parse_accepts_crlf_and_extra_whitespace():
     doc = parse("p cnf 2 1\r\n  1   2  0\r\n")
-    assert doc.formula.clauses[0].lits == (1, 2)
+    assert doc.formula.clauses[0] == (1, 2)
 
 
 def test_parse_accepts_multi_line_clause():
     doc = parse("p cnf 3 1\n1\n2\n3 0\n")
-    assert doc.formula.clauses[0].lits == (1, 2, 3)
+    assert doc.formula.clauses[0] == (1, 2, 3)
 
 
 def test_parse_stops_at_satlib_trailer():
     doc = parse("p cnf 3 1\n1 -2 3 0\n%\n0\n")
-    assert [c.lits for c in doc.formula.clauses] == [(1, -2, 3)]
+    assert list(doc.formula.clauses) == [(1, -2, 3)]
 
 
 @pytest.mark.parametrize("char", ["\x0c", "\u2028"], ids=["form-feed", "line-separator"])
@@ -38,7 +38,7 @@ def test_parse_keeps_line_break_characters_inside_comments(char):
     text = f"c made by tool{char}v2\np cnf 3 1\n1 -2 3 0\n"
     doc = parse(text)
     assert doc.comments == (f"made by tool{char}v2",)
-    assert [c.lits for c in doc.formula.clauses] == [(1, -2, 3)]
+    assert list(doc.formula.clauses) == [(1, -2, 3)]
     assert serialize(doc) == text
 
 
@@ -67,6 +67,25 @@ def test_serialize_parse_serialize_idempotent():
     messy = "c x\np cnf 3 2\n3 1\n-2 0\n  -1  -3 0\n"
     once = serialize(parse(messy))
     assert serialize(parse(once)) == once
+
+
+@pytest.mark.parametrize(
+    "comment",
+    ["foo ", "tab\t", "x\np cnf 9 9", "a\rb", "x" * 5000 + " "],
+    ids=["trailing-space", "trailing-tab", "injected-header", "carriage-return", "long"],
+)
+def test_document_rejects_comment_that_would_not_round_trip(comment):
+    formula = CnfFormula.from_ints([[1, 2]])
+    message = r"^comment '.* must be one line not ending in whitespace$"
+    with pytest.raises(DimacsError, match=message) as excinfo:
+        DimacsDocument(formula, ("fine", comment))
+    assert len(str(excinfo.value)) < 120
+
+
+def test_parse_rejects_carriage_return_inside_comment():
+    # another reader may end the line at the CR and read "p cnf 9 9" as a header
+    with pytest.raises(DimacsError, match="must be one line"):
+        parse("c x\rp cnf 9 9\np cnf 2 1\n1 2 0\n")
 
 
 @pytest.mark.parametrize(

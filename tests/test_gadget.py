@@ -63,16 +63,16 @@ def test_instantiation_maps_template_ids_to_allocation_order():
             assert clause == Clause(tuple((1 if lit > 0 else -1) * (abs(lit) + 99) for lit in pattern))
         referenced = set()
         for clause in clauses:
-            referenced.update(clause.variables())
+            referenced.update(map(abs, clause))
         assert referenced == set(range(100, 121))
         assert len(clauses) == 25
         # the designated variable appears, with the template's sign, in the
         # 1st, 2nd, and 14th clauses
         for index in (0, 1, 13):
-            assert sign * designated in clauses[index].lits
+            assert sign * designated in clauses[index]
         for index in set(range(25)) - {0, 1, 13}:
-            assert designated not in clauses[index].lits
-            assert -designated not in clauses[index].lits
+            assert designated not in clauses[index]
+            assert -designated not in clauses[index]
 
 
 def test_occurrence_profile():
@@ -120,7 +120,7 @@ def test_forcing_matches_naive_census_on_scaled_down_core():
     # the first clauses of the gadget, small enough to enumerate naively
     clauses, _ = instantiate_gadget(FORCE_TRUE_GADGET, FreshAllocator(1))
     prefix = clauses[:6]
-    referenced = sorted({v for c in prefix for v in c.variables()})
+    referenced = sorted({abs(lit) for c in prefix for lit in c})
     remap = {v: i + 1 for i, v in enumerate(referenced)}
     small = [tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in c) for c in prefix]
     count, always_true, always_false = naive_model_census(small, len(referenced))

@@ -42,13 +42,13 @@ MIXED_ONE = CnfFormula.from_ints([[1, -2, 3]])
 
 def test_eliminate_mixed_on_worked_example():
     out, trace = eliminate_mixed(MIXED_ONE)
-    assert [c.lits for c in out.clauses] == [(1, 3, 4), (-2, -4)]
+    assert list(out.clauses) == [(1, 3, 4), (-2, -4)]
     assert out.num_vars == 4
     assert check_profile(out, PROFILES["mono23sat4"]).ok
     assert trace == (ClauseOrigin("gold", 0),) * 2
     # fresh variables start past the declared count, not the largest referenced
     out, _ = eliminate_mixed(CnfFormula(MIXED_ONE.clauses, num_vars=7))
-    assert [c.lits for c in out.clauses] == [(1, 3, 8), (-2, -8)]
+    assert list(out.clauses) == [(1, 3, 8), (-2, -8)]
     assert out.num_vars == 8
 
 
@@ -62,7 +62,7 @@ def test_eliminate_mixed_identity_on_monotone_input():
 def test_eliminate_mixed_children_replace_parent_in_place():
     formula = CnfFormula.from_ints([[1, 2, 3], [1, -2, 3], [-1, -2, -3]])
     out, _ = eliminate_mixed(formula)
-    assert [c.lits for c in out.clauses] == [
+    assert list(out.clauses) == [
         (1, 2, 3),
         (1, 3, 4),
         (-2, -4),
@@ -116,7 +116,7 @@ def test_monotone_3sat4_designated_variable_reaches_cap():
     assert len(widened_positions) == 1
     widened = out.clauses[widened_positions[0]]
     # the widened clause is the 2-clause plus the designated literal
-    designated = max(widened.variables())
+    designated = max(map(abs, widened))
     counts = occurrences(out)
     assert counts[designated] == 4
     assert max(counts.values()) == 4
@@ -210,7 +210,7 @@ def _direct_expansion(name, pair, first):
         sign = 1 if pair.is_positive else -1
         template = FORCE_FALSE_GADGET if sign > 0 else FORCE_TRUE_GADGET
         gadget, designated = instantiate_gadget(template, alloc)
-        return [("widen", Clause(pair.lits + (sign * designated,)))] + [("gadget", c) for c in gadget]
+        return [("widen", Clause(pair + (sign * designated,)))] + [("gadget", c) for c in gadget]
     produced = apply_r3(pair, alloc, compact=name.endswith("-compact"))
     return [("r3", c) for c in produced]
 
@@ -264,7 +264,7 @@ def test_each_input_clause_maps_to_one_run_with_its_own_fresh_variables(name):
         assert sources == sorted(sources)
         assert list(runs) == list(range(len(formula.clauses)))
         fresh = [
-            {v for clause in run for v in clause.variables() if v > formula.num_vars}
+            {v for clause in run for v in map(abs, clause) if v > formula.num_vars}
             for run in runs.values()
         ]
         covered = set().union(*fresh)

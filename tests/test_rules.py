@@ -60,17 +60,17 @@ def test_gold_step_rejects_wrong_width_and_monotone_input():
 
 def test_r1_positive_shape():
     out = apply_r1(Clause((1, 2)), FreshAllocator(3))
-    assert [c.lits for c in out] == [(1, 2, 3), (1, 2, 4), (1, 2, 5), (-3, -4, -5)]
+    assert list(out) == [(1, 2, 3), (1, 2, 4), (1, 2, 5), (-3, -4, -5)]
 
 
 def test_r1_negative_shape_is_dual():
     out = apply_r1(Clause((-1, -2)), FreshAllocator(3))
-    assert [c.lits for c in out] == [(-1, -2, -3), (-1, -2, -4), (-1, -2, -5), (3, 4, 5)]
+    assert list(out) == [(-1, -2, -3), (-1, -2, -4), (-1, -2, -5), (3, 4, 5)]
 
 
 def test_r2_expansion_shape():
     out = apply_r2(Clause((1, 2)), FreshAllocator(3))
-    assert [c.lits for c in out] == [
+    assert list(out) == [
         (1, 2, 3),
         (1, 2, 4),
         (-3, -4, -5),
@@ -84,13 +84,13 @@ def test_r3_standard_shape():
     out = apply_r3(Clause((1, 2)), FreshAllocator(3))
     assert len(out) == 19
     assert out[0] == Clause((1, 2, 3))
-    assert all(c.width == 3 and c.is_monotone for c in out)
+    assert all(len(c) == 3 and c.is_monotone for c in out)
 
 
 def test_r3_compact_shape():
     out = apply_r3(Clause((1, 2)), FreshAllocator(3), compact=True)
     assert len(out) == 17
-    assert all(c.width == 3 and c.is_monotone for c in out)
+    assert all(len(c) == 3 and c.is_monotone for c in out)
 
 
 @pytest.mark.parametrize("pair", [Clause((1, 2)), Clause((-1, -2))])
@@ -122,7 +122,7 @@ RULE_DELTAS = {
 def _measure(pair: Clause, produced: list[Clause], fresh: range) -> tuple[int, int, int, int, int]:
     formula = CnfFormula(produced)
     counts = occurrences(formula)
-    x, y = (abs(lit) for lit in pair.lits)
+    x, y = (abs(lit) for lit in pair)
     worst_fresh = max(counts[v] for v in fresh)
     # the replaced 2-clause held one occurrence of each original variable
     return counts[x] - 1, counts[y] - 1, worst_fresh, len(produced), len(fresh)
@@ -146,7 +146,7 @@ def test_measured_occurrence_deltas_match_rule_stats(key, apply, sign):
 
 
 def _pair_satisfied(pair: Clause, a: bool, b: bool) -> bool:
-    return any((lit > 0) == (a if abs(lit) == 1 else b) for lit in pair.lits)
+    return any((lit > 0) == (a if abs(lit) == 1 else b) for lit in pair)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -164,7 +164,7 @@ def test_r1_r2_projection_preserves_pair_semantics(apply, sign):
     for a in (False, True):
         for b in (False, True):
             fixed = [(1,) if a else (-1,), (2,) if b else (-2,)]
-            clauses = [c.lits for c in produced] + fixed
+            clauses = produced + fixed
             assert naive_satisfiable(clauses, num_vars) == _pair_satisfied(pair, a, b)
 
 
@@ -188,13 +188,13 @@ def test_gold_step_preserves_satisfiability_on_all_projections():
     clause = Clause((1, -2, 3))
     alloc = FreshAllocator(4)
     children = gold_step(clause, alloc)
-    child_clauses = [c.lits for c in children]
+    child_clauses = list(children)
     for a in (False, True):
         for b in (False, True):
             for c in (False, True):
                 fixed = [(1,) if a else (-1,), (2,) if b else (-2,), (3,) if c else (-3,)]
                 assignment = {1: a, 2: b, 3: c}
-                original = any(assignment[abs(lit)] == (lit > 0) for lit in clause.lits)
+                original = any(assignment[abs(lit)] == (lit > 0) for lit in clause)
                 extended = naive_satisfiable(child_clauses + fixed, 4)
                 assert extended == original
 

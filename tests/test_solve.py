@@ -160,7 +160,7 @@ def _differential_corpus(sizes, seeds, random_count: int, random_vars: range):
 def test_dpll_matches_frozen_reference_search():
     searched = 0
     for formula in _differential_corpus(range(8, 13), range(2), 60, range(10, 21)):
-        model, decisions = reference_dpll(clause.lits for clause in formula.clauses)
+        model, decisions = reference_dpll(formula.clauses)
         verdict = solve_dpll(formula)
         witness = None if model is None else {v: model.get(v, False) for v in range(1, formula.num_vars + 1)}
         assert (verdict.satisfiable, verdict.witness, verdict.explored) == (model is not None, witness, decisions)
@@ -182,7 +182,7 @@ def test_engines_agree_with_naive_oracle_on_random_formulas():
     for trial in range(150):
         num_vars = rng.randint(1, 7)
         formula = _random_formula(rng, num_vars, rng.randint(1, 12))
-        expected = naive_satisfiable([c.lits for c in formula.clauses], num_vars)
+        expected = naive_satisfiable(list(formula.clauses), num_vars)
         assert solve_exhaustive(formula).satisfiable == expected, formula
         assert solve_dpll(formula).satisfiable == expected, formula
 
@@ -223,9 +223,9 @@ def test_verify_forcing_matches_naive_census_on_random_collections():
         formula = _random_formula(rng, num_vars, rng.randint(2, 8))
         # ensure variable 1 occurs so it can be the designated one
         clauses = list(formula.clauses)
-        if 1 not in {v for c in clauses for v in c.variables()}:
+        if 1 not in {abs(lit) for c in clauses for lit in c}:
             clauses.append(Clause((1, 2)))
-        referenced = sorted({v for c in clauses for v in c.variables()})
+        referenced = sorted({abs(lit) for c in clauses for lit in c})
         remap = {v: i + 1 for i, v in enumerate(referenced)}
         small = [
             tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in c) for c in clauses
