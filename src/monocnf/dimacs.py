@@ -51,10 +51,14 @@ class DimacsDocument:
     comments: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # serialize writes each comment as one "c" line, which parse strips
         for comment in self.comments:
-            if "\n" in comment or "\r" in comment or comment[-1:].isspace():
-                raise DimacsError(f"comment {_clip(repr(comment))} must be one line not ending in whitespace")
+            _check_comment(comment)
+
+
+def _check_comment(comment: str, line: int | None = None) -> None:
+    # serialize writes each comment as one "c" line, which parse strips
+    if "\n" in comment or "\r" in comment or comment[-1:].isspace():
+        raise DimacsError(f"comment {_clip(repr(comment))} must be one line not ending in whitespace", line)
 
 
 def parse(text: str | bytes) -> DimacsDocument:
@@ -92,9 +96,8 @@ def parse(text: str | bytes) -> DimacsDocument:
         if line.startswith("%"):
             break
         if line.startswith("c"):
-            body = line[1:]
-            if body.startswith(" "):
-                body = body[1:]
+            body = line[2:] if line.startswith("c ") else line[1:]
+            _check_comment(body, lineno)
             comments.append(body)
             continue
         if line.startswith("p"):

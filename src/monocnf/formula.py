@@ -19,13 +19,11 @@ class FormulaError(ValueError):
 
 
 class Clause(tuple[int, ...]):
-    """A disjunction of literals over pairwise-distinct variables: the tuple
-    of its literals sorted by variable index, so ``len(clause)`` is its width
-    and clauses over the same literal set compare and hash equal, also to
-    that plain tuple.  A clause mentioning the same variable twice is
-    rejected at construction, with opposite polarities (a tautology) called
-    out separately: silently dropping such clauses would corrupt occurrence
-    accounting downstream.
+    """A disjunction of literals over pairwise-distinct variables, stored as
+    the tuple of its literals sorted by variable: ``len(clause)`` is its
+    width, and it equals and hashes like that plain tuple.  A repeated
+    variable is rejected, a tautology called out separately: silently
+    dropping such clauses would corrupt occurrence accounting downstream.
     """
 
     __slots__ = ()
@@ -67,13 +65,15 @@ class Clause(tuple[int, ...]):
     def is_mixed(self) -> bool:
         return not self.is_monotone
 
+    def variables(self) -> frozenset[int]:
+        return frozenset(map(abs, self))
+
     def __repr__(self) -> str:
         return f"Clause({list(self)})"
 
 
 def _trusted_clause(literals: Iterable[int]) -> Clause:
-    """A clause from literals already canonical (nonzero, distinct variables,
-    ascending), unchecked: for literals canonical by construction."""
+    """A clause from literals canonical by construction (nonzero, strictly ascending variables), unchecked."""
     return tuple.__new__(Clause, literals)
 
 

@@ -84,8 +84,9 @@ def test_document_rejects_comment_that_would_not_round_trip(comment):
 
 def test_parse_rejects_carriage_return_inside_comment():
     # another reader may end the line at the CR and read "p cnf 9 9" as a header
-    with pytest.raises(DimacsError, match="must be one line"):
-        parse("c x\rp cnf 9 9\np cnf 2 1\n1 2 0\n")
+    with pytest.raises(DimacsError, match=r"^line 2: comment 'x\\rp cnf 9 9' must be one line") as excinfo:
+        parse("p cnf 2 1\nc x\rp cnf 9 9\n1 2 0\n")
+    assert excinfo.value.line == 2
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,7 @@ def test_clause_container_protocol():
     assert len(clause) == 2
     assert list(clause) == [-1, 3]
     assert -1 in clause and 1 not in clause
+    assert clause.variables() == frozenset({1, 3})
 
 
 def test_formula_num_vars_defaults_to_max_referenced():

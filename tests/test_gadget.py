@@ -63,7 +63,7 @@ def test_instantiation_maps_template_ids_to_allocation_order():
             assert clause == Clause(tuple((1 if lit > 0 else -1) * (abs(lit) + 99) for lit in pattern))
         referenced = set()
         for clause in clauses:
-            referenced.update(map(abs, clause))
+            referenced.update(clause.variables())
         assert referenced == set(range(100, 121))
         assert len(clauses) == 25
         # the designated variable appears, with the template's sign, in the
@@ -120,7 +120,7 @@ def test_forcing_matches_naive_census_on_scaled_down_core():
     # the first clauses of the gadget, small enough to enumerate naively
     clauses, _ = instantiate_gadget(FORCE_TRUE_GADGET, FreshAllocator(1))
     prefix = clauses[:6]
-    referenced = sorted({abs(lit) for c in prefix for lit in c})
+    referenced = sorted({v for c in prefix for v in c.variables()})
     remap = {v: i + 1 for i, v in enumerate(referenced)}
     small = [tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in c) for c in prefix]
     count, always_true, always_false = naive_model_census(small, len(referenced))

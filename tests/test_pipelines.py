@@ -116,7 +116,7 @@ def test_monotone_3sat4_designated_variable_reaches_cap():
     assert len(widened_positions) == 1
     widened = out.clauses[widened_positions[0]]
     # the widened clause is the 2-clause plus the designated literal
-    designated = max(map(abs, widened))
+    designated = max(widened.variables())
     counts = occurrences(out)
     assert counts[designated] == 4
     assert max(counts.values()) == 4
@@ -264,7 +264,7 @@ def test_each_input_clause_maps_to_one_run_with_its_own_fresh_variables(name):
         assert sources == sorted(sources)
         assert list(runs) == list(range(len(formula.clauses)))
         fresh = [
-            {v for clause in run for v in map(abs, clause) if v > formula.num_vars}
+            {v for clause in run for v in clause.variables() if v > formula.num_vars}
             for run in runs.values()
         ]
         covered = set().union(*fresh)

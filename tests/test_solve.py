@@ -223,9 +223,9 @@ def test_verify_forcing_matches_naive_census_on_random_collections():
         formula = _random_formula(rng, num_vars, rng.randint(2, 8))
         # ensure variable 1 occurs so it can be the designated one
         clauses = list(formula.clauses)
-        if 1 not in {abs(lit) for c in clauses for lit in c}:
+        if 1 not in {v for c in clauses for v in c.variables()}:
             clauses.append(Clause((1, 2)))
-        referenced = sorted({abs(lit) for c in clauses for lit in c})
+        referenced = sorted({v for c in clauses for v in c.variables()})
         remap = {v: i + 1 for i, v in enumerate(referenced)}
         small = [
             tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in c) for c in clauses
