@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .dimacs import _clip
@@ -151,15 +152,15 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
     """Run every target on a 3-SAT-4 instance and return one CSV row per
     target, matching CSV_HEADER.  Raises RuntimeError when a target's
     measured size differs from the closed form given by its growth."""
-    mixed = sum(1 for c in formula.clauses if c.is_mixed)
+    mixed = sum(not c.sign for c in formula.clauses)
     rows = []
     for name, target in TARGETS.items():
         start = time.perf_counter()
         out, _ = target.reduce(formula)
         millis = (time.perf_counter() - start) * 1000.0
         if name == "mono23sat4":  # the 2-clause census of mixed elimination, TARGETS' first entry
-            pos2 = sum(1 for c in out.clauses if len(c) == 2 and c.is_positive)
-            neg2 = sum(1 for c in out.clauses if len(c) == 2 and c.is_negative)
+            census = Counter((len(c), c.sign) for c in out.clauses)
+            pos2, neg2 = census[2, 1], census[2, -1]
         var_growth, clause_growth = target.growth
         measured = (out.num_vars, len(out.clauses))
         expected = (

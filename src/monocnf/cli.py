@@ -116,6 +116,9 @@ def _cmd_check_equisat(args: argparse.Namespace) -> int:
 
 
 def _cmd_blowup(args: argparse.Namespace) -> int:
+    if args.seeds < 0:
+        print(f"error: --seeds must be non-negative, got {_clip(str(args.seeds))}", file=sys.stderr)
+        return EXIT_USAGE
     GenConfig(args.vars, args.clauses, 0)  # a usage error leaves stdout empty
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(bench.CSV_HEADER)

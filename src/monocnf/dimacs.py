@@ -171,5 +171,5 @@ def load(path: str) -> DimacsDocument:
 
 
 def dump(doc: DimacsDocument, path: str) -> None:
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(serialize(doc))

@@ -50,20 +50,10 @@ class Clause(tuple[int, ...]):
         return self
 
     @property
-    def is_positive(self) -> bool:
-        return all(lit > 0 for lit in self)
-
-    @property
-    def is_negative(self) -> bool:
-        return all(lit < 0 for lit in self)
-
-    @property
-    def is_monotone(self) -> bool:
-        return self.is_positive or self.is_negative
-
-    @property
-    def is_mixed(self) -> bool:
-        return not self.is_monotone
+    def sign(self) -> int:
+        """+1 if every literal is positive, -1 if every literal is negative,
+        0 if the clause is mixed; the monotone clauses are the nonzero ones."""
+        return 1 if min(self) > 0 else -1 if max(self) < 0 else 0
 
     def variables(self) -> frozenset[int]:
         return frozenset(map(abs, self))

@@ -74,7 +74,7 @@ def check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
             violations.append(
                 Violation("width", index, f"width {len(clause)}, profile allows {profile.width_rule()}")
             )
-        if profile.monotone and clause.is_mixed:
+        if profile.monotone and not clause.sign:
             violations.append(Violation("monotonicity", index, "mixed clause in a monotone profile"))
     cap = profile.occurrence_cap
     over = sorted((var, total) for var, total in occurrences(formula).items() if total > cap)

@@ -71,11 +71,10 @@ class FreshAllocator:
 def _monotone_pair_sign(clause: Clause, rule: str) -> int:
     if len(clause) != 2:
         raise ValueError(f"{rule} requires a 2-clause, got width {len(clause)}")
-    if clause.is_positive:
-        return 1
-    if clause.is_negative:
-        return -1
-    raise ValueError(f"{rule} requires a monotone clause, got {clause!r}")
+    sign = clause.sign
+    if not sign:
+        raise ValueError(f"{rule} requires a monotone clause, got {clause!r}")
+    return sign
 
 
 def gold_step(clause: Clause, alloc: FreshAllocator) -> tuple[Clause, Clause]:
@@ -88,7 +87,7 @@ def gold_step(clause: Clause, alloc: FreshAllocator) -> tuple[Clause, Clause]:
     """
     if len(clause) != 3:
         raise ValueError(f"gold_step requires a 3-clause, got width {len(clause)}")
-    if not clause.is_mixed:
+    if clause.sign:
         raise ValueError(f"gold_step requires a mixed clause, got {clause!r}")
     positive = tuple(lit for lit in clause if lit > 0)
     negative = tuple(lit for lit in clause if lit < 0)
@@ -278,11 +277,11 @@ class Target:
             if not check_profile(formula, PROFILES["mono23sat4"]).ok:
                 raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
         bridges = FreshAllocator(formula.num_vars + 1)
-        first = formula.num_vars + sum(clause.is_mixed for clause in formula.clauses) + 1
+        first = formula.num_vars + sum(not clause.sign for clause in formula.clauses) + 1
         clauses: list[Clause] = []
         origins: list[ClauseOrigin] = []
         for source, clause in enumerate(formula.clauses):
-            if clause.is_mixed:
+            if not clause.sign:
                 origin = ClauseOrigin("gold", source)
                 run = sorted(gold_step(clause, bridges), key=len, reverse=True)
             else:

@@ -58,9 +58,10 @@ def evaluate(formula: CnfFormula, assignment: Mapping[int, bool]) -> bool:
 
     The assignment must cover every variable the formula references.
     """
-    missing = sorted(formula.variables() - assignment.keys())
-    if missing:
-        raise ValueError(f"partial assignment: missing variables {missing}")
+    missing = formula.variables() - assignment.keys()
+    if missing:  # quote the first and count the rest, so the message stays one line
+        more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
+        raise ValueError(f"partial assignment: missing variables: {min(missing)}{more}")
     for clause in formula.clauses:
         for lit in clause:
             if assignment[abs(lit)] == (lit > 0):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from monocnf import TARGETS, parse, solve
+from monocnf import TARGETS, bench, parse, solve
 from monocnf.cli import run
 
 SAT_MIXED = "p cnf 3 1\n1 -2 3 0\n"
@@ -162,6 +162,15 @@ def test_gen_and_blowup_reject_huge_variable_count(tmp_path, capsys):
     assert run(["blowup", "--seeds", "1", "--vars", "99999999999999999999", "--clauses", "1"]) == 2
     assert "generator limit" in _one_short_error_line(capsys)
     assert not (tmp_path / "gen.cnf").exists()
+
+
+def test_blowup_rejects_negative_seed_count(capsys):
+    assert run(["blowup", "--seeds", "-3", "--vars", "8", "--clauses", "10"]) == 2
+    assert "--seeds must be non-negative" in _one_short_error_line(capsys)
+    assert run(["blowup", "--seeds", "-" + "9" * 4000, "--vars", "8", "--clauses", "10"]) == 2
+    assert "(4001 characters)" in _one_short_error_line(capsys)
+    assert run(["blowup", "--seeds", "0", "--vars", "8", "--clauses", "10"]) == 0
+    assert capsys.readouterr().out.splitlines() == [",".join(bench.CSV_HEADER)]
 
 
 def test_gen_errors_on_long_counts_are_one_short_line(tmp_path, capsys):

@@ -1,7 +1,13 @@
 """DIMACS parsing, canonical serialization, and error reporting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import monocnf
 from monocnf import CnfFormula, DimacsDocument, DimacsError, dump, load, parse, serialize
 
 
@@ -163,3 +169,20 @@ def test_load_dump_round_trip(tmp_path):
     assert again == doc
     dump(again, path)
     assert load(path) == doc
+
+
+def test_dump_writes_utf8_whatever_the_locale(tmp_path):
+    # under the C locale with UTF-8 mode off, open() defaults to ASCII
+    script = (
+        "import sys\n"
+        "from monocnf import CnfFormula, DimacsDocument, dump, load\n"
+        "doc = DimacsDocument(CnfFormula.from_ints([[1, 2]]), ('caf\\u00e9',))\n"
+        "dump(doc, sys.argv[1])\n"
+        "assert load(sys.argv[1]) == doc\n"
+    )
+    path = tmp_path / "f.cnf"
+    src = str(Path(monocnf.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert path.read_bytes() == b"c caf\xc3\xa9\np cnf 2 1\n1 2 0\n"

@@ -207,7 +207,7 @@ def _direct_expansion(name, pair, first):
     """What the rule itself produces for ``pair``, with its labels."""
     alloc = FreshAllocator(first)
     if name == "mono3sat4":
-        sign = 1 if pair.is_positive else -1
+        sign = pair.sign
         template = FORCE_FALSE_GADGET if sign > 0 else FORCE_TRUE_GADGET
         gadget, designated = instantiate_gadget(template, alloc)
         return [("widen", Clause(pair + (sign * designated,)))] + [("gadget", c) for c in gadget]

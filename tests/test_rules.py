@@ -84,13 +84,13 @@ def test_r3_standard_shape():
     out = apply_r3(Clause((1, 2)), FreshAllocator(3))
     assert len(out) == 19
     assert out[0] == Clause((1, 2, 3))
-    assert all(len(c) == 3 and c.is_monotone for c in out)
+    assert all(len(c) == 3 and c.sign for c in out)
 
 
 def test_r3_compact_shape():
     out = apply_r3(Clause((1, 2)), FreshAllocator(3), compact=True)
     assert len(out) == 17
-    assert all(len(c) == 3 and c.is_monotone for c in out)
+    assert all(len(c) == 3 and c.sign for c in out)
 
 
 @pytest.mark.parametrize("pair", [Clause((1, 2)), Clause((-1, -2))])

@@ -34,6 +34,13 @@ def test_evaluate_requires_total_assignment():
         evaluate(formula, {1: True})
 
 
+def test_evaluate_missing_variables_error_is_one_short_line():
+    formula = CnfFormula.from_ints([[v] for v in range(1, 10001)])
+    with pytest.raises(ValueError) as excinfo:
+        evaluate(formula, {2: True})
+    assert str(excinfo.value) == "partial assignment: missing variables: 1 (and 9998 more)"
+
+
 def test_evaluate_basic():
     formula = CnfFormula.from_ints([[1, -2], [2]])
     assert evaluate(formula, {1: True, 2: True})
