@@ -9,9 +9,12 @@ the models.  This keeps full enumeration over 2^21 assignments in the
 tens of milliseconds while remaining an exact, deterministic sweep.
 
 DPLL (Davis, Logemann & Loveland, 1962) runs depth-first over an explicit
-stack of residual clause lists.  One loop sets every literal, whether a
-branch, a unit or a pure one, and ``_forced`` alone chooses which unit or
-pure literal comes next.
+stack of pending branches.  Propagation is incremental, as in Chaff
+(Moskewicz et al., 2001) and MiniSat (Een & Sorensson, 2003): occurrence
+lists per literal, true and unassigned counts per clause, live occurrence
+counts per literal, and a trail of set literals that a backtrack undoes.
+Setting a literal costs the clauses it occurs in, not a pass over the
+formula.
 
 Each oracle job has one engine: ``check_equisat`` decides both sides by
 DPLL, while ``solve_exhaustive`` and ``verify_forcing`` share the truth
@@ -21,6 +24,7 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Clause, CnfFormula
@@ -153,33 +157,6 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     )
 
 
-def _assign(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
-    # Returns the simplified clause list, or None on an emptied clause.
-    out: list[list[int]] = []
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            reduced = [l for l in clause if l != -lit]
-            if not reduced:
-                return None
-            out.append(reduced)
-        else:
-            out.append(clause)
-    return out
-
-
-def _forced(clauses: list[list[int]]) -> int | None:
-    """The literal propagation sets next: the first unit clause's literal,
-    else the pure literal of the lowest variable, else None.  A literal is
-    pure when its negation does not occur in the clauses."""
-    for clause in clauses:
-        if len(clause) == 1:
-            return clause[0]
-    present = {lit for clause in clauses for lit in clause}
-    return min((lit for lit in present if -lit not in present), key=abs, default=None)
-
-
 def solve_dpll(formula: CnfFormula) -> SatVerdict:
     """Decide satisfiability by DPLL search.
 
@@ -187,39 +164,106 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     the first unit clause in input order, else the pure literal of the
     lowest variable.  Then the search branches on the lowest live
     variable, true branch first, so runs are deterministic; ``explored``
-    counts the branches taken.  Raises VariableLimitError, before any
-    search, when num_vars exceeds WITNESS_VAR_LIMIT.
+    counts the branches taken.  Unset variables are false in the witness.
+    Raises VariableLimitError, before any search, when num_vars exceeds
+    WITNESS_VAR_LIMIT.
     """
-    if formula.num_vars > WITNESS_VAR_LIMIT:
+    n = formula.num_vars
+    if n > WITNESS_VAR_LIMIT:
         raise VariableLimitError(f"declared variable count exceeds the witness limit of {WITNESS_VAR_LIMIT}")
+    clauses = formula.clauses
+    # Lists indexed by literal have 2n + 1 slots, so -v lands on slot 2n + 1 - v.
+    occurs: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    for index, clause in enumerate(clauses):
+        for lit in clause:
+            occurs[lit].append(index)
+    live = [len(indices) for indices in occurs]  # unsatisfied clauses holding the literal
+    true = [0] * len(clauses)  # true literals per clause
+    free = [len(clause) for clause in clauses]  # unassigned literals per clause
+    value: list[bool | None] = [None] * (n + 1)
+    trail: list[int] = []
+    # Min-heaps, checked lazily: along one path a unit clause only becomes
+    # satisfied, and a pure variable only becomes set or dead.
+    units = [index for index, clause in enumerate(clauses) if len(clause) == 1]
+    pures = [v for v in range(1, n + 1) if (live[v] == 0) != (live[-v] == 0)]
+
+    def assign(lit: int) -> bool:
+        """Set ``lit`` true; False when that empties a clause."""
+        value[abs(lit)] = lit > 0
+        trail.append(lit)
+        for index in occurs[lit]:
+            free[index] -= 1
+            true[index] += 1
+            if true[index] == 1:  # newly satisfied: its literals lose an occurrence
+                for other in clauses[index]:
+                    live[other] -= 1
+                    if not live[other] and live[-other] and value[abs(other)] is None:
+                        heappush(pures, abs(other))
+        consistent = True
+        for index in occurs[-lit]:
+            free[index] -= 1
+            if not true[index]:
+                if free[index] == 1:
+                    heappush(units, index)
+                elif not free[index]:
+                    consistent = False
+        return consistent
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            lit = trail.pop()
+            value[abs(lit)] = None
+            for index in occurs[lit]:
+                free[index] += 1
+                true[index] -= 1
+                if not true[index]:
+                    for other in clauses[index]:
+                        live[other] += 1
+            for index in occurs[-lit]:
+                free[index] += 1
+
+    def forced() -> int | None:
+        while units:
+            index = heappop(units)
+            if not true[index] and free[index] == 1:
+                return next(lit for lit in clauses[index] if value[abs(lit)] is None)
+        while pures:
+            var = heappop(pures)
+            if value[var] is None and (live[var] == 0) != (live[-var] == 0):
+                return var if live[var] else -var
+        return None
+
     decisions = 0
-    # Depth-first over pending nodes: a node is a residual formula, its
-    # assignment, and the branch literal to take (None at the root).  The
-    # false branch is pushed first so the true one runs first.
-    pending: list[tuple[list[list[int]], Assignment, int | None]] = [
-        ([list(clause) for clause in formula.clauses], {}, None)
-    ]
+    # Depth-first over pending nodes: a node is the branch literal to take
+    # (None at the root), the trail length at its decision point, and the
+    # variable the next branch scan starts from; along one path the branch
+    # variables only ascend.  The false branch is pushed first so the true
+    # one runs first.  A decision point forced nothing, so the heaps are
+    # emptied when one is restored.
+    pending: list[tuple[int | None, int, int]] = [(None, 0, 1)]
     while pending:
-        clauses, assignment, lit = pending.pop()
+        lit, mark, start = pending.pop()
         if lit is None:
-            lit = _forced(clauses)
+            lit = forced()
         else:
             decisions += 1
-        assignment = dict(assignment)
-        while lit is not None:
-            assignment[abs(lit)] = lit > 0
-            clauses = _assign(clauses, lit)
-            lit = None if clauses is None else _forced(clauses)
-        if clauses is None:
+            undo(mark)
+            units.clear()
+            pures.clear()
+        while lit is not None and assign(lit):
+            lit = forced()
+        if lit is not None:  # it emptied a clause
             continue
-        if not clauses:
-            witness = {v: assignment.get(v, False) for v in range(1, formula.num_vars + 1)}
+        # with no conflict, every unsatisfied clause holds a live variable
+        var = next((v for v in range(start, n + 1) if value[v] is None and (live[v] or live[-v])), None)
+        if var is None:
+            witness = {v: bool(value[v]) for v in range(1, n + 1)}
             if not evaluate(formula, witness):
                 raise RuntimeError("internal error: DPLL witness failed re-evaluation")
             return SatVerdict(satisfiable=True, witness=witness, explored=decisions)
-        var = min(abs(lit) for clause in clauses for lit in clause)
-        pending.append((clauses, assignment, -var))
-        pending.append((clauses, assignment, var))
+        mark = len(trail)
+        pending.append((-var, mark, var + 1))
+        pending.append((var, mark, var + 1))
     return SatVerdict(satisfiable=False, witness=None, explored=decisions)
 
 

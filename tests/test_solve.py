@@ -1,5 +1,6 @@
 """Satisfiability engines: evaluation, exhaustive enumeration, DPLL."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,12 +15,14 @@ from monocnf import (
     eliminate_mixed,
     evaluate,
     generate,
+    parse,
     solve_dpll,
     solve_exhaustive,
     to_monotone_3sat4,
     to_monotone_3sat5,
     verify_forcing,
 )
+from monocnf.cli import run
 
 from naive import naive_model_census, naive_satisfiable, reference_dpll
 
@@ -158,10 +161,15 @@ def _differential_corpus(sizes, seeds, random_count: int, random_vars: range):
     for _ in range(random_count):
         yield _random_3cnf(rng, random_vars[rng.below(len(random_vars))])
     for n in (10, 16):
-        base, _ = eliminate_mixed(generate(GenConfig(n, 4 * n // 3, 7)))
-        k = base.num_vars
-        core = [Clause(lit + k if lit > 0 else lit - k for lit in pair) for pair in TRIANGLE]
-        yield CnfFormula([*base.clauses, *core], num_vars=k + 3)
+        yield _planted_unsat(n, 7)
+
+
+def _planted_unsat(n: int, seed: int) -> CnfFormula:
+    # the eliminate_mixed output of a generated instance, beside the triangle on fresh variables
+    base, _ = eliminate_mixed(generate(GenConfig(n, 4 * n // 3, seed)))
+    k = base.num_vars
+    core = [Clause(lit + k if lit > 0 else lit - k for lit in pair) for pair in TRIANGLE]
+    return CnfFormula([*base.clauses, *core], num_vars=k + 3)
 
 
 def test_dpll_matches_frozen_reference_search():
@@ -173,6 +181,27 @@ def test_dpll_matches_frozen_reference_search():
         assert (verdict.satisfiable, verdict.witness, verdict.explored) == (model is not None, witness, decisions)
         searched += decisions > 0
     assert searched >= 50
+
+
+def test_dpll_witness_on_reduced_n300_is_pinned(tmp_path, capsys):
+    # 8,200 clauses, decided with no branch: the witness is propagation's alone
+    source, reduced = str(tmp_path / "g.cnf"), str(tmp_path / "r.cnf")
+    assert run(["gen", "--vars", "300", "--clauses", "400", "--seed", "7", source]) == 0
+    assert run(["reduce", "--target", "mono3sat4", source, reduced]) == 0
+    assert len(parse((tmp_path / "r.cnf").read_text()).formula) == 8200
+    capsys.readouterr()
+    assert run(["solve", reduced]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "e7877f26bb2c8e4176a989a87ef6b25d0122d3594d971c44f6b8d3bdff3e47b7"
+    )
+
+
+def test_dpll_backtracks_through_a_planted_unsat_reduction():
+    # the search undoes its trail at each of 2,350 branches before refuting
+    formula = to_monotone_3sat4(_planted_unsat(13, 3))[0]
+    verdict = solve_dpll(formula)
+    assert (verdict.satisfiable, verdict.witness, verdict.explored) == (False, None, 2350)
 
 
 def _random_formula(rng: random.Random, num_vars: int, num_clauses: int) -> CnfFormula:
