@@ -23,14 +23,7 @@ from .bench import GenConfig, GenerationError
 from .dimacs import DimacsDocument, DimacsError, _clip
 from .formula import FormulaError
 from .profiles import PROFILES, check_profile
-from .reduce import (
-    FORCE_FALSE_GADGET,
-    FORCE_TRUE_GADGET,
-    TARGETS,
-    FreshAllocator,
-    ProfileError,
-    instantiate_gadget,
-)
+from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TARGETS, ProfileError
 from .solve import VariableLimitError, check_equisat, solve_dpll, solve_exhaustive, verify_forcing
 
 EXIT_OK = 0
@@ -84,17 +77,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify_gadget(args: argparse.Namespace) -> int:
     force_true = args.sign == "true"
-    template = FORCE_TRUE_GADGET if force_true else FORCE_FALSE_GADGET
-    clauses, designated = instantiate_gadget(template, FreshAllocator(1))
-    report = verify_forcing(clauses, designated)
+    gadget = FORCE_TRUE_GADGET if force_true else FORCE_FALSE_GADGET
+    report = verify_forcing(gadget.clauses, GADGET_DESIGNATED)
     print(f"sign: {args.sign}")
-    print(f"designated: {designated}")
+    print(f"designated: {GADGET_DESIGNATED}")
     print(f"satisfiable: {str(report.satisfiable).lower()}")
     print(f"model_count: {report.model_count}")
     print("forced_true:", " ".join(map(str, sorted(report.forced_true))) or "-")
     print("forced_false:", " ".join(map(str, sorted(report.forced_false))) or "-")
     expected = report.forced_true if force_true else report.forced_false
-    holds = report.satisfiable and designated in expected
+    holds = report.satisfiable and GADGET_DESIGNATED in expected
     print(f"forcing_holds: {str(holds).lower()}")
     return EXIT_OK if holds else EXIT_CHECK_FAILED
 

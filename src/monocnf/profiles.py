@@ -11,7 +11,6 @@ violate a profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .formula import CnfFormula, occurrences
 
@@ -45,19 +44,14 @@ class Violation:
         return f"{self.kind} violation at {location} {self.where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    violations: tuple[Violation, ...]
+class ViolationReport(tuple[Violation, ...]):
+    """The violations of one profile check, in report order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return not self.violations
-
-    def __len__(self) -> int:
-        return len(self.violations)
-
-    def __iter__(self) -> Iterator[Violation]:
-        return iter(self.violations)
+        return not self
 
 
 def check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
@@ -80,4 +74,4 @@ def check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
     over = sorted((var, total) for var, total in occurrences(formula).items() if total > cap)
     for var, total in over:
         violations.append(Violation("occurrence", var, f"{total} occurrences, cap is {cap}"))
-    return ViolationReport(tuple(violations))
+    return ViolationReport(violations)

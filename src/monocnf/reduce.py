@@ -40,7 +40,7 @@ class ProfileError(ValueError):
 
     def __init__(self, message: str, report: ViolationReport):
         more = f" (and {len(report) - 1} more)" if len(report) > 1 else ""
-        super().__init__(f"{message}: {report.violations[0]}{more}")
+        super().__init__(f"{message}: {report[0]}{more}")
 
 
 class FreshAllocator:
@@ -156,7 +156,7 @@ def apply_r3(clause: Clause, alloc: FreshAllocator, compact: bool = False) -> li
 # occurs exactly 3 times, variable 21 exactly twice, and no variable
 # occurs more than 4 times, so adding the designated variable to one
 # more clause outside the gadget stays within an occurrence cap of 4.
-_GADGET_PATTERN: tuple[tuple[int, int, int], ...] = (
+FORCE_TRUE_GADGET = CnfFormula.from_ints((
     (1, 2, 3),
     (1, 4, 3),
     (-2, -4, -5),
@@ -182,52 +182,38 @@ _GADGET_PATTERN: tuple[tuple[int, int, int], ...] = (
     (-19, -17, -20),
     (20, 18, 21),
     (-21, -19, -13),
-)
+))
+FORCE_FALSE_GADGET = CnfFormula.from_ints(map(neg, clause) for clause in FORCE_TRUE_GADGET)
+GADGET_DESIGNATED = 3
 
 
-@dataclass(frozen=True)
-class GadgetTemplate:
-    """A forcing pattern over variables 1..var_count with its designated
-    variable."""
-
-    clauses: tuple[tuple[int, int, int], ...]
-    designated: int
-
-    def __post_init__(self) -> None:
-        # the designated variable's 3 occurrences are within the cap of 4
-        formula = CnfFormula.from_ints(self.clauses)
-        report = check_profile(formula, PROFILES["mono3sat4"])
-        if not report.ok:
-            first = report.violations[0]
-            raise ValueError(f"gadget clauses must be monotone 3-clauses, at most 4 per variable: {first}")
-        if occurrences(formula)[self.designated] != 3:
-            raise ValueError("designated variable must occur exactly 3 times")
-
-    @property
-    def var_count(self) -> int:
-        return max(abs(lit) for pattern in self.clauses for lit in pattern)
+def _vet_gadget(gadget: CnfFormula) -> None:
+    # the designated variable's 3 occurrences are within the cap of 4
+    report = check_profile(gadget, PROFILES["mono3sat4"])
+    if not report.ok:
+        raise ValueError(f"gadget clauses must be monotone 3-clauses, at most 4 per variable: {report[0]}")
+    if occurrences(gadget)[GADGET_DESIGNATED] != 3:
+        raise ValueError("designated variable must occur exactly 3 times")
 
 
-FORCE_TRUE_GADGET = GadgetTemplate(clauses=_GADGET_PATTERN, designated=3)
-FORCE_FALSE_GADGET = GadgetTemplate(
-    clauses=tuple(tuple(-lit for lit in pattern) for pattern in _GADGET_PATTERN), designated=3
-)
+_vet_gadget(FORCE_TRUE_GADGET)
+_vet_gadget(FORCE_FALSE_GADGET)
 
 
-def instantiate_gadget(template: GadgetTemplate, alloc: FreshAllocator) -> tuple[list[Clause], int]:
-    """Emit the gadget over fresh variables, in template clause order.
+def instantiate_gadget(gadget: CnfFormula, alloc: FreshAllocator) -> tuple[list[Clause], int]:
+    """Emit the gadget over fresh variables, in its clause order.
 
-    Template variables map to consecutive fresh indices in numbering
+    Gadget variables map to consecutive fresh indices in numbering
     order (which is first-appearance order in the emitted clause list):
     variable t becomes ``first + t - 1``.  Returns the clauses and the
     concrete designated variable.
     """
-    offset = alloc.fresh_many(template.var_count)[0] - 1
+    offset = alloc.fresh_many(gadget.num_vars)[0] - 1
     clauses = [
         Clause(tuple(lit + offset if lit > 0 else lit - offset for lit in pattern))
-        for pattern in template.clauses
+        for pattern in gadget.clauses
     ]
-    return clauses, template.designated + offset
+    return clauses, GADGET_DESIGNATED + offset
 
 
 @dataclass(frozen=True)

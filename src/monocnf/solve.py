@@ -173,9 +173,13 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
         raise VariableLimitError(f"declared variable count exceeds the witness limit of {WITNESS_VAR_LIMIT}")
     clauses = formula.clauses
     # Lists indexed by literal have 2n + 1 slots, so -v lands on slot 2n + 1 - v.
-    occurs: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    # Every literal no clause holds shares one empty tuple: a header may
+    # declare millions of variables that no clause uses.
+    occurs: list[Sequence[int]] = [()] * (2 * n + 1)
     for index, clause in enumerate(clauses):
         for lit in clause:
+            if not occurs[lit]:
+                occurs[lit] = []
             occurs[lit].append(index)
     live = [len(indices) for indices in occurs]  # unsatisfied clauses holding the literal
     true = [0] * len(clauses)  # true literals per clause

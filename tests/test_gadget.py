@@ -5,15 +5,16 @@ import pytest
 from monocnf import (
     FORCE_FALSE_GADGET,
     FORCE_TRUE_GADGET,
+    GADGET_DESIGNATED,
     Clause,
     CnfFormula,
     FreshAllocator,
-    GadgetTemplate,
     evaluate,
     instantiate_gadget,
     occurrences,
     verify_forcing,
 )
+from monocnf.reduce import _vet_gadget
 
 from naive import naive_model_census
 
@@ -27,8 +28,8 @@ KNOWN_WITNESS_TRUE = {3, 5, 10, 12, 15, 16, 20}
 
 def test_template_shape():
     assert len(FORCE_TRUE_GADGET.clauses) == 25
-    assert FORCE_TRUE_GADGET.var_count == 21
-    assert FORCE_TRUE_GADGET.designated == 3
+    assert FORCE_TRUE_GADGET.num_vars == 21
+    assert GADGET_DESIGNATED == 3
 
 
 def test_force_false_is_literal_wise_negation():
@@ -36,18 +37,18 @@ def test_force_false_is_literal_wise_negation():
         tuple(-lit for lit in pattern) for pattern in FORCE_TRUE_GADGET.clauses
     )
     assert FORCE_FALSE_GADGET.clauses == flipped
-    assert FORCE_FALSE_GADGET.designated == FORCE_TRUE_GADGET.designated
 
 
 def test_template_validation_rejects_bad_shapes():
     with pytest.raises(ValueError, match="monotone 3-clauses"):
-        GadgetTemplate(clauses=((1, -2, 3),) * 25, designated=3)
+        _vet_gadget(CnfFormula.from_ints([(1, -2, 3)] * 25))
+    # the first clause dropped, the designated variable 3 occurs twice
     with pytest.raises(ValueError, match="exactly 3 times"):
-        GadgetTemplate(clauses=FORCE_TRUE_GADGET.clauses, designated=1)
+        _vet_gadget(CnfFormula.from_ints(FORCE_TRUE_GADGET.clauses[1:]))
     # variable 1 in five clauses; the designated variable 3 in exactly three
     heavy = ((1, 2, 3), (1, 4, 3), (1, 5, 3), (1, 6, 7), (1, 8, 9))
     with pytest.raises(ValueError, match="variable 1: 5 occurrences, cap is 4"):
-        GadgetTemplate(clauses=heavy, designated=3)
+        _vet_gadget(CnfFormula.from_ints(heavy))
 
 
 # both templates, each with the sign its pattern gives the template ids

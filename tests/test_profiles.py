@@ -1,6 +1,6 @@
 """Profile definitions and membership checking."""
 
-from monocnf import PROFILES, CnfFormula, check_profile
+from monocnf import PROFILES, CnfFormula, ViolationReport, check_profile
 
 
 def test_profile_table():
@@ -69,3 +69,16 @@ def test_empty_formula_passes_every_profile():
     empty = CnfFormula((), num_vars=0)
     for profile in PROFILES.values():
         assert check_profile(empty, profile).ok
+
+
+def test_report_is_the_tuple_of_its_violations():
+    mixed = check_profile(CnfFormula.from_ints([[1, -2], [1, 2, 3, 4]]), PROFILES["mono3sat4"])
+    clean = check_profile(CnfFormula.from_ints([[1, 2, 3]]), PROFILES["mono3sat4"])
+    for report in (mixed, clean):
+        assert isinstance(report, ViolationReport)
+        assert report == tuple(report)
+        assert report.ok == (len(report) == 0)
+        assert not hasattr(report, "__dict__") and not hasattr(report, "violations")
+    assert mixed[0] is next(iter(mixed))
+    assert (mixed[0].kind, mixed[0].where) == ("width", 0)
+    assert not mixed.ok and clean.ok

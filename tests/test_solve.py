@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -115,6 +116,20 @@ def test_dpll_empty_formula_is_satisfiable():
     verdict = solve_dpll(CnfFormula((), num_vars=2))
     assert verdict.satisfiable
     assert verdict.witness == {1: False, 2: False}
+
+
+def test_dpll_memory_grows_with_clauses_not_declared_variables():
+    # literals no clause holds share one empty occurrence list; one list
+    # apiece peaks near 50 MiB here
+    formula = CnfFormula.from_ints([[1, 2, 3]], num_vars=200_000)
+    tracemalloc.start()
+    try:
+        verdict = solve_dpll(formula)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.satisfiable and verdict.witness is not None
+    assert peak < 40 * 2**20
 
 
 def test_dpll_unit_clause_comes_before_pure_literal():
