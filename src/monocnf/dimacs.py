@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import lt
 
-from .formula import Clause, CnfFormula, FormulaError, _trusted_formula
+from .formula import Clause, CnfFormula, FormulaError, _trusted_clause, _trusted_formula
 
 _HEADER_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)$")
+_BODY_RE = re.compile(r"[0-9+\- \t\r\n]*")
+_BLOCK_CHARS = 1 << 16  # a few thousand lines: bounds each block's token list
 _ECHO_LIMIT = 40
 
 
@@ -61,6 +65,55 @@ def _check_comment(comment: str, line: int | None = None) -> None:
         raise DimacsError(f"comment {_clip(repr(comment))} must be one line not ending in whitespace", line)
 
 
+def _bulk_clauses(text: str, start: int, num_vars: int, num_clauses: int) -> list[Clause] | None:
+    """The clauses of the body ``text[start:]``, read in blocks of whole
+    lines, or None unless it is regular: ASCII digits, signs and blanks
+    only, every literal in range, every clause nonempty, terminated and
+    valid, as many clauses as the header declares.  The line loop then
+    reads the body instead, so each error has one source."""
+    if not _BODY_RE.fullmatch(text, start):
+        return None
+    clauses: list[Clause] = []
+    ints: list[int] = []  # the unterminated tail of the blocks so far
+    while start < len(text):
+        stop = text.find("\n", start + _BLOCK_CHARS)
+        stop = len(text) if stop < 0 else stop + 1
+        try:
+            block = list(map(int, text[start:stop].split()))
+        except ValueError:
+            return None
+        start = stop
+        if max(block, default=0) > num_vars or -min(block, default=0) > num_vars:
+            return None
+        ints += block
+        if 0 not in block:
+            continue
+        cut = len(ints) - ints[::-1].index(0)
+        body, ints = ints[:cut], ints[cut:]
+        count = body.count(0)
+        mags = list(map(abs, body))
+        # strict ascent fails only at the zero that ends each clause
+        make = _trusted_clause if sum(map(lt, mags, mags[1:])) == cut - 1 - count else Clause
+        if len(body) == 4 * count and not any(body[3::4]):
+            rows = zip(body[0::4], body[1::4], body[2::4])
+        else:
+            rows = []
+            first = 0
+            while first < len(body):
+                zero = body.index(0, first)
+                if zero == first:
+                    return None
+                rows.append(body[first:zero])
+                first = zero + 1
+        try:
+            clauses.extend(map(make, rows))
+        except FormulaError:
+            return None
+    if ints or len(clauses) != num_clauses:
+        return None
+    return clauses
+
+
 def parse(text: str | bytes) -> DimacsDocument:
     """Parse a DIMACS CNF document.
 
@@ -89,8 +142,15 @@ def parse(text: str | bytes) -> DimacsDocument:
     pending: list[int] = []
     pending_line = 0
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+    lineno = 0
+    start = 0  # offset of the next line
+    while start <= len(text):
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        lineno += 1
+        line = text[start:stop].strip()
+        start = stop + 1
         if not line:
             continue
         if line.startswith("%"):
@@ -111,6 +171,10 @@ def parse(text: str | bytes) -> DimacsDocument:
                 num_clauses = int(match.group(2))
             except ValueError:
                 raise DimacsError("header count has too many digits", lineno) from None
+            bulk = _bulk_clauses(text, start, num_vars, num_clauses)
+            if bulk is not None:
+                clauses = bulk
+                break
             continue
         if num_vars is None:
             raise DimacsError("clause data before header", lineno)
@@ -155,14 +219,18 @@ def parse(text: str | bytes) -> DimacsDocument:
 
 def serialize(doc: DimacsDocument) -> str:
     """Render a document in canonical form (see module docstring)."""
-    lines: list[str] = []
-    for comment in doc.comments:
-        lines.append(f"c {comment}" if comment else "c")
     formula = doc.formula
-    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
-    for clause in formula.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    clauses = formula.clauses
+    lines = [f"c {comment}" if comment else "c" for comment in doc.comments]
+    lines.append(f"p cnf {formula.num_vars} {len(clauses)}\n")
+    # one format string for the whole body, applied once to every literal
+    formats = {width: "%d " * width + "0\n" for width in set(map(len, clauses))}
+    if len(formats) == 1:
+        (body,) = formats.values()
+        body *= len(clauses)
+    else:
+        body = "".join(map(formats.__getitem__, map(len, clauses)))
+    return "\n".join(lines) + body % tuple(chain.from_iterable(clauses))
 
 
 def load(path: str) -> DimacsDocument:

@@ -2,13 +2,17 @@
 
 Everything here works on raw signed-integer clause lists and stays
 independent of the package's data structures and bit tricks, so the two
-implementations can honestly disagree.
+implementations can honestly disagree.  The DIMACS references are the
+exception: they read and write the package's documents, so that their
+results and errors compare equal to the package's own.
 """
 
 from itertools import product
 from typing import Iterable, Sequence
 
-from monocnf import SplitMix64
+from monocnf import Clause, DimacsDocument, DimacsError, FormulaError, SplitMix64
+from monocnf.dimacs import _HEADER_RE, _check_comment, _clip
+from monocnf.formula import _trusted_formula
 
 
 def _satisfies(bits: Sequence[bool], clauses: Iterable[Iterable[int]]) -> bool:
@@ -164,3 +168,95 @@ def reference_generate(num_vars: int, num_clauses: int, seed: int) -> list[tuple
         if clauses is not None:
             return clauses
     return None
+
+
+def reference_parse(text: str | bytes) -> DimacsDocument:
+    """The line-by-line DIMACS parser the package shipped before its body
+    was tokenized in blocks, frozen here as the reference for its results,
+    messages and line numbers.  It shares the package's header pattern,
+    comment check and echo clipping.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DimacsError(f"input is not UTF-8: byte {exc.start} cannot be decoded") from None
+
+    comments: list[str] = []
+    clauses: list[Clause] = []
+    num_vars: int | None = None
+    num_clauses: int | None = None
+    pending: list[int] = []
+    pending_line = 0
+
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("%"):
+            break
+        if line.startswith("c"):
+            body = line[2:] if line.startswith("c ") else line[1:]
+            _check_comment(body, lineno)
+            comments.append(body)
+            continue
+        if line.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError("duplicate header", lineno)
+            match = _HEADER_RE.match(line)
+            if match is None:
+                raise DimacsError(f"malformed header: {_clip(repr(line))}", lineno)
+            try:
+                num_vars = int(match.group(1))
+                num_clauses = int(match.group(2))
+            except ValueError:
+                raise DimacsError("header count has too many digits", lineno) from None
+            continue
+        if num_vars is None:
+            raise DimacsError("clause data before header", lineno)
+        for token in line.split():
+            try:
+                if not token.isascii() or "_" in token:
+                    raise ValueError
+                lit = int(token)
+            except ValueError:
+                raise DimacsError(f"invalid literal token {_clip(repr(token))}", lineno) from None
+            if lit == 0:
+                if not pending:
+                    raise DimacsError("empty clause", lineno)
+                try:
+                    clauses.append(Clause(pending))
+                except FormulaError as exc:
+                    raise DimacsError(_clip(str(exc), 100), pending_line) from exc
+                pending = []
+                continue
+            if not pending:
+                pending_line = lineno
+            if abs(lit) > num_vars:
+                raise DimacsError(
+                    f"variable {_clip(str(abs(lit)))} exceeds declared count {_clip(str(num_vars))}",
+                    lineno,
+                )
+            pending.append(lit)
+
+    if num_vars is None:
+        raise DimacsError("missing header")
+    if pending:
+        raise DimacsError("last clause not terminated by 0", pending_line)
+    if len(clauses) != num_clauses:
+        raise DimacsError(
+            f"header declares {_clip(str(num_clauses))} clauses but {len(clauses)} were found"
+        )
+
+    return DimacsDocument(formula=_trusted_formula(clauses, num_vars), comments=tuple(comments))
+
+
+def reference_serialize(doc: DimacsDocument) -> str:
+    """The DIMACS text the package wrote before its body became one format
+    string: one joined line per comment, header and clause."""
+    lines = [f"c {comment}" if comment else "c" for comment in doc.comments]
+    formula = doc.formula
+    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
+    for clause in formula.clauses:
+        lines.append(" ".join(map(str, clause)) + " 0")
+    return "\n".join(lines) + "\n"

@@ -3,12 +3,26 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import monocnf
-from monocnf import CnfFormula, DimacsDocument, DimacsError, dump, load, parse, serialize
+from monocnf import (
+    CnfFormula,
+    DimacsDocument,
+    DimacsError,
+    GenConfig,
+    dimacs,
+    dump,
+    generate,
+    load,
+    parse,
+    serialize,
+    to_monotone_3sat4,
+)
+from naive import reference_parse, reference_serialize
 
 
 def test_parse_basic_document():
@@ -67,6 +81,98 @@ def test_parse_empty_formula():
 def test_serialize_canonical_form():
     doc = DimacsDocument(CnfFormula.from_ints([[3, -1, 2]], num_vars=4), ("note", ""))
     assert serialize(doc) == "c note\nc\np cnf 4 1\n-1 2 3 0\n"
+    mixed = CnfFormula.from_ints([[5], [2, -1], [3, -4, 1], [-9, 8, 7, -6, 10], [-2]], num_vars=12)
+    for doc, text in [
+        (DimacsDocument(mixed, ("widths 1, 2, 3 and 5",)), None),
+        (DimacsDocument(CnfFormula([], num_vars=3), ("empty", "")), "c empty\nc\np cnf 3 0\n"),
+        (DimacsDocument(CnfFormula([])), "p cnf 0 0\n"),
+        (DimacsDocument(mixed), "p cnf 12 5\n5 0\n-1 2 0\n1 3 -4 0\n-6 7 8 -9 10 0\n-2 0\n"),
+    ]:
+        assert serialize(doc) == reference_serialize(doc)
+        if text is not None:
+            assert serialize(doc) == text
+
+
+def _outcome(text):
+    """parse's document or its (message, line), checked against the frozen
+    line-by-line reference."""
+    try:
+        outcome = parse(text)
+    except DimacsError as exc:
+        outcome = (str(exc), exc.line)
+    try:
+        expected = reference_parse(text)
+    except DimacsError as exc:
+        expected = (str(exc), exc.line)
+    assert outcome == expected
+    return outcome
+
+
+def _deep(line: str) -> str:
+    """A 5-variable document with ``line`` as its 9,001st clause line
+    (line 9,002 of the file), past the body's first block."""
+    body = ["1 -2 3 0"] * 9000 + [line] + ["-3 4 5 0"] * 999
+    assert len("\n".join(body[:9000])) > dimacs._BLOCK_CHARS
+    return "p cnf 5 10000\n" + "\n".join(body) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        pytest.param("p cnf 7 2\n+1 -2 -0\n007 -3 0\n", [(1, -2), (-3, 7)], id="signed-and-padded-literals"),
+        pytest.param("p cnf 3 2\r\n1 -2 3 0\r\n-1 2 0\r\n", [(1, -2, 3), (-1, 2)], id="crlf-body"),
+        pytest.param("p cnf 3 1\n3 1 2 0\n", [(1, 2, 3)], id="descending-clause-sorted"),
+        pytest.param("p cnf 5 0\n", [], id="empty-body"),
+        pytest.param("p cnf 5 0", [], id="empty-body-no-line-end"),
+        pytest.param("p cnf 3 1\n1 -2 3 0\n%\n0\n", [(1, -2, 3)], id="satlib-trailer"),
+        pytest.param("p cnf 3 1\n1\x0c-2 3 0\n", [(1, -2, 3)], id="form-feed-between-literals"),
+        pytest.param(_deep("-3 4 5 0"), [(1, -2, 3)] * 9000 + [(-3, 4, 5)] * 1000, id="deep-regular-body"),
+    ],
+)
+def test_parse_body_matches_reference(text, expected):
+    assert list(_outcome(text).formula.clauses) == expected
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param(_deep("4 -2 4 0"), "line 9002: duplicate variable 4 in clause", id="duplicate-variable"),
+        pytest.param(_deep("1 -2 6 0"), "line 9002: variable 6 exceeds declared count 5", id="out-of-range"),
+    ],
+)
+def test_parse_error_deep_in_body_keeps_its_line(text, message):
+    assert _outcome(text) == (message, 9002)
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, dimacs._BLOCK_CHARS])
+def test_clause_split_across_a_block_boundary(monkeypatch, block_chars):
+    read = []
+
+    def spy(*args):
+        read.append(bulk(*args))
+        return read[-1]
+
+    bulk = dimacs._bulk_clauses
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(dimacs, "_bulk_clauses", spy)
+    # every clause line is cut in two, so some cut falls on a block boundary
+    text = "p cnf 3 6000\n" + "1 -2\n3 0\n-1\n2 -3 0\n" * 3000
+    assert list(_outcome(text).formula.clauses) == [(1, -2, 3), (-1, 2, -3)] * 3000
+    assert read[0] is not None  # the body was read in blocks, not line by line
+
+
+def test_parse_peak_memory_is_no_higher_than_the_line_loop():
+    formula = generate(GenConfig(2000, 2666, 3))
+    data = serialize(DimacsDocument(to_monotone_3sat4(formula)[0])).encode()
+    peaks = []
+    for parser in (parse, reference_parse):
+        tracemalloc.start()
+        try:
+            parser(data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_serialize_parse_serialize_idempotent():

@@ -1,8 +1,10 @@
 """Seeded DIMACS fuzzing: mutated generator output never escapes the
-documented errors, in the parser or on the command line."""
+documented errors, in the parser or on the command line, and the parser
+agrees with the frozen line-by-line reference on every document."""
 
-from monocnf import DimacsDocument, DimacsError, GenConfig, SplitMix64, generate, parse, serialize
+from monocnf import Clause, DimacsDocument, DimacsError, GenConfig, SplitMix64, generate, parse, serialize
 from monocnf.cli import run
+from naive import reference_parse
 
 SEED = 0x5EED
 CASES = 1500
@@ -46,6 +48,14 @@ def _mutate(rng: SplitMix64, text: str) -> bytes:
     return data
 
 
+def _outcome(parser, data: bytes):
+    """(document, None) on success, (None, (message, line)) on DimacsError."""
+    try:
+        return parser(data), None
+    except DimacsError as exc:
+        return None, (str(exc), exc.line)
+
+
 def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(tmp_path, capsys):
     rng = SplitMix64(SEED)
     bases = [
@@ -56,10 +66,10 @@ def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(tmp_path, cap
     output = str(tmp_path / "out.cnf")
     for case in range(CASES):
         data = _mutate(rng, _pick(rng, bases))
-        try:
-            parse(data)
-        except DimacsError:
-            pass
+        doc, error = _outcome(parse, data)
+        assert (doc, error) == _outcome(reference_parse, data), data
+        if doc is not None:
+            assert all(type(clause) is Clause for clause in doc.formula.clauses), data
         if case % CLI_EVERY:
             continue
         source.write_bytes(data)
