@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import sys
-from typing import NoReturn, Sequence
+from itertools import chain, count
+from typing import Iterator, NoReturn, Sequence
 
 from . import bench, dimacs
 from .bench import GenConfig, GenerationError
 from .dimacs import DimacsDocument, DimacsError, _clip
 from .formula import FormulaError
 from .profiles import PROFILES, check_profile
-from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TARGETS, ProfileError
+from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TARGETS, ProfileError, Run, Target
 from .solve import VariableLimitError, check_equisat, solve_dpll, solve_exhaustive, verify_forcing
 
 EXIT_OK = 0
@@ -41,16 +43,32 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if name not in TARGETS:
         print(f"error: --compact-r3 applies only to --target {', '.join(_COMPACTABLE)}", file=sys.stderr)
         return EXIT_USAGE
-    doc = dimacs.load(args.input)
-    out, trace = TARGETS[name].reduce(doc.formula)
-    comments: tuple[str, ...] = ()
-    if args.trace:
-        comments = tuple(
-            f"trace {index} {origin.rule} {origin.source}"
-            for index, origin in enumerate(trace)
-        )
-    dimacs.dump(DimacsDocument(out, comments), args.output)
+    target = TARGETS[name]
+    formula = dimacs.load(args.input).formula
+    num_vars, num_clauses, runs = target.runs(formula)  # checks the input before the output opens
+    comments = _trace(target, target.runs(formula)[2]) if args.trace else ()
+    dimacs.dump_parts(args.output, comments, num_vars, num_clauses, _body(target, runs))
     return EXIT_OK
+
+
+def _body(target: Target, runs: Iterator[Run]) -> Iterator[str]:
+    """The text of each piece of each run: a template is one ``%`` over its
+    slots' values, read from the piece's lookup table."""
+    template = target.template or ()
+    text = dimacs.clause_format(len(slots) for _, slots in template)
+    slots = tuple(chain.from_iterable(slots for _, slots in template))
+    kept = {width: dimacs.clause_format((width,)) for width in (2, 3)}  # the widths a run keeps whole
+    for _, rule, values in runs:
+        yield kept[len(values)] % values if rule else text % tuple(map(values.__getitem__, slots))
+
+
+def _trace(target: Target, runs: Iterator[Run]) -> Iterator[str]:
+    """One "trace <index> <rule> <source>" comment per output clause."""
+    labels = [label for label, _ in target.template or ()]
+    index = count()
+    for source, rule, _ in runs:
+        for label in (rule,) if rule else labels:
+            yield f"trace {next(index)} {label} {source}"
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -198,6 +216,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # a command may hold millions of clauses; each holds only ints, so none
+    # is in a cycle, but every full collection would walk them all again
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except GenerationError as exc:
@@ -206,6 +228,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (DimacsError, FormulaError, ProfileError, VariableLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import lt
+from typing import Iterable
 
 from .formula import Clause, CnfFormula, FormulaError, _trusted_clause, _trusted_formula
 
@@ -224,13 +225,19 @@ def serialize(doc: DimacsDocument) -> str:
     lines = [f"c {comment}" if comment else "c" for comment in doc.comments]
     lines.append(f"p cnf {formula.num_vars} {len(clauses)}\n")
     # one format string for the whole body, applied once to every literal
-    formats = {width: "%d " * width + "0\n" for width in set(map(len, clauses))}
+    formats = {width: clause_format((width,)) for width in set(map(len, clauses))}
     if len(formats) == 1:
         (body,) = formats.values()
         body *= len(clauses)
     else:
         body = "".join(map(formats.__getitem__, map(len, clauses)))
     return "\n".join(lines) + body % tuple(chain.from_iterable(clauses))
+
+
+def clause_format(widths: Iterable[int]) -> str:
+    """The format string that renders clauses of these widths, in order, as
+    body lines: one ``%`` over their literals in canonical order."""
+    return "".join("%d " * width + "0\n" for width in widths)
 
 
 def load(path: str) -> DimacsDocument:
@@ -241,3 +248,14 @@ def load(path: str) -> DimacsDocument:
 def dump(doc: DimacsDocument, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(serialize(doc))
+
+
+def dump_parts(path: str, comments: Iterable[str], num_vars: int, num_clauses: int, body: Iterable[str]) -> None:
+    """Write a document in canonical form from its parts, for a writer that
+    never builds the formula.  The caller vouches for what ``DimacsDocument``
+    and ``serialize`` would ensure: one-line comments, and a body of
+    ``num_clauses`` canonical clause lines, given as blocks of whole lines."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(f"c {comment}\n" if comment else "c\n" for comment in comments)
+        handle.write(f"p cnf {num_vars} {num_clauses}\n")
+        handle.writelines(body)

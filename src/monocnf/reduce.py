@@ -13,8 +13,10 @@ Three layers:
 * Pipelines: the ``TARGETS`` table maps each target name to its output
   profile, its 2-clause template (none, r3, compact r3, or widening plus
   gadget), compiled once from its rule, and the growth per 2-clause read
-  from it.  ``Target.reduce`` runs every target; ``eliminate_mixed``,
-  ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run table entries.
+  from it.  ``Target.runs`` lays out a target's output as one run per
+  input clause, ``Target.reduce`` builds the formula from the runs, and
+  ``eliminate_mixed``, ``to_monotone_3sat5`` and ``to_monotone_3sat4``
+  run table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
 a replaced clause's children are inserted at its position, and fresh
@@ -25,10 +27,10 @@ declared count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
+from functools import cached_property, partial
+from itertools import chain, groupby, repeat
 from operator import neg
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula, occurrences
 from .profiles import PROFILES, ViolationReport, check_profile
@@ -226,6 +228,10 @@ class ClauseOrigin:
     source: int
 
 
+# one piece of a run, (source, rule, values): see ``Target.runs``
+Run = tuple[int, str | None, Sequence[int]]
+
+
 def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
     """A positive 2-clause widened by a fresh variable, then the gadget
     forcing that variable false.  Only the positive probe of ``_target``
@@ -246,12 +252,17 @@ class Target:
     template: tuple[tuple[str, tuple[int, ...]], ...] | None
     growth: tuple[int, int]
 
-    def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
-        """Check the input, then in one pass split its mixed clauses and
-        expand its 2-clauses.  Returns the output and the provenance of each
-        output clause.  Each input clause becomes one contiguous run, in
-        input order; the bridges are numbered from ``num_vars + 1`` and the
-        expansion blocks after them, so each fresh variable is in one run.
+    def runs(self, formula: CnfFormula) -> tuple[int, int, Iterator[Run]]:
+        """Check the input, then lay out the output without building it.
+        Returns its variable count, its clause count and its runs.
+
+        Each input clause becomes one contiguous run, in input order, of one
+        or two pieces ``(source, rule, values)``: the clause ``values`` kept
+        whole (rule "input") or split off by gold (rule "gold"), or, with rule
+        None, the template over the lookup table ``values`` (see
+        ``_instance``).  The bridges are numbered from ``num_vars + 1`` and
+        the expansion blocks after them, so each fresh variable is in one run
+        and the counts follow from the census of mixed clauses and 2-clauses.
 
         Every target accepts 3-SAT-4 input; one with a template also accepts
         monotone (2,3)-SAT-4 input, the mixed-elimination output class.
@@ -262,39 +273,64 @@ class Target:
                 raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", strict)
             if not check_profile(formula, PROFILES["mono23sat4"]).ok:
                 raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
-        bridges = FreshAllocator(formula.num_vars + 1)
-        first = formula.num_vars + sum(not clause.sign for clause in formula.clauses) + 1
+        clauses = formula.clauses
+        mixed = sum(not clause.sign for clause in clauses)
+        # each mixed clause splits off one 2-clause
+        pairs = mixed + sum(len(clause) == 2 for clause in clauses)
+        first = formula.num_vars + mixed + 1
+        num_vars = first - 1 + self.growth[0] * pairs
+        num_clauses = len(clauses) + mixed + self.growth[1] * pairs
+        return num_vars, num_clauses, self._runs(clauses, FreshAllocator(formula.num_vars + 1), first)
+
+    def _runs(self, clauses: tuple[Clause, ...], bridges: FreshAllocator, first: int) -> Iterator[Run]:
+        for source, clause in enumerate(clauses):
+            if clause.sign:
+                rule, children = "input", (clause,)
+            else:
+                rule, children = "gold", sorted(gold_step(clause, bridges), key=len, reverse=True)
+            for child in children:
+                if self.template is None or len(child) != 2:
+                    yield source, rule, child
+                else:
+                    yield source, None, self._instance(child, first)
+                    first += self.growth[0]
+
+    def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
+        """Check the input, then split its mixed clauses and expand its
+        2-clauses, building the clauses from ``runs``.  Returns the output
+        and the provenance of each output clause."""
+        num_vars, _, runs = self.runs(formula)
+        shape, spans = self._blocks
         clauses: list[Clause] = []
         origins: list[ClauseOrigin] = []
-        for source, clause in enumerate(formula.clauses):
-            if not clause.sign:
-                origin = ClauseOrigin("gold", source)
-                run = sorted(gold_step(clause, bridges), key=len, reverse=True)
+        for source, rule, values in runs:
+            if rule is None:
+                lookup = values.__getitem__
+                clauses.extend([_trusted_clause(map(lookup, slots)) for slots in shape])
+                for label, count in spans:
+                    origins.extend(repeat(ClauseOrigin(label, source), count))
             else:
-                origin = ClauseOrigin("input", source)
-                run = [clause]
-            for child in run:
-                if self.template is None or len(child) != 2:
-                    clauses.append(child)
-                    origins.append(origin)
-                    continue
-                for label, produced in self._instance(child, first):
-                    if origin.rule != label:
-                        origin = ClauseOrigin(label, source)
-                    clauses.append(produced)
-                    origins.append(origin)
-                first += self.growth[0]
-        return _trusted_formula(clauses, first - 1), tuple(origins)
+                clauses.append(values)
+                origins.append(ClauseOrigin(rule, source))
+        return _trusted_formula(clauses, num_vars), tuple(origins)
 
-    def _instance(self, pair: Clause, first: int) -> list[tuple[str, Clause]]:
-        """The template on ``pair``: slots 1 and 2 become its variables and
-        slot k the fresh ``first + k - 3``, mirrored for a negative pair.
-        The pair lies below ``first``, so the map keeps variable order."""
+    @cached_property
+    def _blocks(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, int], ...]]:
+        """The template's slots per clause, and its labels as (label, clause
+        count) spans in order, so one origin serves a span."""
+        template = self.template or ()
+        spans = ((label, len(list(group))) for label, group in groupby(label for label, _ in template))
+        return tuple(slots for _, slots in template), tuple(spans)
+
+    def _instance(self, pair: Clause, first: int) -> list[int]:
+        """The lookup table of the template on ``pair``: slots 1 and 2 read
+        its variables and slot k the fresh ``first + k - 3``, mirrored for a
+        negative pair, and slot -k reads the negation of slot k.  The pair
+        lies below ``first``, so the map keeps variable order."""
         x, y = pair
         fresh = range(first, first + self.growth[0])
         values = [x, y, *(fresh if x > 0 else map(neg, fresh))]
-        lookup = [0, *values, *map(neg, reversed(values))].__getitem__  # lookup(-s) is -lookup(s)
-        return [(label, _trusted_clause(map(lookup, slots))) for label, slots in self.template]
+        return [0, *values, *map(neg, reversed(values))]
 
 
 def _target(

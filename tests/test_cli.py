@@ -1,8 +1,11 @@
 """Command-line interface: subcommand behavior, streams, exit codes."""
 
+import gc
+
 import pytest
 
-from monocnf import TARGETS, bench, parse, solve
+from monocnf import TARGETS, CnfFormula, DimacsDocument, ProfileError, bench, parse, serialize, solve
+from monocnf import cli
 from monocnf.cli import run
 
 SAT_MIXED = "p cnf 3 1\n1 -2 3 0\n"
@@ -65,6 +68,48 @@ def test_reduce_compact_flag_only_applies_to_mono3sat5(tmp_path, capsys):
     assert "compact-r3" in capsys.readouterr().err
     assert run(["reduce", "--target", "mono3sat5", "--compact-r3", source, out]) == 0
     assert len(parse((tmp_path / "out.cnf").read_text()).formula.clauses) == 18
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_reduce_file_equals_serialized_target_reduce(tmp_path, name, trace):
+    # the CLI renders the runs as text; Target.reduce builds the formula
+    base, compact, _ = name.partition("-compact")
+    args = ["reduce", "--target", base, *(["--compact-r3"] if compact else []), *(["--trace"] if trace else [])]
+    sources = [CnfFormula((), num_vars=3)]
+    for seed in range(4):
+        formula = bench.generate(bench.GenConfig(25, 33, seed))
+        mono23, _ = TARGETS["mono23sat4"].reduce(formula)
+        assert {clause.sign for clause in mono23.clauses if len(clause) == 2} == {1, -1}
+        sources += [formula, mono23]
+    for index, source in enumerate(sources):
+        path = _write(tmp_path, f"in-{index}.cnf", serialize(DimacsDocument(source)))
+        out = tmp_path / f"out-{index}.cnf"
+        code = run([*args, path, str(out)])
+        try:
+            reduced, origins = TARGETS[name].reduce(source)
+        except ProfileError:  # mono23sat4 takes only 3-SAT-4 input
+            assert (code, out.exists()) == (3, False)
+            continue
+        comments = [f"trace {i} {origin.rule} {origin.source}" for i, origin in enumerate(origins)]
+        expected = serialize(DimacsDocument(reduced, tuple(comments) if trace else ()))
+        assert code == 0
+        assert out.read_bytes() == expected.encode()
+
+
+def test_failed_reduce_leaves_no_output_file(tmp_path, capsys):
+    # the input of test_profile_error_is_one_short_line: the entry check
+    # fails before the output file is opened
+    source = str(tmp_path / "gen.cnf")
+    assert run(["gen", "--vars", "30", "--clauses", "40", "--seed", "1", source]) == 0
+    mono23 = str(tmp_path / "mono23.cnf")
+    assert run(["reduce", "--target", "mono23sat4", source, mono23]) == 0
+    assert run(["reduce", "--target", "mono23sat4", mono23, str(tmp_path / "out.cnf")]) == 3
+    assert _one_short_error_line(capsys) == (
+        "error: eliminate_mixed requires a 3-SAT-4 instance:"
+        " width violation at clause 1: width 2, profile allows 3 (and 24 more)"
+    )
+    assert not (tmp_path / "out.cnf").exists()
 
 
 def test_reduce_rejects_out_of_class_input(tmp_path, capsys):
@@ -337,3 +382,25 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "reduce" in capsys.readouterr().out
+
+
+def test_run_restores_the_callers_collector_state(tmp_path, capsys, monkeypatch):
+    # the collector is off while a command runs, and an in-process caller
+    # gets back the state it had, also when the command fails
+    during = []
+    check = cli.check_profile
+    monkeypatch.setattr(cli, "check_profile", lambda *args: during.append(gc.isenabled()) or check(*args))
+    source = _write(tmp_path, "in.cnf", SAT_MIXED)
+    after = []
+    was_enabled = gc.isenabled()
+    try:
+        for switch in (gc.enable, gc.disable):
+            switch()
+            for path in (source, str(tmp_path / "missing.cnf")):
+                run(["validate", "--profile", "3sat4", path])
+                after.append(gc.isenabled())
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert during == [False, False]
+    assert after == [True, True, False, False]
