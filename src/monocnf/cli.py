@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: reduce (rewrite into a monotone target class), validate
-(profile check), solve (satisfiability verdict with witness),
-verify-gadget (exhaustive forcing check of the 25-clause gadget), gen
-(seeded random 3-SAT-4 instance), check-equisat (compare two formulas'
-verdicts), blowup (CSV growth report over a seed range).
+Subcommands: reduce (rewrite into a monotone target class, writing the
+text and trace comments that the target renders), validate (profile
+check), solve (satisfiability verdict with witness), verify-gadget
+(exhaustive forcing check of the 25-clause gadget), gen (seeded random
+3-SAT-4 instance), check-equisat (compare two formulas' verdicts),
+blowup (CSV growth report over a seed range).
 
 Stdout carries machine-readable results; diagnostics go to stderr.
 Exit codes: 0 success or check holds, 1 check failed, 2 usage error,
@@ -17,15 +18,14 @@ import argparse
 import csv
 import gc
 import sys
-from itertools import chain, count
-from typing import Iterator, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from . import bench, dimacs
 from .bench import GenConfig, GenerationError
 from .dimacs import DimacsDocument, DimacsError, _clip
 from .formula import FormulaError
 from .profiles import PROFILES, check_profile
-from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TARGETS, ProfileError, Run, Target
+from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TARGETS, ProfileError
 from .solve import VariableLimitError, check_equisat, solve_dpll, solve_exhaustive, verify_forcing
 
 EXIT_OK = 0
@@ -46,29 +46,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     target = TARGETS[name]
     formula = dimacs.load(args.input).formula
     num_vars, num_clauses, runs = target.runs(formula)  # checks the input before the output opens
-    comments = _trace(target, target.runs(formula)[2]) if args.trace else ()
-    dimacs.dump_parts(args.output, comments, num_vars, num_clauses, _body(target, runs))
+    comments = target.trace(target.runs(formula)[2]) if args.trace else ()
+    dimacs.dump_parts(args.output, comments, num_vars, num_clauses, target.text(runs))
     return EXIT_OK
-
-
-def _body(target: Target, runs: Iterator[Run]) -> Iterator[str]:
-    """The text of each piece of each run: a template is one ``%`` over its
-    slots' values, read from the piece's lookup table."""
-    template = target.template or ()
-    text = dimacs.clause_format(len(slots) for _, slots in template)
-    slots = tuple(chain.from_iterable(slots for _, slots in template))
-    kept = {width: dimacs.clause_format((width,)) for width in (2, 3)}  # the widths a run keeps whole
-    for _, rule, values in runs:
-        yield kept[len(values)] % values if rule else text % tuple(map(values.__getitem__, slots))
-
-
-def _trace(target: Target, runs: Iterator[Run]) -> Iterator[str]:
-    """One "trace <index> <rule> <source>" comment per output clause."""
-    labels = [label for label, _ in target.template or ()]
-    index = count()
-    for source, rule, _ in runs:
-        for label in (rule,) if rule else labels:
-            yield f"trace {next(index)} {label} {source}"
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

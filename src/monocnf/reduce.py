@@ -11,12 +11,13 @@ Three layers:
   on a designated variable; instantiated per widened 2-clause so nothing
   exceeds four occurrences.
 * Pipelines: the ``TARGETS`` table maps each target name to its output
-  profile, its 2-clause template (none, r3, compact r3, or widening plus
+  profile, its 2-clause template (empty, r3, compact r3, or widening plus
   gadget), compiled once from its rule, and the growth per 2-clause read
   from it.  ``Target.runs`` lays out a target's output as one run per
-  input clause, ``Target.reduce`` builds the formula from the runs, and
-  ``eliminate_mixed``, ``to_monotone_3sat5`` and ``to_monotone_3sat4``
-  run table entries.
+  input clause and states its size, ``Target.text`` and ``Target.trace``
+  render the runs as DIMACS body lines and trace comments,
+  ``Target.reduce`` builds the formula from them, and ``eliminate_mixed``,
+  ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
 a replaced clause's children are inserted at its position, and fresh
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, groupby, repeat
+from itertools import chain, count, groupby, repeat
 from operator import neg
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from .dimacs import clause_format
 from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula, occurrences
 from .profiles import PROFILES, ViolationReport, check_profile
 
@@ -91,10 +93,11 @@ def gold_step(clause: Clause, alloc: FreshAllocator) -> tuple[Clause, Clause]:
         raise ValueError(f"gold_step requires a 3-clause, got width {len(clause)}")
     if clause.sign:
         raise ValueError(f"gold_step requires a mixed clause, got {clause!r}")
-    positive = tuple(lit for lit in clause if lit > 0)
-    negative = tuple(lit for lit in clause if lit < 0)
     bridge = alloc.fresh()
-    return Clause(positive + (bridge,)), Clause(negative + (-bridge,))
+    if bridge <= abs(clause[-1]):  # then it sorts last, and the children need no sort or check
+        raise ValueError(f"gold_step requires a bridge above the clause's variables, got {bridge}")
+    positive = _trusted_clause([*filter((0).__lt__, clause), bridge])
+    return positive, _trusted_clause([*filter((0).__gt__, clause), -bridge])
 
 
 def apply_r1(clause: Clause, alloc: FreshAllocator) -> list[Clause]:
@@ -244,12 +247,13 @@ def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
 class Target:
     """One reduction target: the class its output meets, the template
     that replaces each monotone 2-clause left by mixed elimination (one
-    (rule label, slot literals) per clause; a target without one keeps
-    the 2-clauses) and what each 2-clause adds, in (variables, clauses).
-    """
+    (rule label, slot literals) per clause; a target with an empty one
+    keeps the 2-clauses) and what each 2-clause adds, in (variables,
+    clauses).  It lays out its output as runs and renders them as DIMACS
+    text and trace comments."""
 
     profile: str
-    template: tuple[tuple[str, tuple[int, ...]], ...] | None
+    template: tuple[tuple[str, tuple[int, ...]], ...]
     growth: tuple[int, int]
 
     def runs(self, formula: CnfFormula) -> tuple[int, int, Iterator[Run]]:
@@ -269,7 +273,7 @@ class Target:
         """
         strict = check_profile(formula, PROFILES["3sat4"])
         if not strict.ok:
-            if self.template is None:
+            if not self.template:
                 raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", strict)
             if not check_profile(formula, PROFILES["mono23sat4"]).ok:
                 raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
@@ -289,7 +293,7 @@ class Target:
             else:
                 rule, children = "gold", sorted(gold_step(clause, bridges), key=len, reverse=True)
             for child in children:
-                if self.template is None or len(child) != 2:
+                if not self.template or len(child) != 2:
                     yield source, rule, child
                 else:
                     yield source, None, self._instance(child, first)
@@ -307,8 +311,8 @@ class Target:
             if rule is None:
                 lookup = values.__getitem__
                 clauses.extend([_trusted_clause(map(lookup, slots)) for slots in shape])
-                for label, count in spans:
-                    origins.extend(repeat(ClauseOrigin(label, source), count))
+                for label, length in spans:
+                    origins.extend(repeat(ClauseOrigin(label, source), length))
             else:
                 clauses.append(values)
                 origins.append(ClauseOrigin(rule, source))
@@ -318,9 +322,27 @@ class Target:
     def _blocks(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, int], ...]]:
         """The template's slots per clause, and its labels as (label, clause
         count) spans in order, so one origin serves a span."""
-        template = self.template or ()
-        spans = ((label, len(list(group))) for label, group in groupby(label for label, _ in template))
-        return tuple(slots for _, slots in template), tuple(spans)
+        spans = ((label, len(list(group))) for label, group in groupby(label for label, _ in self.template))
+        return tuple(slots for _, slots in self.template), tuple(spans)
+
+    def text(self, runs: Iterable[Run]) -> Iterator[str]:
+        """The DIMACS body lines of each piece of ``runs``: a kept clause is
+        one line, and a template one ``%`` over its slots' values, read from
+        the piece's lookup table."""
+        shape, _ = self._blocks
+        block = clause_format(map(len, shape))
+        slots = tuple(chain.from_iterable(shape))
+        kept = {width: clause_format((width,)) for width in PROFILES["mono23sat4"].widths}
+        for _, rule, values in runs:
+            yield kept[len(values)] % values if rule else block % tuple(map(values.__getitem__, slots))
+
+    def trace(self, runs: Iterable[Run]) -> Iterator[str]:
+        """One "trace <index> <rule> <source>" comment per output clause of ``runs``."""
+        labels = [label for label, _ in self.template]
+        index = count()
+        for source, rule, _ in runs:
+            for label in (rule,) if rule else labels:
+                yield f"trace {next(index)} {label} {source}"
 
     def _instance(self, pair: Clause, first: int) -> list[int]:
         """The lookup table of the template on ``pair``: slots 1 and 2 read
@@ -341,7 +363,7 @@ def _target(
     ``labels`` name the produced clauses, the last one repeating; growth
     is the fresh variables and the clauses, less the probe they replace."""
     if rule is None:
-        return Target(profile, None, (0, 0))
+        return Target(profile, (), (0, 0))
     alloc = FreshAllocator(3)
     labelled = zip(chain(labels, repeat(labels[-1])), rule(Clause((1, 2)), alloc))
     template = tuple(labelled)

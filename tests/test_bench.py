@@ -174,6 +174,15 @@ def test_blowup_identity_violation_names_the_target(monkeypatch):
         blowup_rows(0, CnfFormula.from_ints([[1, -2, 3]]))
 
 
+def test_blowup_measures_variables_from_the_output_clauses(monkeypatch):
+    # one variable too many per 2-clause: the output's clauses use one fewer,
+    # though its declared count follows the same growth
+    wrong = dataclasses.replace(TARGETS["mono3sat4"], growth=(22, 25))
+    monkeypatch.setitem(TARGETS, "mono3sat4", wrong)
+    with pytest.raises(RuntimeError, match="blowup identity violated for mono3sat4"):
+        blowup_rows(0, CnfFormula.from_ints([[1, -2, 3], [-4, 5, 6]]))
+
+
 def test_csv_rows_match_header():
     rows = blowup_rows(7, CnfFormula.from_ints([[1, -2, 3]]))
     assert len(rows) == 4

@@ -58,6 +58,11 @@ def test_gold_step_rejects_wrong_width_and_monotone_input():
         gold_step(Clause((1, 2, 3)), FreshAllocator(4))
 
 
+def test_gold_step_rejects_a_bridge_below_the_clause():
+    with pytest.raises(ValueError, match="bridge above"):
+        gold_step(Clause((1, -2, 3)), FreshAllocator(3))
+
+
 def test_r1_positive_shape():
     out = apply_r1(Clause((1, 2)), FreshAllocator(3))
     assert list(out) == [(1, 2, 3), (1, 2, 4), (1, 2, 5), (-3, -4, -5)]
