@@ -11,13 +11,14 @@ Three layers:
   on a designated variable; instantiated per widened 2-clause so nothing
   exceeds four occurrences.
 * Pipelines: the ``TARGETS`` table maps each target name to its output
-  profile, its 2-clause template (empty, r3, compact r3, or widening plus
-  gadget), compiled once from its rule, and the growth per 2-clause read
-  from it.  ``Target.runs`` lays out a target's output as one run per
-  input clause and states its size, ``Target.text`` and ``Target.trace``
-  render the runs as DIMACS body lines and trace comments,
-  ``Target.reduce`` builds the formula from them, and ``eliminate_mixed``,
-  ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run table entries.
+  profile, its 2-clause template (the pair itself, r3, compact r3, or
+  widening plus gadget), compiled once from its rule, and the growth per
+  2-clause read from it.  ``Target.runs`` lays out a target's output as
+  one run per input clause and states its size, ``Target.text`` and
+  ``Target.trace`` render the runs as DIMACS body lines and trace
+  comments, ``Target.reduce`` builds the formula from them, and
+  ``eliminate_mixed``, ``to_monotone_3sat5`` and ``to_monotone_3sat4``
+  run table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
 a replaced clause's children are inserted at its position, and fresh
@@ -247,10 +248,10 @@ def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
 class Target:
     """One reduction target: the class its output meets, the template
     that replaces each monotone 2-clause left by mixed elimination (one
-    (rule label, slot literals) per clause; a target with an empty one
-    keeps the 2-clauses) and what each 2-clause adds, in (variables,
-    clauses).  It lays out its output as runs and renders them as DIMACS
-    text and trace comments."""
+    (rule label, slot literals) per clause; mixed elimination's is the
+    pair itself) and what each 2-clause adds, in (variables, clauses).
+    It lays out its output as runs and renders them as DIMACS text and
+    trace comments."""
 
     profile: str
     template: tuple[tuple[str, tuple[int, ...]], ...]
@@ -261,19 +262,20 @@ class Target:
         Returns its variable count, its clause count and its runs.
 
         Each input clause becomes one contiguous run, in input order, of one
-        or two pieces ``(source, rule, values)``: the clause ``values`` kept
+        or two pieces ``(source, rule, values)``: the 3-clause ``values`` kept
         whole (rule "input") or split off by gold (rule "gold"), or, with rule
-        None, the template over the lookup table ``values`` (see
+        None, a 2-clause's template over the lookup table ``values`` (see
         ``_instance``).  The bridges are numbered from ``num_vars + 1`` and
         the expansion blocks after them, so each fresh variable is in one run
         and the counts follow from the census of mixed clauses and 2-clauses.
 
-        Every target accepts 3-SAT-4 input; one with a template also accepts
-        monotone (2,3)-SAT-4 input, the mixed-elimination output class.
+        Every target accepts 3-SAT-4 input.  One whose profile bars 2-clauses
+        also accepts monotone (2,3)-SAT-4 input; one whose profile allows
+        them labels every 2-clause "gold", so it takes none from the input.
         """
         strict = check_profile(formula, PROFILES["3sat4"])
         if not strict.ok:
-            if not self.template:
+            if 2 in PROFILES[self.profile].widths:
                 raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", strict)
             if not check_profile(formula, PROFILES["mono23sat4"]).ok:
                 raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
@@ -293,7 +295,7 @@ class Target:
             else:
                 rule, children = "gold", sorted(gold_step(clause, bridges), key=len, reverse=True)
             for child in children:
-                if not self.template or len(child) != 2:
+                if len(child) == 3:
                     yield source, rule, child
                 else:
                     yield source, None, self._instance(child, first)
@@ -326,15 +328,15 @@ class Target:
         return tuple(slots for _, slots in self.template), tuple(spans)
 
     def text(self, runs: Iterable[Run]) -> Iterator[str]:
-        """The DIMACS body lines of each piece of ``runs``: a kept clause is
-        one line, and a template one ``%`` over its slots' values, read from
-        the piece's lookup table."""
+        """The DIMACS body lines of each piece of ``runs``: a kept 3-clause
+        is one line, and a template one ``%`` over its slots' values, read
+        from the piece's lookup table."""
         shape, _ = self._blocks
         block = clause_format(map(len, shape))
         slots = tuple(chain.from_iterable(shape))
-        kept = {width: clause_format((width,)) for width in PROFILES["mono23sat4"].widths}
+        kept = clause_format((3,))
         for _, rule, values in runs:
-            yield kept[len(values)] % values if rule else block % tuple(map(values.__getitem__, slots))
+            yield kept % values if rule else block % tuple(map(values.__getitem__, slots))
 
     def trace(self, runs: Iterable[Run]) -> Iterator[str]:
         """One "trace <index> <rule> <source>" comment per output clause of ``runs``."""
@@ -355,15 +357,12 @@ class Target:
         return [0, *values, *map(neg, reversed(values))]
 
 
-def _target(
-    profile: str, rule: Callable[..., list[Clause]] | None = None, labels: tuple[str, ...] = ()
-) -> Target:
+def _target(profile: str, rule: Callable[..., list[Clause]], labels: tuple[str, ...]) -> Target:
     """A table entry with its rule compiled into a template, by running it
     once on the probe 2-clause (1, 2) with fresh variables from 3 on.
     ``labels`` name the produced clauses, the last one repeating; growth
-    is the fresh variables and the clauses, less the probe they replace."""
-    if rule is None:
-        return Target(profile, (), (0, 0))
+    is the fresh variables and the clauses, less the probe they replace,
+    so a rule that returns the probe itself keeps each 2-clause at (0, 0)."""
     alloc = FreshAllocator(3)
     labelled = zip(chain(labels, repeat(labels[-1])), rule(Clause((1, 2)), alloc))
     template = tuple(labelled)
@@ -371,7 +370,7 @@ def _target(
 
 
 TARGETS: dict[str, Target] = {
-    "mono23sat4": _target("mono23sat4"),
+    "mono23sat4": _target("mono23sat4", lambda pair, alloc: [pair], ("gold",)),
     "mono3sat5": _target("mono3sat5", partial(apply_r3, compact=False), ("r3",)),
     "mono3sat5-compact": _target("mono3sat5", partial(apply_r3, compact=True), ("r3",)),
     "mono3sat4": _target("mono3sat4", _widen_with_gadget, ("widen", "gadget")),

@@ -206,6 +206,8 @@ def test_target_growth_matches_closed_forms():
 def _direct_expansion(name, pair, first):
     """What the rule itself produces for ``pair``, with its labels."""
     alloc = FreshAllocator(first)
+    if name == "mono23sat4":  # mixed elimination keeps the pair
+        return [("gold", pair)]
     if name == "mono3sat4":
         sign = pair.sign
         template = FORCE_FALSE_GADGET if sign > 0 else FORCE_TRUE_GADGET
@@ -216,7 +218,7 @@ def _direct_expansion(name, pair, first):
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
-@pytest.mark.parametrize("name", [name for name, target in TARGETS.items() if target.template])
+@pytest.mark.parametrize("name", list(TARGETS))
 def test_template_instance_equals_direct_rule_output(name, sign):
     target = TARGETS[name]
     # far-apart pairs, and fresh variables just above the pair
