@@ -66,53 +66,41 @@ def _check_comment(comment: str, line: int | None = None) -> None:
         raise DimacsError(f"comment {_clip(repr(comment))} must be one line not ending in whitespace", line)
 
 
-def _bulk_clauses(text: str, start: int, num_vars: int, num_clauses: int) -> list[Clause] | None:
-    """The clauses of the body ``text[start:]``, read in blocks of whole
-    lines, or None unless it is regular: ASCII digits, signs and blanks
-    only, every literal in range, every clause nonempty, terminated and
-    valid, as many clauses as the header declares.  The line loop then
-    reads the body instead, so each error has one source."""
-    if not _BODY_RE.fullmatch(text, start):
-        return None
-    clauses: list[Clause] = []
-    ints: list[int] = []  # the unterminated tail of the blocks so far
-    while start < len(text):
-        stop = text.find("\n", start + _BLOCK_CHARS)
-        stop = len(text) if stop < 0 else stop + 1
-        try:
-            block = list(map(int, text[start:stop].split()))
-        except ValueError:
-            return None
-        start = stop
-        if max(block, default=0) > num_vars or -min(block, default=0) > num_vars:
-            return None
-        ints += block
-        if 0 not in block:
-            continue
-        cut = len(ints) - ints[::-1].index(0)
-        body, ints = ints[:cut], ints[cut:]
-        count = body.count(0)
-        mags = list(map(abs, body))
-        # strict ascent fails only at the zero that ends each clause
-        make = _trusted_clause if sum(map(lt, mags, mags[1:])) == cut - 1 - count else Clause
-        if len(body) == 4 * count and not any(body[3::4]):
-            rows = zip(body[0::4], body[1::4], body[2::4])
-        else:
-            rows = []
-            first = 0
-            while first < len(body):
-                zero = body.index(0, first)
-                if zero == first:
-                    return None
-                rows.append(body[first:zero])
-                first = zero + 1
-        try:
-            clauses.extend(map(make, rows))
-        except FormulaError:
-            return None
-    if ints or len(clauses) != num_clauses:
-        return None
-    return clauses
+def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, list[Clause] | None]:
+    """The end of the block of whole lines from ``start``, about
+    ``_BLOCK_CHARS`` long, and its clauses, or None unless the block is
+    regular: ASCII digits, signs and blanks only, every literal in range,
+    every clause nonempty, valid and ended by a 0 in the block.  The line
+    loop reads an irregular block instead, so each error has one source."""
+    stop = text.find("\n", start + _BLOCK_CHARS)
+    stop = len(text) if stop < 0 else stop + 1
+    if not _BODY_RE.fullmatch(text, start, stop):
+        return stop, None
+    try:
+        body = list(map(int, text[start:stop].split()))
+    except ValueError:
+        return stop, None
+    if body[-1:] != [0] or max(body) > num_vars or -min(body) > num_vars:
+        return stop, None
+    count = body.count(0)
+    mags = list(map(abs, body))
+    # strict ascent fails only at the zero that ends each clause
+    make = _trusted_clause if sum(map(lt, mags, mags[1:])) == len(body) - 1 - count else Clause
+    if len(body) == 4 * count and not any(body[3::4]):
+        rows = zip(body[0::4], body[1::4], body[2::4])
+    else:
+        rows = []
+        first = 0
+        while first < len(body):
+            zero = body.index(0, first)
+            if zero == first:
+                return stop, None
+            rows.append(body[first:zero])
+            first = zero + 1
+    try:
+        return stop, list(map(make, rows))
+    except FormulaError:
+        return stop, None
 
 
 def parse(text: str | bytes) -> DimacsDocument:
@@ -145,7 +133,15 @@ def parse(text: str | bytes) -> DimacsDocument:
 
     lineno = 0
     start = 0  # offset of the next line
-    while start <= len(text):
+    block_end = 0  # the line loop reads up to here before it tries a block
+    while start < len(text):
+        if start >= block_end and num_vars is not None and not pending:
+            block_end, block = _block_clauses(text, start, num_vars)
+            if block is not None:
+                clauses += block
+                lineno += text.count("\n", start, block_end)
+                start = block_end
+                continue
         stop = text.find("\n", start)
         if stop < 0:
             stop = len(text)
@@ -172,10 +168,6 @@ def parse(text: str | bytes) -> DimacsDocument:
                 num_clauses = int(match.group(2))
             except ValueError:
                 raise DimacsError("header count has too many digits", lineno) from None
-            bulk = _bulk_clauses(text, start, num_vars, num_clauses)
-            if bulk is not None:
-                clauses = bulk
-                break
             continue
         if num_vars is None:
             raise DimacsError("clause data before header", lineno)
@@ -220,10 +212,7 @@ def parse(text: str | bytes) -> DimacsDocument:
 
 def serialize(doc: DimacsDocument) -> str:
     """Render a document in canonical form (see module docstring)."""
-    formula = doc.formula
-    clauses = formula.clauses
-    lines = [f"c {comment}" if comment else "c" for comment in doc.comments]
-    lines.append(f"p cnf {formula.num_vars} {len(clauses)}\n")
+    clauses = doc.formula.clauses
     # one format string for the whole body, applied once to every literal
     formats = {width: clause_format((width,)) for width in set(map(len, clauses))}
     if len(formats) == 1:
@@ -231,7 +220,11 @@ def serialize(doc: DimacsDocument) -> str:
         body *= len(clauses)
     else:
         body = "".join(map(formats.__getitem__, map(len, clauses)))
-    return "\n".join(lines) + body % tuple(chain.from_iterable(clauses))
+    return _head(doc.comments, doc.formula.num_vars, len(clauses)) + body % tuple(chain.from_iterable(clauses))
+
+
+def _head(comments: Iterable[str], num_vars: int, num_clauses: int) -> str:
+    return "".join(f"c {text}\n" if text else "c\n" for text in comments) + f"p cnf {num_vars} {num_clauses}\n"
 
 
 def clause_format(widths: Iterable[int]) -> str:
@@ -256,6 +249,5 @@ def dump_parts(path: str, comments: Iterable[str], num_vars: int, num_clauses: i
     and ``serialize`` would ensure: one-line comments, and a body of
     ``num_clauses`` canonical clause lines, given as blocks of whole lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(f"c {comment}\n" if comment else "c\n" for comment in comments)
-        handle.write(f"p cnf {num_vars} {num_clauses}\n")
+        handle.write(_head(comments, num_vars, num_clauses))
         handle.writelines(body)

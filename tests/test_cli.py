@@ -70,6 +70,16 @@ def test_reduce_compact_flag_only_applies_to_mono3sat5(tmp_path, capsys):
     assert len(parse((tmp_path / "out.cnf").read_text()).formula.clauses) == 18
 
 
+def test_compact_flag_selects_only_the_mono3sat5_entry(tmp_path, capsys, monkeypatch):
+    # another "<target>-compact" entry is not reachable through the flag
+    monkeypatch.setitem(TARGETS, "mono3sat4-compact", TARGETS["mono3sat4"])
+    source = _write(tmp_path, "in.cnf", SAT_MIXED)
+    out = tmp_path / "out.cnf"
+    assert run(["reduce", "--target", "mono3sat4", "--compact-r3", source, str(out)]) == 2
+    assert capsys.readouterr().err == "error: --compact-r3 applies only to --target mono3sat5\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
 @pytest.mark.parametrize("name", sorted(TARGETS))
 def test_reduce_file_equals_serialized_target_reduce(tmp_path, name, trace):

@@ -144,21 +144,56 @@ def test_parse_error_deep_in_body_keeps_its_line(text, message):
     assert _outcome(text) == (message, 9002)
 
 
+def _spy_blocks(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Record each block the parser tries: its start, its end, and whether
+    it was tokenized whole."""
+    calls = []
+
+    def spy(text, start, num_vars):
+        stop, clauses = read(text, start, num_vars)
+        calls.append((start, stop, clauses is not None))
+        return stop, clauses
+
+    read = dimacs._block_clauses
+    monkeypatch.setattr(dimacs, "_block_clauses", spy)
+    return calls
+
+
 @pytest.mark.parametrize("block_chars", [1, 7, dimacs._BLOCK_CHARS])
 def test_clause_split_across_a_block_boundary(monkeypatch, block_chars):
-    read = []
-
-    def spy(*args):
-        read.append(bulk(*args))
-        return read[-1]
-
-    bulk = dimacs._bulk_clauses
     monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
-    monkeypatch.setattr(dimacs, "_bulk_clauses", spy)
     # every clause line is cut in two, so some cut falls on a block boundary
     text = "p cnf 3 6000\n" + "1 -2\n3 0\n-1\n2 -3 0\n" * 3000
-    assert list(_outcome(text).formula.clauses) == [(1, -2, 3), (-1, 2, -3)] * 3000
-    assert read[0] is not None  # the body was read in blocks, not line by line
+    doc = _outcome(text)
+    assert list(doc.formula.clauses) == [(1, -2, 3), (-1, 2, -3)] * 3000
+    calls = _spy_blocks(monkeypatch)
+    assert _outcome(serialize(doc)) == doc
+    assert calls and all(accepted for _, _, accepted in calls)  # one clause per line: every block is whole
+
+
+@pytest.mark.parametrize(
+    "text,irregular,line",
+    [
+        pytest.param(_deep("-3 4 5 0") + "%\n0\n", "%", None, id="satlib-trailer"),
+        pytest.param(_deep("c note\n-3 4 5 0"), "c note", None, id="comment-mid-body"),
+        pytest.param(_deep("-3 4 5 0")[:-9] + "4 -3 4 0\n", "4 -3 4 0", 10001, id="duplicate-in-last-clause"),
+    ],
+)
+# by default the comment falls in the second and last block; in 16 KiB
+# blocks it falls in the fifth of six, so a whole block follows it
+@pytest.mark.parametrize("block_chars", [1 << 14, dimacs._BLOCK_CHARS])
+def test_only_the_block_holding_an_irregular_line_is_read_line_by_line(
+    monkeypatch, block_chars, text, irregular, line
+):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    calls = _spy_blocks(monkeypatch)
+    outcome = _outcome(text)
+    assert (outcome[1] if isinstance(outcome, tuple) else None) == line
+    # the blocks are tried once each, in order, from the header to the end
+    assert [start for start, _, _ in calls] == [text.index("\n") + 1] + [stop for _, stop, _ in calls[:-1]]
+    assert calls[-1][1] == len(text)
+    at = text.index(irregular)
+    assert [not accepted for _, _, accepted in calls] == [start <= at < stop for start, stop, _ in calls]
 
 
 def test_parse_peak_memory_is_no_higher_than_the_line_loop():

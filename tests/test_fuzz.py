@@ -2,13 +2,15 @@
 documented errors, in the parser or on the command line, and the parser
 agrees with the frozen line-by-line reference on every document."""
 
-from monocnf import Clause, DimacsDocument, DimacsError, GenConfig, SplitMix64, generate, parse, serialize
+from monocnf import Clause, DimacsDocument, DimacsError, GenConfig, SplitMix64, dimacs, generate, parse, serialize
 from monocnf.cli import run
 from naive import reference_parse
 
 SEED = 0x5EED
 CASES = 1500
 CLI_EVERY = 10  # every tenth case also goes through validate and reduce
+# tiny blocks put block ends between the mutated lines; the default comes last
+BLOCK_CHARS = (1, 7, dimacs._BLOCK_CHARS)
 
 SPLICED_LINES = ["%", "p cnf 3 1", "p cnf 99999999999999999999 1", "p", "c", "c trace 0 r3 0", "0"]
 ODD_TOKENS = ["_", "1_0", "١", "-٣", "+1", "-0", "--1", "x", "00", "9" * 30]
@@ -56,7 +58,7 @@ def _outcome(parser, data: bytes):
         return None, (str(exc), exc.line)
 
 
-def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(tmp_path, capsys):
+def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(tmp_path, capsys, monkeypatch):
     rng = SplitMix64(SEED)
     bases = [
         serialize(DimacsDocument(generate(GenConfig(n, n * 4 // 3, seed)), ("gen",)))
@@ -66,8 +68,11 @@ def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(tmp_path, cap
     output = str(tmp_path / "out.cnf")
     for case in range(CASES):
         data = _mutate(rng, _pick(rng, bases))
-        doc, error = _outcome(parse, data)
-        assert (doc, error) == _outcome(reference_parse, data), data
+        expected = _outcome(reference_parse, data)
+        for block_chars in BLOCK_CHARS:
+            monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+            doc, error = _outcome(parse, data)
+            assert (doc, error) == expected, (block_chars, data)
         if doc is not None:
             assert all(type(clause) is Clause for clause in doc.formula.clauses), data
         if case % CLI_EVERY:
