@@ -80,10 +80,10 @@ def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, list[Clau
         body = list(map(int, text[start:stop].split()))
     except ValueError:
         return stop, None
-    if body[-1:] != [0] or max(body) > num_vars or -min(body) > num_vars:
+    mags = list(map(abs, body))
+    if body[-1:] != [0] or max(mags) > num_vars:
         return stop, None
     count = body.count(0)
-    mags = list(map(abs, body))
     # strict ascent fails only at the zero that ends each clause
     make = _trusted_clause if sum(map(lt, mags, mags[1:])) == len(body) - 1 - count else Clause
     if len(body) == 4 * count and not any(body[3::4]):

@@ -2,15 +2,27 @@
 
 Everything here works on raw signed-integer clause lists and stays
 independent of the package's data structures and bit tricks, so the two
-implementations can honestly disagree.  The DIMACS references are the
-exception: they read and write the package's documents, so that their
-results and errors compare equal to the package's own.
+implementations can honestly disagree.  The DIMACS and profile
+references are the exception: they read and write the package's
+documents and reports, so that their results and errors compare equal to
+the package's own.
 """
 
 from itertools import product
 from typing import Iterable, Sequence
 
-from monocnf import Clause, DimacsDocument, DimacsError, FormulaError, SplitMix64
+from monocnf import (
+    Clause,
+    CnfFormula,
+    DimacsDocument,
+    DimacsError,
+    FormulaError,
+    Profile,
+    SplitMix64,
+    Violation,
+    ViolationReport,
+    occurrences,
+)
 from monocnf.dimacs import _HEADER_RE, _check_comment, _clip
 from monocnf.formula import _trusted_formula
 
@@ -260,3 +272,23 @@ def reference_serialize(doc: DimacsDocument) -> str:
     for clause in formula.clauses:
         lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def reference_check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
+    """The profile check the package shipped before each rule was decided
+    in whole-formula passes, frozen here as the reference for its
+    violations, their order and their text: one loop over the clauses,
+    then a ``Counter`` of every variable's occurrences."""
+    violations: list[Violation] = []
+    for index, clause in enumerate(formula.clauses):
+        if len(clause) not in profile.widths:
+            violations.append(
+                Violation("width", index, f"width {len(clause)}, profile allows {profile.width_rule()}")
+            )
+        if profile.monotone and not clause.sign:
+            violations.append(Violation("monotonicity", index, "mixed clause in a monotone profile"))
+    cap = profile.occurrence_cap
+    over = sorted((var, total) for var, total in occurrences(formula).items() if total > cap)
+    for var, total in over:
+        violations.append(Violation("occurrence", var, f"{total} occurrences, cap is {cap}"))
+    return ViolationReport(violations)

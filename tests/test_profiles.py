@@ -1,6 +1,7 @@
 """Profile definitions and membership checking."""
 
-from monocnf import PROFILES, CnfFormula, ViolationReport, check_profile
+from monocnf import PROFILES, Clause, CnfFormula, Profile, SplitMix64, ViolationReport, check_profile
+from naive import reference_check_profile
 
 
 def test_profile_table():
@@ -82,3 +83,62 @@ def test_report_is_the_tuple_of_its_violations():
     assert mixed[0] is next(iter(mixed))
     assert (mixed[0].kind, mixed[0].where) == ("width", 0)
     assert not mixed.ok and clean.ok
+
+
+def test_occurrences_are_never_counted_in_a_list_as_long_as_a_huge_variable():
+    big = 10**20
+    declared_only = CnfFormula.from_ints([[1, 2, 3], [-1, -2, -3]], num_vars=big)
+    for profile in PROFILES.values():
+        assert check_profile(declared_only, profile).ok
+    referenced = CnfFormula.from_ints([[2 * i + 1, 2 * i + 2, big] for i in range(5)], num_vars=big)
+    report = check_profile(referenced, PROFILES["mono3sat4"])
+    assert [str(v) for v in report] == [f"occurrence violation at variable {big}: 5 occurrences, cap is 4"]
+
+
+def test_one_mixed_clause_among_clauses_of_the_other_width():
+    # a mixed 2-clause differs from its first literal in its second; this
+    # mixed 3-clause only in its last
+    for mixed, others in (([4, -5], [[1, 2, 3], [-1, -2, -3]]), ([4, 5, -6], [[1, 2], [-1, -3]])):
+        formula = CnfFormula.from_ints([*others, mixed])
+        report = check_profile(formula, PROFILES["mono23sat4"])
+        assert [str(v) for v in report] == ["monotonicity violation at clause 2: mixed clause in a monotone profile"]
+
+
+# a monotone profile of every width the random formulas hold, so that
+# they reach the monotonicity pass for widths other than 2 and 3
+ANY_WIDTH = Profile(frozenset({1, 2, 3, 4}), monotone=True, occurrence_cap=4)
+
+
+def _random_formula(rng: SplitMix64) -> CnfFormula:
+    """A formula of up to 14 clauses of widths 1-4 over a few variables,
+    so some exceed the cap, each clause monotone or mixed as the formula's
+    mode draws it; some variables lie far above the literal count, and
+    the declared count may exceed the largest referenced variable."""
+    num_vars = 1 + rng.below(8)
+    widths = ((3,), (2, 3), (1, 2, 3, 4))[rng.below(3)]
+    mixed_odds = rng.below(4)  # 0: every clause monotone
+    far = 10 ** (1 + rng.below(20)) if rng.below(4) == 0 else 0
+    clauses = []
+    for _ in range(rng.below(15)):
+        pool = list(range(1, num_vars + 1))
+        picks = [pool.pop(rng.below(len(pool))) for _ in range(min(widths[rng.below(len(widths))], num_vars))]
+        picks = [var + far if var % 3 == 0 else var for var in picks]
+        sign = -1 if rng.coin() else 1
+        mixed = mixed_odds and rng.below(4) < mixed_odds
+        clauses.append(Clause(var * (-sign if mixed and rng.coin() else sign) for var in picks))
+    largest = max((abs(clause[-1]) for clause in clauses), default=0)
+    return CnfFormula(clauses, largest + rng.below(3) * rng.below(10**6))
+
+
+def test_reports_match_the_reference_check():
+    rng = SplitMix64(0x9F0F)
+    seen = set()
+    for _ in range(3000):
+        formula = _random_formula(rng)
+        for profile in (*PROFILES.values(), ANY_WIDTH):
+            report = check_profile(formula, profile)
+            expected = reference_check_profile(formula, profile)
+            assert [str(v) for v in report] == [str(v) for v in expected], (formula.clauses, profile)
+            seen.update(v.kind for v in report)
+            seen.add(report.ok)
+    assert seen == {True, False, "width", "monotonicity", "occurrence"}
