@@ -4,7 +4,8 @@ Subcommands: reduce (rewrite into a monotone target class, writing the
 text and trace comments that the target renders), validate (profile
 check), solve (satisfiability verdict with witness), verify-gadget
 (exhaustive forcing check of the 25-clause gadget), gen (seeded random
-3-SAT-4 instance), check-equisat (compare two formulas' verdicts),
+3-SAT-4 instance), check-equisat (compare two formulas' verdicts, by the
+reduction scheme's lemma when it applies, else by DPLL),
 blowup (CSV growth report over a seed range).
 
 Stdout carries machine-readable results; diagnostics go to stderr.
@@ -26,7 +27,7 @@ from .dimacs import DimacsDocument, DimacsError, _clip
 from .formula import FormulaError
 from .profiles import PROFILES, check_profile
 from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TARGETS, ProfileError
-from .solve import VariableLimitError, check_equisat, solve_dpll, solve_exhaustive, verify_forcing
+from .solve import WITNESS_VAR_LIMIT, VariableLimitError, check_equisat, solve_dpll, solve_exhaustive, verify_forcing
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -170,7 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="output DIMACS CNF file")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("check-equisat", help="compare the SAT verdicts of two formulas")
+    p = sub.add_parser(
+        "check-equisat", help="compare the SAT verdicts of two formulas",
+        description="Compare the SAT verdicts of two formulas. When the reduced formula is an output of "
+        "the reduction scheme on the original, the verdicts are equal by the scheme's lemma, checked "
+        "exhaustively once per template, and neither side is solved; otherwise DPLL decides both. "
+        f"Either way both formulas must declare at most {WITNESS_VAR_LIMIT:,} variables, DPLL's witness bound.",
+    )
     p.add_argument("original", help="original DIMACS CNF file")
     p.add_argument("reduced", help="reduced DIMACS CNF file")
     p.set_defaults(handler=_cmd_check_equisat)
@@ -201,6 +208,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (DimacsError, FormulaError, ProfileError, VariableLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:  # the input is too large for this machine
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
     finally:
         if collecting:

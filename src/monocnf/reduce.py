@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, groupby, repeat
-from operator import neg
+from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dimacs import clause_format
@@ -273,16 +273,15 @@ class Target:
         also accepts monotone (2,3)-SAT-4 input; one whose profile allows
         them labels every 2-clause "gold", so it takes none from the input.
         """
-        strict = check_profile(formula, PROFILES["3sat4"])
-        if not strict.ok:
-            if 2 in PROFILES[self.profile].widths:
-                raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", strict)
-            if not check_profile(formula, PROFILES["mono23sat4"]).ok:
-                raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", strict)
         clauses = formula.clauses
-        mixed = sum(not clause.sign for clause in clauses)
-        # each mixed clause splits off one 2-clause
-        pairs = mixed + sum(len(clause) == 2 for clause in clauses)
+        strict = PROFILES["3sat4"]
+        # the widths decide first: a 2-clause fails the strict check, whose report is built only to be raised
+        if not (set(map(len, clauses)) <= strict.widths and check_profile(formula, strict).ok):
+            if 2 in PROFILES[self.profile].widths:
+                raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", check_profile(formula, strict))
+            if not check_profile(formula, PROFILES["mono23sat4"]).ok:
+                raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", check_profile(formula, strict))
+        mixed, pairs = _census(clauses)
         first = formula.num_vars + mixed + 1
         num_vars = first - 1 + self.growth[0] * pairs
         num_clauses = len(clauses) + mixed + self.growth[1] * pairs
@@ -355,6 +354,17 @@ class Target:
         fresh = range(first, first + self.growth[0])
         values = [x, y, *(fresh if x > 0 else map(neg, fresh))]
         return [0, *values, *map(neg, reversed(values))]
+
+
+def _census(clauses: Sequence[Clause]) -> tuple[int, int]:
+    """The mixed clauses among clauses of widths 2 and 3, and the 2-clauses
+    once each mixed one has split off its own.  A clause is mixed exactly
+    when its first literal's product with its second or with its last is
+    negative (see ``profiles._has_mixed``); no Python frame runs per clause."""
+    first = list(map(itemgetter(0), clauses))
+    second, last = (map(mul, first, map(other, clauses)) for other in (itemgetter(1), itemgetter(-1)))
+    mixed = sum(map((0).__gt__, map(min, second, last)))
+    return mixed, mixed + list(map(len, clauses)).count(2)
 
 
 def _target(profile: str, rule: Callable[..., list[Clause]], labels: tuple[str, ...]) -> Target:

@@ -16,18 +16,27 @@ counts per literal, and a trail of set literals that a backtrack undoes.
 Setting a literal costs the clauses it occurs in, not a pass over the
 formula.
 
-Each oracle job has one engine: ``check_equisat`` decides both sides by
-DPLL, while ``solve_exhaustive`` and ``verify_forcing`` share the truth
-table.
+``solve_exhaustive`` and ``verify_forcing`` share the truth table.
+``check_equisat`` first tries to prove the verdicts equal without deciding
+either side: the reductions replace each input clause C with clauses T
+over C's variables and fresh ones Z that occur nowhere else, and when
+∃Z. T ≡ C for every replacement, the output is equisatisfiable with the
+input at every size.  The truth table checks that lemma once per template;
+one linear pass checks that the output is made of such replacements.
+When it is not, DPLL decides both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
+from itertools import chain
+from operator import mul, neg
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Clause, CnfFormula
+from .reduce import TARGETS, Target, _census
 
 Assignment = dict[int, bool]
 
@@ -157,6 +166,11 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     )
 
 
+def _check_witness_limit(count: int) -> None:
+    if count > WITNESS_VAR_LIMIT:
+        raise VariableLimitError(f"declared variable count exceeds the witness limit of {WITNESS_VAR_LIMIT}")
+
+
 def solve_dpll(formula: CnfFormula) -> SatVerdict:
     """Decide satisfiability by DPLL search.
 
@@ -169,8 +183,7 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     WITNESS_VAR_LIMIT.
     """
     n = formula.num_vars
-    if n > WITNESS_VAR_LIMIT:
-        raise VariableLimitError(f"declared variable count exceeds the witness limit of {WITNESS_VAR_LIMIT}")
+    _check_witness_limit(n)
     clauses = formula.clauses
     # Lists indexed by literal have 2n + 1 slots, so -v lands on slot 2n + 1 - v.
     # Every literal no clause holds shares one empty tuple: a header may
@@ -272,6 +285,147 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
 
 
 def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
-    """True iff both formulas have the same SAT verdict, each decided by
-    ``solve_dpll``, so its WITNESS_VAR_LIMIT applies to both sides."""
+    """True iff both formulas have the same SAT verdict.
+
+    When ``reduced`` is an output of the reduction scheme on ``original``
+    (see ``_is_instance``), the verdicts are equal by the scheme's lemma and
+    neither side is decided.  Otherwise ``solve_dpll`` decides both.  Its
+    WITNESS_VAR_LIMIT applies to both sides either way, checked first."""
+    _check_witness_limit(original.num_vars)
+    _check_witness_limit(reduced.num_vars)
+    if _certified(original, reduced):
+        return True
     return solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
+
+
+def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:
+    """Whether ``reduced`` is an instance of some target's scheme on
+    ``original`` whose lemma holds.  The clause count names the target: each
+    pair, a 2-clause of the input or one split off a mixed clause, adds the
+    target's ``growth[1]`` clauses, and the growths differ.  Without pairs
+    no template is used, and every target checks the same."""
+    clauses = original.clauses
+    if not set(map(len, clauses)) <= {2, 3}:
+        return False
+    mixed, pairs = _census(clauses)
+    extra = len(reduced.clauses) - len(clauses) - mixed
+    return any(
+        (not pairs or _lemma_holds(target)) and _is_instance(original, reduced, target)
+        for target in TARGETS.values()
+        if target.growth[1] * pairs == extra
+    )
+
+
+# The gold split of both mixed shapes as ``_is_instance`` reads it: the two
+# literals of one sign widened by the bridge in that sign, then the third
+# literal widened by the bridge's negation.
+_GOLD_SPLITS = (
+    (((1, 2, 4), (-3, -4)), (1, 2, -3)),
+    (((-2, -3, -4), (1, 4)), (1, -2, -3)),
+)
+
+
+@cache
+def _lemma_holds(target: Target) -> bool:
+    """Whether the target's scheme replaces each clause by an
+    equivalent up to its fresh variables: gold's split of each mixed shape,
+    and the template on the pair (1, 2) of either sign, mirrored as
+    ``Target._instance`` mirrors it.  Checked once per process, when first
+    needed, since the largest template takes about a tenth of a second."""
+    mirrored = (
+        (tuple(tuple(sign * lit for lit in slots) for _, slots in target.template), (sign, 2 * sign))
+        for sign in (1, -1)
+    )
+    return all(_projects_to(clauses, clause) for clauses, clause in chain(_GOLD_SPLITS, mirrored))
+
+
+def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> bool:
+    """Whether ∃Z. clauses ≡ clause, where Z are the variables of
+    ``clauses`` that ``clause`` does not hold.  Each assignment of the
+    clause's variables is fixed in turn, and the clauses it leaves must
+    have a model over Z, by truth table, exactly when it satisfies the
+    clause."""
+    fixed = [abs(lit) for lit in clause]
+    hidden = sorted(set(map(abs, chain.from_iterable(clauses))).difference(fixed))
+    for bits in range(1 << len(fixed)):
+        true = {var if bits >> i & 1 else -var for i, var in enumerate(fixed)}
+        left = [[lit for lit in c if -lit not in true] for c in clauses if true.isdisjoint(c)]
+        if (all(left) and _truth_table(left, hidden)[0] != 0) == true.isdisjoint(clause):
+            return False
+    return True
+
+
+@cache
+def _pattern(target: Target) -> tuple[tuple[int, ...], ...]:
+    """The target template's slot literals in one row, its clause widths, and for
+    each fresh slot 3, 4, ... the row position of its first literal and
+    that literal's sign."""
+    shape = [slots for _, slots in target.template]
+    row = tuple(chain.from_iterable(shape))
+    first: dict[int, int] = {}
+    for position, lit in enumerate(row):
+        first.setdefault(abs(lit), position)
+    positions = tuple(first[var] for var in range(3, max(first) + 1))
+    signs = tuple(1 if row[position] > 0 else -1 for position in positions)
+    return row, tuple(map(len, shape)), positions, signs
+
+
+def _is_instance(original: CnfFormula, reduced: CnfFormula, target: Target) -> bool:
+    """Whether ``reduced``, read as given, is the target's output on
+    ``original``, up to the numbering of fresh variables.
+    One pass over the input's clauses, in order, consumes the output's:
+
+    * a monotone 3-clause is kept verbatim;
+    * a mixed 3-clause is replaced by its two gold children, wider child
+      first, on a bridge variable above ``original.num_vars``, the wider
+      child holding it in its own sign and the other negated;
+    * a monotone 2-clause, or gold's narrower child, is replaced by the
+      template under a literal map that fixes the pair (slots 1 and 2) and
+      sends each other slot to its own variable above ``original.num_vars``
+      in variable order, as the reduction numbers them;
+    * no bridge or fresh variable is claimed by two groups, and every
+      output clause is consumed.
+    """
+    n = original.num_vars
+    out = reduced.clauses
+    row, widths, positions, signs = _pattern(target)
+    size = len(widths)
+    claimed = bytearray(reduced.num_vars + 1)
+    j = 0
+    for clause in original.clauses:
+        sign = clause.sign
+        if len(clause) == 3:
+            if sign:
+                if out[j] != clause:
+                    return False
+                j += 1
+                continue
+            positive = tuple(filter((0).__lt__, clause))
+            negative = tuple(filter((0).__gt__, clause))
+            wide, narrow = (positive, negative) if len(positive) == 2 else (negative, positive)
+            child = out[j]
+            bridge = child[-1]
+            var = abs(bridge)
+            if child != (*wide, bridge) or (bridge > 0) != (wide[0] > 0) or var <= n or claimed[var]:
+                return False
+            claimed[var] = 1
+            j += 1
+            x, y = narrow[0], -bridge
+        elif sign:
+            x, y = clause
+        else:
+            return False
+        group = out[j : j + size]
+        j += size
+        if tuple(map(len, group)) != widths:
+            return False
+        lits = tuple(chain.from_iterable(group))
+        fresh = list(map(mul, map(lits.__getitem__, positions), signs))
+        table = [0, x, y, *fresh, *map(neg, reversed(fresh)), -y, -x]
+        if tuple(map(table.__getitem__, row)) != lits:
+            return False
+        for var in map(abs, fresh):
+            if var <= n or claimed[var]:
+                return False
+            claimed[var] = 1
+    return j == len(out)

@@ -22,6 +22,7 @@ from monocnf import (
     apply_r2,
     apply_r3,
     blowup_rows,
+    check_equisat,
     check_profile,
     evaluate,
     generate,
@@ -29,6 +30,7 @@ from monocnf import (
     occurrences,
     parse,
     serialize,
+    solve,
     solve_dpll,
     solve_exhaustive,
     verify_forcing,
@@ -193,6 +195,14 @@ def test_criterion_06_pipeline_equisatisfiability(reductions):
         not failures,
         "; ".join(failures[:5]),
     )
+
+
+def test_check_equisat_proves_every_reduction_and_agrees_with_dpll(reductions):
+    for formula, outputs in reductions:
+        original = solve_dpll(formula).satisfiable
+        for reduced in outputs.values():
+            assert solve._certified(formula, reduced)
+            assert check_equisat(formula, reduced) == (original == solve_dpll(reduced).satisfiable)
 
 
 def test_criterion_07_profile_guarantees(reductions):

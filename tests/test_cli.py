@@ -382,6 +382,16 @@ def test_witness_limit_is_input_error(tmp_path, capsys, monkeypatch):
     assert len(witness.split()) == 32
 
 
+def test_memory_error_is_one_error_line_and_exit_3(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_solve", exhausted)
+    assert run(["solve", "any.cnf"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2

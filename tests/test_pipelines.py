@@ -29,6 +29,7 @@ from monocnf import (
     to_monotone_3sat4,
     to_monotone_3sat5,
 )
+from monocnf import reduce
 
 # monotone (2,3)-SAT-4 and unsatisfiable: the positive pairs allow at
 # most one false variable, the negative pairs at most one true, which is
@@ -185,6 +186,34 @@ def test_pipelines_reject_out_of_class_input():
         to_monotone_3sat5(bad)
     with pytest.raises(ProfileError, match="neither"):
         to_monotone_3sat4(bad)
+
+
+def test_monotone_23_input_enters_without_a_strict_report(monkeypatch):
+    # every 2-clause is a width violation of 3-SAT-4: the entry check decides
+    # from the widths and builds that report only to raise it
+    profiles = []
+
+    def recorded(formula, profile):
+        profiles.append(profile)
+        return check_profile(formula, profile)
+
+    mono23, _ = eliminate_mixed(generate(GenConfig(30, 40, 1)))
+    monkeypatch.setattr(reduce, "check_profile", recorded)
+    TARGETS["mono3sat4"].runs(mono23)
+    assert profiles == [PROFILES["mono23sat4"]]
+    profiles.clear()
+    with pytest.raises(ProfileError, match="eliminate_mixed requires"):
+        eliminate_mixed(mono23)
+    assert profiles == [PROFILES["3sat4"]]
+
+
+def test_census_counts_mixed_clauses_and_pairs():
+    for seed in range(20):
+        formula = generate(GenConfig(20, 26, seed))
+        for clauses in (formula.clauses, eliminate_mixed(formula)[0].clauses):
+            mixed = sum(not clause.sign for clause in clauses)
+            pairs = mixed + sum(len(clause) == 2 for clause in clauses)
+            assert reduce._census(clauses) == (mixed, pairs)
 
 
 def test_eliminate_mixed_rejects_monotone_23_input():

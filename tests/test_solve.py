@@ -3,12 +3,15 @@
 import hashlib
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from monocnf import (
+    TARGETS,
     Clause,
     CnfFormula,
+    DimacsDocument,
     GenConfig,
     SplitMix64,
     VariableLimitError,
@@ -17,6 +20,8 @@ from monocnf import (
     evaluate,
     generate,
     parse,
+    serialize,
+    solve,
     solve_dpll,
     solve_exhaustive,
     to_monotone_3sat4,
@@ -296,3 +301,120 @@ def test_check_equisat():
     assert check_equisat(sat_a, sat_b)
     assert check_equisat(unsat, CnfFormula.from_ints([[2], [-2]]))
     assert not check_equisat(sat_a, unsat)
+
+
+def test_scheme_lemma_holds_for_every_target_and_fails_on_a_broken_template():
+    assert all(map(solve._lemma_holds, TARGETS.values()))
+    target = TARGETS["mono3sat4"]
+    # without the widening clause the pair is unconstrained; without the last
+    # gadget clause the designated variable is no longer forced
+    assert not solve._lemma_holds(replace(target, template=target.template[1:]))
+    assert not solve._lemma_holds(replace(target, template=target.template[:-1]))
+
+
+def _blocks(name: str, formula: CnfFormula) -> list[range]:
+    """The clause positions of each template block in ``name``'s output."""
+    target, blocks, at = TARGETS[name], [], 0
+    for _, rule, _ in target.runs(formula)[2]:
+        size = 1 if rule else len(target.template)
+        if rule is None:
+            blocks.append(range(at, at + size))
+        at += size
+    return blocks
+
+
+def _relabelled(formula: CnfFormula, positions: range, variables: dict[int, int], sign: int = 1) -> CnfFormula:
+    """``formula`` with each clause at ``positions`` renaming the variables
+    of ``variables``, and negating them too when ``sign`` is -1."""
+    literals = {lit * v: lit * sign * w for v, w in variables.items() for lit in (1, -1)}
+    clauses = list(formula.clauses)
+    for i in positions:
+        clauses[i] = Clause(literals.get(lit, lit) for lit in clauses[i])
+    return CnfFormula(clauses, formula.num_vars)
+
+
+def _fresh(formula: CnfFormula, positions: range, above: int) -> list[int]:
+    return sorted({abs(lit) for i in positions for lit in formula.clauses[i] if abs(lit) > above})
+
+
+def _broken_reductions():
+    """(label, original, output) for outputs of the scheme, each broken in one way."""
+    original = generate(GenConfig(12, 16, 5))
+    reduced, _ = to_monotone_3sat4(original)
+    first, second = _blocks("mono3sat4", original)[:2]
+    # bridges are numbered first, so the expansion variables lie above them
+    above = original.num_vars + sum(not clause.sign for clause in original.clauses)
+    shared = dict(zip(_fresh(reduced, second, above), _fresh(reduced, first, above)))
+    yield "two blocks share fresh variables", original, _relabelled(reduced, second, shared)
+    dropped = list(reduced.clauses)
+    del dropped[first[-1]]
+    yield "a clause is dropped", original, CnfFormula(dropped, reduced.num_vars)
+    wide = first.start - 1  # the wider gold child precedes its sibling's block
+    bridge = abs(reduced.clauses[wide][-1])
+    yield "the bridge has one sign in both children", original, _relabelled(
+        reduced, range(wide, wide + 1), {bridge: bridge}, -1
+    )
+    # still complementary, but each child holds the bridge in the other's sign
+    yield "the children swap the bridge's signs", original, _relabelled(
+        reduced, range(wide, first.stop), {bridge: bridge}, -1
+    )
+    other = abs(reduced.clauses[second.start - 1][-1])
+    yield "two groups share a bridge", original, _relabelled(
+        reduced, range(second.start - 1, second.stop), {other: bridge}
+    )
+    split = CnfFormula.from_ints([[1, 2, -3]], num_vars=5)
+    reduced, _ = to_monotone_3sat4(split)
+    yield "a bridge is renamed onto an input variable", split, _relabelled(reduced, range(len(reduced)), {6: 5})
+    # a pair of input variables, so its block may keep variable order on input variables
+    pairs = CnfFormula.from_ints([[1, 2], [-1, -2], [3, 4, 5]], num_vars=24)
+    reduced, _ = TARGETS["mono3sat5"].reduce(pairs)
+    block = _blocks("mono3sat5", pairs)[0]
+    onto_input = dict(zip(_fresh(reduced, block, pairs.num_vars), range(3, pairs.num_vars + 1)))
+    yield "fresh variables are renamed onto input variables", pairs, _relabelled(reduced, block, onto_input)
+
+
+@pytest.mark.parametrize("original, broken", [pytest.param(*case[1:], id=case[0]) for case in _broken_reductions()])
+def test_instance_check_refuses_a_broken_reduction_and_dpll_decides(original, broken, monkeypatch):
+    calls = []
+
+    def counted(formula):
+        calls.append(formula)
+        return solve_dpll(formula)
+
+    monkeypatch.setattr(solve, "solve_dpll", counted)
+    assert not solve._certified(original, broken)
+    expected = solve_dpll(original).satisfiable == solve_dpll(broken).satisfiable
+    assert check_equisat(original, broken) == expected
+    assert calls == [original, broken]
+
+
+def test_an_output_of_a_template_whose_lemma_fails_is_left_to_dpll(monkeypatch):
+    target = TARGETS["mono3sat4"]
+    broken = replace(target, template=target.template[:-1], growth=(21, target.growth[1] - 1))
+    monkeypatch.setitem(TARGETS, "broken", broken)
+    original = generate(GenConfig(12, 16, 5))
+    reduced, _ = broken.reduce(original)
+    assert solve._is_instance(original, reduced, broken)
+    assert not solve._certified(original, reduced)
+
+
+def test_instance_check_consumes_every_output_clause():
+    original = generate(GenConfig(12, 16, 5))
+    for target in TARGETS.values():
+        reduced, _ = target.reduce(original)
+        assert solve._is_instance(original, reduced, target)
+        longer = CnfFormula([*reduced.clauses, reduced.clauses[0]], reduced.num_vars)
+        assert not solve._is_instance(original, longer, target)
+
+
+def test_check_equisat_proves_the_n10k_reduction_without_dpll(monkeypatch):
+    original = generate(GenConfig(10000, 13333, 7))
+    reduced, _ = to_monotone_3sat4(original)
+    digest = hashlib.sha256(serialize(DimacsDocument(reduced)).encode()).hexdigest()
+    assert digest == "5dc469471bf55c5bd0162a1c7a16be4f9bd6cd05b3a71d0f5cdb7bf8b5feb109"
+
+    def refuse(formula):
+        raise AssertionError("solve_dpll was called")
+
+    monkeypatch.setattr(solve, "solve_dpll", refuse)
+    assert check_equisat(original, reduced)
