@@ -16,9 +16,9 @@ Three layers:
   2-clause read from it.  ``Target.runs`` lays out a target's output as
   one run per input clause and states its size, ``Target.text`` and
   ``Target.trace`` render the runs as DIMACS body lines and trace
-  comments, ``Target.reduce`` builds the formula from them, and
-  ``eliminate_mixed``, ``to_monotone_3sat5`` and ``to_monotone_3sat4``
-  run table entries.
+  comments, ``Target.reduce`` builds the formula and its trace comments
+  from them, and ``eliminate_mixed``, ``to_monotone_3sat5`` and
+  ``to_monotone_3sat4`` run table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
 a replaced clause's children are inserted at its position, and fresh
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, count, groupby, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -222,16 +222,6 @@ def instantiate_gadget(gadget: CnfFormula, alloc: FreshAllocator) -> tuple[list[
     return clauses, GADGET_DESIGNATED + offset
 
 
-@dataclass(frozen=True)
-class ClauseOrigin:
-    """Provenance of one output clause: the rule that created it
-    ("input" for clauses carried over verbatim) and the index of the
-    input clause it descends from."""
-
-    rule: str
-    source: int
-
-
 # one piece of a run, (source, rule, values): see ``Target.runs``
 Run = tuple[int, str | None, Sequence[int]]
 
@@ -300,37 +290,33 @@ class Target:
                     yield source, None, self._instance(child, first)
                     first += self.growth[0]
 
-    def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
+    def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[str, ...]]:
         """Check the input, then split its mixed clauses and expand its
         2-clauses, building the clauses from ``runs``.  Returns the output
-        and the provenance of each output clause."""
+        and its ``trace`` comments, with which ``DimacsDocument`` serializes
+        to the bytes of ``monocnf reduce --trace``."""
         num_vars, _, runs = self.runs(formula)
-        shape, spans = self._blocks
+        runs = list(runs)
+        shape = self._shape
         clauses: list[Clause] = []
-        origins: list[ClauseOrigin] = []
-        for source, rule, values in runs:
-            if rule is None:
+        for _, rule, values in runs:
+            if rule:
+                clauses.append(values)
+            else:
                 lookup = values.__getitem__
                 clauses.extend([_trusted_clause(map(lookup, slots)) for slots in shape])
-                for label, length in spans:
-                    origins.extend(repeat(ClauseOrigin(label, source), length))
-            else:
-                clauses.append(values)
-                origins.append(ClauseOrigin(rule, source))
-        return _trusted_formula(clauses, num_vars), tuple(origins)
+        return _trusted_formula(clauses, num_vars), tuple(self.trace(runs))
 
     @cached_property
-    def _blocks(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, int], ...]]:
-        """The template's slots per clause, and its labels as (label, clause
-        count) spans in order, so one origin serves a span."""
-        spans = ((label, len(list(group))) for label, group in groupby(label for label, _ in self.template))
-        return tuple(slots for _, slots in self.template), tuple(spans)
+    def _shape(self) -> tuple[tuple[int, ...], ...]:
+        """The template's slot literals, one tuple per clause."""
+        return tuple(slots for _, slots in self.template)
 
     def text(self, runs: Iterable[Run]) -> Iterator[str]:
         """The DIMACS body lines of each piece of ``runs``: a kept 3-clause
         is one line, and a template one ``%`` over its slots' values, read
         from the piece's lookup table."""
-        shape, _ = self._blocks
+        shape = self._shape
         block = clause_format(map(len, shape))
         slots = tuple(chain.from_iterable(shape))
         kept = clause_format((3,))
@@ -346,14 +332,18 @@ class Target:
                 yield f"trace {next(index)} {label} {source}"
 
     def _instance(self, pair: Clause, first: int) -> list[int]:
-        """The lookup table of the template on ``pair``: slots 1 and 2 read
-        its variables and slot k the fresh ``first + k - 3``, mirrored for a
-        negative pair, and slot -k reads the negation of slot k.  The pair
-        lies below ``first``, so the map keeps variable order."""
+        """The ``_table`` of the template on ``pair`` over the fresh variables
+        from ``first``, negated for a negative pair.  The pair lies below
+        ``first``, so the map keeps variable order."""
         x, y = pair
-        fresh = range(first, first + self.growth[0])
-        values = [x, y, *(fresh if x > 0 else map(neg, fresh))]
-        return [0, *values, *map(neg, reversed(values))]
+        stop = first + self.growth[0]
+        return _table(x, y, range(first, stop) if x > 0 else range(-first, -stop, -1))
+
+
+def _table(x: int, y: int, fresh: Sequence[int]) -> list[int]:
+    """A template's lookup table: slots 1 and 2 read x and y, slot k >= 3
+    reads ``fresh[k - 3]``, and slot -k the negation of slot k."""
+    return [0, x, y, *fresh, *map(neg, reversed(fresh)), -y, -x]
 
 
 def _census(clauses: Sequence[Clause]) -> tuple[int, int]:
@@ -387,7 +377,7 @@ TARGETS: dict[str, Target] = {
 }
 
 
-def eliminate_mixed(formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
+def eliminate_mixed(formula: CnfFormula) -> tuple[CnfFormula, tuple[str, ...]]:
     """Rewrite every mixed clause of a 3-SAT-4 instance via gold_step.
 
     The output has no mixed clauses, every clause of width 2 or 3, and
@@ -399,7 +389,7 @@ def eliminate_mixed(formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin
 
 def to_monotone_3sat5(
     formula: CnfFormula, compact: bool = False
-) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
+) -> tuple[CnfFormula, tuple[str, ...]]:
     """Full pipeline to monotone 3-SAT-5: eliminate mixed clauses, then
     expand every 2-clause with apply_r3 (compact switches to its compact
     variant).  Output is equisatisfiable, all clauses monotone 3-clauses,
@@ -407,7 +397,7 @@ def to_monotone_3sat5(
     return TARGETS["mono3sat5-compact" if compact else "mono3sat5"].reduce(formula)
 
 
-def to_monotone_3sat4(formula: CnfFormula) -> tuple[CnfFormula, tuple[ClauseOrigin, ...]]:
+def to_monotone_3sat4(formula: CnfFormula) -> tuple[CnfFormula, tuple[str, ...]]:
     """Full pipeline to monotone 3-SAT-4: eliminate mixed clauses, then
     widen every 2-clause with a fresh forced variable and attach one
     fresh gadget per 2-clause.

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
 from itertools import chain
-from operator import mul, neg
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Clause, CnfFormula
-from .reduce import TARGETS, Target, _census
+from .reduce import TARGETS, Target, _census, _table
 
 Assignment = dict[int, bool]
 
@@ -318,7 +318,8 @@ def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:
 
 # The gold split of both mixed shapes as ``_is_instance`` reads it: the two
 # literals of one sign widened by the bridge in that sign, then the third
-# literal widened by the bridge's negation.
+# literal widened by the bridge's negation.  Written by hand, not taken from
+# ``gold_step``: the lemma must vet what ``_is_instance`` accepts.
 _GOLD_SPLITS = (
     (((1, 2, 4), (-3, -4)), (1, 2, -3)),
     (((-2, -3, -4), (1, 4)), (1, -2, -3)),
@@ -329,14 +330,15 @@ _GOLD_SPLITS = (
 def _lemma_holds(target: Target) -> bool:
     """Whether the target's scheme replaces each clause by an
     equivalent up to its fresh variables: gold's split of each mixed shape,
-    and the template on the pair (1, 2) of either sign, mirrored as
-    ``Target._instance`` mirrors it.  Checked once per process, when first
-    needed, since the largest template takes about a tenth of a second."""
-    mirrored = (
-        (tuple(tuple(sign * lit for lit in slots) for _, slots in target.template), (sign, 2 * sign))
-        for sign in (1, -1)
-    )
-    return all(_projects_to(clauses, clause) for clauses, clause in chain(_GOLD_SPLITS, mirrored))
+    and the template on the pair (s, 2s) with fresh variables 3s, 4s, ...
+    for either sign s, through the lookup table ``_is_instance`` reads.
+    Checked once per process, when first needed, since the largest
+    template takes about a tenth of a second."""
+    instances = []
+    for sign in (1, -1):
+        lookup = _table(sign, 2 * sign, range(3 * sign, (target.growth[0] + 3) * sign, sign)).__getitem__
+        instances.append(([[*map(lookup, slots)] for slots in target._shape], (sign, 2 * sign)))
+    return all(_projects_to(clauses, clause) for clauses, clause in chain(_GOLD_SPLITS, instances))
 
 
 def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> bool:
@@ -360,7 +362,7 @@ def _pattern(target: Target) -> tuple[tuple[int, ...], ...]:
     """The target template's slot literals in one row, its clause widths, and for
     each fresh slot 3, 4, ... the row position of its first literal and
     that literal's sign."""
-    shape = [slots for _, slots in target.template]
+    shape = target._shape
     row = tuple(chain.from_iterable(shape))
     first: dict[int, int] = {}
     for position, lit in enumerate(row):
@@ -421,8 +423,7 @@ def _is_instance(original: CnfFormula, reduced: CnfFormula, target: Target) -> b
             return False
         lits = tuple(chain.from_iterable(group))
         fresh = list(map(mul, map(lits.__getitem__, positions), signs))
-        table = [0, x, y, *fresh, *map(neg, reversed(fresh)), -y, -x]
-        if tuple(map(table.__getitem__, row)) != lits:
+        if tuple(map(_table(x, y, fresh).__getitem__, row)) != lits:
             return False
         for var in map(abs, fresh):
             if var <= n or claimed[var]:

@@ -12,7 +12,6 @@ from monocnf import (
     PROFILES,
     TARGETS,
     Clause,
-    ClauseOrigin,
     CnfFormula,
     FreshAllocator,
     GenConfig,
@@ -41,12 +40,20 @@ UNSAT_MONO23 = CnfFormula.from_ints(
 MIXED_ONE = CnfFormula.from_ints([[1, -2, 3]])
 
 
+def _origins(trace):
+    """The (rule, source) of each "trace <index> <rule> <source>" line,
+    each index checked against the line's position."""
+    fields = [line.split() for line in trace]
+    assert [(word, int(index)) for word, index, _, _ in fields] == [("trace", i) for i in range(len(trace))]
+    return [(rule, int(source)) for _, _, rule, source in fields]
+
+
 def test_eliminate_mixed_on_worked_example():
     out, trace = eliminate_mixed(MIXED_ONE)
     assert list(out.clauses) == [(1, 3, 4), (-2, -4)]
     assert out.num_vars == 4
     assert check_profile(out, PROFILES["mono23sat4"]).ok
-    assert trace == (ClauseOrigin("gold", 0),) * 2
+    assert trace == ("trace 0 gold 0", "trace 1 gold 0")
     # fresh variables start past the declared count, not the largest referenced
     out, _ = eliminate_mixed(CnfFormula(MIXED_ONE.clauses, num_vars=7))
     assert list(out.clauses) == [(1, 3, 8), (-2, -8)]
@@ -57,7 +64,7 @@ def test_eliminate_mixed_identity_on_monotone_input():
     formula = CnfFormula.from_ints([[1, 2, 3], [-1, -2, -3]])
     out, trace = eliminate_mixed(formula)
     assert out == formula
-    assert trace == (ClauseOrigin("input", 0), ClauseOrigin("input", 1))
+    assert trace == ("trace 0 input 0", "trace 1 input 1")
 
 
 def test_eliminate_mixed_children_replace_parent_in_place():
@@ -112,7 +119,7 @@ def test_monotone_3sat4_worked_example_sizes():
 def test_monotone_3sat4_designated_variable_reaches_cap():
     out, trace = to_monotone_3sat4(MIXED_ONE)
     widened_positions = [
-        i for i, origin in enumerate(trace) if origin.rule == "widen"
+        i for i, (rule, _) in enumerate(_origins(trace)) if rule == "widen"
     ]
     assert len(widened_positions) == 1
     widened = out.clauses[widened_positions[0]]
@@ -131,8 +138,8 @@ def test_pipelines_accept_monotone_23_input_directly():
     # six 2-clauses expanded, nothing carried over
     assert len(out5.clauses) == 6 * 19
     assert len(out4.clauses) == 6 * 26
-    assert {origin.rule for origin in trace5} == {"r3"}
-    assert {origin.rule for origin in trace4} == {"widen", "gadget"}
+    assert {rule for rule, _ in _origins(trace5)} == {"r3"}
+    assert {rule for rule, _ in _origins(trace4)} == {"widen", "gadget"}
 
 
 def test_unsat_instance_stays_unsat_through_every_pipeline():
@@ -277,12 +284,13 @@ def test_trace_provenance_covers_every_output_clause():
     formula = CnfFormula.from_ints([[1, 2, 3], [1, -2, 3]])
     out, trace = to_monotone_3sat4(formula)
     assert len(trace) == len(out.clauses)
-    rules = [origin.rule for origin in trace]
+    origins = _origins(trace)
+    rules = [rule for rule, _ in origins]
     assert rules[0] == "input"
     assert rules.count("widen") == 1
     assert rules.count("gadget") == 25
     # every derived clause points back at the mixed input clause
-    assert all(origin.source == 1 for origin in trace if origin.rule != "input")
+    assert all(source == 1 for rule, source in origins if rule != "input")
 
 
 @pytest.mark.parametrize("name", sorted(TARGETS))
@@ -290,11 +298,11 @@ def test_each_input_clause_maps_to_one_run_with_its_own_fresh_variables(name):
     for seed in range(8):
         formula = generate(GenConfig(12, 16, seed))
         out, trace = TARGETS[name].reduce(formula)
+        sources = [source for _, source in _origins(trace)]
         runs: dict[int, list[Clause]] = {}
-        for clause, origin in zip(out.clauses, trace):
-            runs.setdefault(origin.source, []).append(clause)
+        for clause, source in zip(out.clauses, sources, strict=True):
+            runs.setdefault(source, []).append(clause)
         # one contiguous run per input clause, in input order
-        sources = [origin.source for origin in trace]
         assert sources == sorted(sources)
         assert list(runs) == list(range(len(formula.clauses)))
         fresh = [
@@ -309,8 +317,8 @@ def test_each_input_clause_maps_to_one_run_with_its_own_fresh_variables(name):
 def test_gold_children_positions_recorded_in_intermediate_coordinates():
     formula = CnfFormula.from_ints([[1, 2, 3], [1, -2, 3], [-1, -2, -3]])
     _, trace = eliminate_mixed(formula)
-    assert trace[1:3] == (ClauseOrigin("gold", 1),) * 2
-    assert [origin.rule for origin in trace] == ["input", "gold", "gold", "input"]
+    assert trace[1:3] == ("trace 1 gold 1", "trace 2 gold 1")
+    assert [rule for rule, _ in _origins(trace)] == ["input", "gold", "gold", "input"]
 
 
 def test_empty_formula_passes_through_every_pipeline():

@@ -303,11 +303,13 @@ def test_check_equisat():
     assert not check_equisat(sat_a, unsat)
 
 
-def test_scheme_lemma_holds_for_every_target_and_fails_on_a_broken_template():
+@pytest.mark.parametrize("name", ["mono3sat5", "mono3sat5-compact", "mono3sat4"])
+def test_scheme_lemma_holds_for_every_target_and_fails_on_a_broken_template(name):
     assert all(map(solve._lemma_holds, TARGETS.values()))
-    target = TARGETS["mono3sat4"]
-    # without the widening clause the pair is unconstrained; without the last
-    # gadget clause the designated variable is no longer forced
+    target = TARGETS[name]
+    # without the clause that widens the pair, the pair is unconstrained;
+    # without the last clause, the rest no longer force the variable that
+    # widens it, so the pair may be falsified
     assert not solve._lemma_holds(replace(target, template=target.template[1:]))
     assert not solve._lemma_holds(replace(target, template=target.template[:-1]))
 
@@ -409,9 +411,12 @@ def test_instance_check_consumes_every_output_clause():
 
 def test_check_equisat_proves_the_n10k_reduction_without_dpll(monkeypatch):
     original = generate(GenConfig(10000, 13333, 7))
-    reduced, _ = to_monotone_3sat4(original)
+    reduced, trace = to_monotone_3sat4(original)
     digest = hashlib.sha256(serialize(DimacsDocument(reduced)).encode()).hexdigest()
     assert digest == "5dc469471bf55c5bd0162a1c7a16be4f9bd6cd05b3a71d0f5cdb7bf8b5feb109"
+    # with its trace comments, the bytes of ``reduce --trace`` that CI pins as t10k.cnf
+    digest = hashlib.sha256(serialize(DimacsDocument(reduced, trace)).encode()).hexdigest()
+    assert digest == "752e715ba8e617491b73c623d99eced0483a8cb95709d3117a28ef6146a20d82"
 
     def refuse(formula):
         raise AssertionError("solve_dpll was called")
