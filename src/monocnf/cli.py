@@ -25,7 +25,7 @@ from . import bench, dimacs
 from .bench import GenConfig, GenerationError
 from .dimacs import DimacsDocument, DimacsError, _clip
 from .formula import FormulaError
-from .profiles import PROFILES, check_profile
+from .profiles import PROFILES, check_blocks
 from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TARGETS, ProfileError
 from .solve import WITNESS_VAR_LIMIT, VariableLimitError, check_equisat, solve_dpll, solve_exhaustive, verify_forcing
 
@@ -42,14 +42,16 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     target = TARGETS["mono3sat5-compact" if args.compact_r3 else args.target]
     formula = dimacs.load(args.input).formula
     num_vars, num_clauses, runs = target.runs(formula)  # checks the input before the output opens
-    comments = target.trace(target.runs(formula)[2]) if args.trace else ()
+    comments = target.trace(runs) if args.trace else ()
     dimacs.dump_parts(args.output, comments, num_vars, num_clauses, target.text(runs))
     return EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = dimacs.load(args.input)
-    report = check_profile(doc.formula, PROFILES[args.profile])
+    with open(args.input, "rb") as handle:
+        body = dimacs.Body(handle.read())
+    # a list of occurrence counts takes at most 8 bytes per character of text
+    report = check_blocks(body, PROFILES[args.profile], len(body.text))
     for violation in report:
         print(violation)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
-from operator import lt
-from typing import Iterable
+from itertools import chain, compress, count, repeat
+from operator import add, lt, not_, sub
+from typing import Iterable, Iterator, Sequence
 
 from .formula import Clause, CnfFormula, FormulaError, _trusted_clause, _trusted_formula
 
@@ -66,7 +66,34 @@ def _check_comment(comment: str, line: int | None = None) -> None:
         raise DimacsError(f"comment {_clip(repr(comment))} must be one line not ending in whitespace", line)
 
 
-def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, list[Clause] | None]:
+# a block's clauses as one list of their literals, each clause ended by a
+# 0, with the literals' magnitudes and the offsets of the zeros, which are
+# a range when every clause has width 3
+Block = tuple[list[int], list[int], Sequence[int]]
+
+
+def _block(flat: list[int]) -> Block:
+    """The ``Block`` of the clauses whose literals are ``flat``."""
+    if len(flat) == 4 * flat.count(0) and not any(flat[3::4]):
+        ends: Sequence[int] = range(3, len(flat), 4)
+    else:
+        ends = list(compress(count(), map(not_, flat)))
+    return flat, list(map(abs, flat)), ends
+
+
+def clauses_block(clauses: Iterable[tuple[int, ...]]) -> Block:
+    """The ``Block`` of ``clauses``."""
+    return _block(list(chain.from_iterable(map(add, clauses, repeat((0,))))))
+
+
+def block_rows(flat: list[int], ends: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """The clauses of a block, each the tuple of its literals."""
+    if type(ends) is range:
+        return zip(flat[0::4], flat[1::4], flat[2::4])
+    return map(flat.__getitem__, map(slice, [0, *map((1).__add__, ends)], ends))
+
+
+def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | None]:
     """The end of the block of whole lines from ``start``, about
     ``_BLOCK_CHARS`` long, and its clauses, or None unless the block is
     regular: ASCII digits, signs and blanks only, every literal in range,
@@ -77,30 +104,136 @@ def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, list[Clau
     if not _BODY_RE.fullmatch(text, start, stop):
         return stop, None
     try:
-        body = list(map(int, text[start:stop].split()))
+        flat = list(map(int, text[start:stop].split()))
     except ValueError:
         return stop, None
-    mags = list(map(abs, body))
-    if body[-1:] != [0] or max(mags) > num_vars:
+    flat, mags, ends = block = _block(flat)
+    if flat[-1:] != [0] or max(mags) > num_vars:
         return stop, None
-    count = body.count(0)
+    if type(ends) is not range and 1 in map(sub, ends, [-1, *ends]):
+        return stop, None  # a 0 first or right after another: an empty clause
     # strict ascent fails only at the zero that ends each clause
-    make = _trusted_clause if sum(map(lt, mags, mags[1:])) == len(body) - 1 - count else Clause
-    if len(body) == 4 * count and not any(body[3::4]):
-        rows = zip(body[0::4], body[1::4], body[2::4])
-    else:
-        rows = []
-        first = 0
-        while first < len(body):
-            zero = body.index(0, first)
-            if zero == first:
-                return stop, None
-            rows.append(body[first:zero])
-            first = zero + 1
+    if sum(map(lt, mags, mags[1:])) == len(flat) - 1 - len(ends):
+        return stop, block
     try:
-        return stop, list(map(make, rows))
+        return stop, clauses_block(map(Clause, block_rows(flat, ends)))
     except FormulaError:
         return stop, None
+
+
+class Body:
+    """A DIMACS document read in one pass.  Iterating over it yields the
+    body's clauses as ``Block`` values, each clause in canonical order, and
+    sets ``num_vars`` and ``comments`` on the way, so a reader need hold
+    only the text, one block and what it derives from them.
+
+    Each block of whole lines, about ``_BLOCK_CHARS`` long, is tokenized
+    whole when it is regular (see ``_block_clauses``).  The line loop reads
+    any other block, and the clauses it has read go out as one block before
+    the next block is tried.  The line loop and the end checks raise every
+    DimacsError, so an error may follow blocks already yielded.
+    """
+
+    def __init__(self, text: str | bytes):
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DimacsError(f"input is not UTF-8: byte {exc.start} cannot be decoded") from None
+        self.text = text
+        self.num_vars: int | None = None
+        self.comments: list[str] = []
+
+    def __iter__(self) -> Iterator[Block]:
+        text = self.text
+        comments = self.comments = []
+        num_vars: int | None = None
+        num_clauses: int | None = None
+        found = 0  # clauses read
+        rows: list[Clause] = []  # the line loop's clauses since the last block
+        pending: list[int] = []
+        pending_line = 0
+
+        lineno = 0
+        start = 0  # offset of the next line
+        block_end = 0  # the line loop reads up to here before it tries a block
+        while start < len(text):
+            if start >= block_end and num_vars is not None and not pending:
+                if rows:
+                    yield clauses_block(rows)
+                    rows = []
+                block_end, block = _block_clauses(text, start, num_vars)
+                if block is not None:
+                    found += len(block[2])
+                    yield block
+                    lineno += text.count("\n", start, block_end)
+                    start = block_end
+                    continue
+            stop = text.find("\n", start)
+            if stop < 0:
+                stop = len(text)
+            lineno += 1
+            line = text[start:stop].strip()
+            start = stop + 1
+            if not line:
+                continue
+            if line.startswith("%"):
+                break
+            if line.startswith("c"):
+                body = line[2:] if line.startswith("c ") else line[1:]
+                _check_comment(body, lineno)
+                comments.append(body)
+                continue
+            if line.startswith("p"):
+                if num_vars is not None:
+                    raise DimacsError("duplicate header", lineno)
+                match = _HEADER_RE.match(line)
+                if match is None:
+                    raise DimacsError(f"malformed header: {_clip(repr(line))}", lineno)
+                try:
+                    num_vars = self.num_vars = int(match.group(1))
+                    num_clauses = int(match.group(2))
+                except ValueError:
+                    raise DimacsError("header count has too many digits", lineno) from None
+                continue
+            if num_vars is None:
+                raise DimacsError("clause data before header", lineno)
+            for token in line.split():
+                try:
+                    # int() also reads "_" separators and non-ASCII digits
+                    if not token.isascii() or "_" in token:
+                        raise ValueError
+                    lit = int(token)
+                except ValueError:
+                    raise DimacsError(f"invalid literal token {_clip(repr(token))}", lineno) from None
+                if lit == 0:
+                    if not pending:
+                        raise DimacsError("empty clause", lineno)
+                    try:
+                        rows.append(Clause(pending))
+                    except FormulaError as exc:
+                        # the message may name a variable of thousands of digits
+                        raise DimacsError(_clip(str(exc), 100), pending_line) from exc
+                    found += 1
+                    pending = []
+                    continue
+                if not pending:
+                    pending_line = lineno
+                if abs(lit) > num_vars:
+                    raise DimacsError(
+                        f"variable {_clip(str(abs(lit)))} exceeds declared count {_clip(str(num_vars))}",
+                        lineno,
+                    )
+                pending.append(lit)
+
+        if rows:
+            yield clauses_block(rows)
+        if num_vars is None:
+            raise DimacsError("missing header")
+        if pending:
+            raise DimacsError("last clause not terminated by 0", pending_line)
+        if found != num_clauses:
+            raise DimacsError(f"header declares {_clip(str(num_clauses))} clauses but {found} were found")
 
 
 def parse(text: str | bytes) -> DimacsDocument:
@@ -118,96 +251,12 @@ def parse(text: str | bytes) -> DimacsDocument:
     clause count that disagrees with the header, or a comment line holding
     a carriage return.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DimacsError(f"input is not UTF-8: byte {exc.start} cannot be decoded") from None
-
-    comments: list[str] = []
+    body = Body(text)
+    del text  # bytes are not needed once decoded
     clauses: list[Clause] = []
-    num_vars: int | None = None
-    num_clauses: int | None = None
-    pending: list[int] = []
-    pending_line = 0
-
-    lineno = 0
-    start = 0  # offset of the next line
-    block_end = 0  # the line loop reads up to here before it tries a block
-    while start < len(text):
-        if start >= block_end and num_vars is not None and not pending:
-            block_end, block = _block_clauses(text, start, num_vars)
-            if block is not None:
-                clauses += block
-                lineno += text.count("\n", start, block_end)
-                start = block_end
-                continue
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = len(text)
-        lineno += 1
-        line = text[start:stop].strip()
-        start = stop + 1
-        if not line:
-            continue
-        if line.startswith("%"):
-            break
-        if line.startswith("c"):
-            body = line[2:] if line.startswith("c ") else line[1:]
-            _check_comment(body, lineno)
-            comments.append(body)
-            continue
-        if line.startswith("p"):
-            if num_vars is not None:
-                raise DimacsError("duplicate header", lineno)
-            match = _HEADER_RE.match(line)
-            if match is None:
-                raise DimacsError(f"malformed header: {_clip(repr(line))}", lineno)
-            try:
-                num_vars = int(match.group(1))
-                num_clauses = int(match.group(2))
-            except ValueError:
-                raise DimacsError("header count has too many digits", lineno) from None
-            continue
-        if num_vars is None:
-            raise DimacsError("clause data before header", lineno)
-        for token in line.split():
-            try:
-                # int() also reads "_" separators and non-ASCII digits
-                if not token.isascii() or "_" in token:
-                    raise ValueError
-                lit = int(token)
-            except ValueError:
-                raise DimacsError(f"invalid literal token {_clip(repr(token))}", lineno) from None
-            if lit == 0:
-                if not pending:
-                    raise DimacsError("empty clause", lineno)
-                try:
-                    clauses.append(Clause(pending))
-                except FormulaError as exc:
-                    # the message may name a variable of thousands of digits
-                    raise DimacsError(_clip(str(exc), 100), pending_line) from exc
-                pending = []
-                continue
-            if not pending:
-                pending_line = lineno
-            if abs(lit) > num_vars:
-                raise DimacsError(
-                    f"variable {_clip(str(abs(lit)))} exceeds declared count {_clip(str(num_vars))}",
-                    lineno,
-                )
-            pending.append(lit)
-
-    if num_vars is None:
-        raise DimacsError("missing header")
-    if pending:
-        raise DimacsError("last clause not terminated by 0", pending_line)
-    if len(clauses) != num_clauses:
-        raise DimacsError(
-            f"header declares {_clip(str(num_clauses))} clauses but {len(clauses)} were found"
-        )
-
-    return DimacsDocument(formula=_trusted_formula(clauses, num_vars), comments=tuple(comments))
+    for flat, _, ends in body:
+        clauses += map(_trusted_clause, block_rows(flat, ends))
+    return DimacsDocument(formula=_trusted_formula(clauses, body.num_vars), comments=tuple(body.comments))
 
 
 def serialize(doc: DimacsDocument) -> str:
@@ -220,11 +269,15 @@ def serialize(doc: DimacsDocument) -> str:
         body *= len(clauses)
     else:
         body = "".join(map(formats.__getitem__, map(len, clauses)))
-    return _head(doc.comments, doc.formula.num_vars, len(clauses)) + body % tuple(chain.from_iterable(clauses))
+    head = "".join(_head(doc.comments, doc.formula.num_vars, len(clauses)))
+    return head + body % tuple(chain.from_iterable(clauses))
 
 
-def _head(comments: Iterable[str], num_vars: int, num_clauses: int) -> str:
-    return "".join(f"c {text}\n" if text else "c\n" for text in comments) + f"p cnf {num_vars} {num_clauses}\n"
+def _head(comments: Iterable[str], num_vars: int, num_clauses: int) -> Iterator[str]:
+    """The comment lines, one at a time, then the header line."""
+    for text in comments:
+        yield f"c {text}\n" if text else "c\n"
+    yield f"p cnf {num_vars} {num_clauses}\n"
 
 
 def clause_format(widths: Iterable[int]) -> str:
@@ -249,5 +302,5 @@ def dump_parts(path: str, comments: Iterable[str], num_vars: int, num_clauses: i
     and ``serialize`` would ensure: one-line comments, and a body of
     ``num_clauses`` canonical clause lines, given as blocks of whole lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_head(comments, num_vars, num_clauses))
+        handle.writelines(_head(comments, num_vars, num_clauses))
         handle.writelines(body)

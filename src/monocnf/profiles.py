@@ -10,11 +10,16 @@ violate a profile.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count
-from operator import itemgetter, mul
+from itertools import compress, count, repeat
+from operator import mul
+from typing import Iterable, Sequence
 
-from .formula import Clause, CnfFormula, occurrences
+from .dimacs import Block, block_rows, clauses_block
+from .formula import CnfFormula
+
+_CHUNK = 1 << 12  # clauses per block of a formula
 
 
 @dataclass(frozen=True)
@@ -62,54 +67,67 @@ def check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
     The report is empty exactly when the formula satisfies the profile.
     Ordering is deterministic: clause violations by clause index (width
     before monotonicity at the same clause), then occurrence violations
-    by variable index.
-
-    Each clause rule is first decided for the whole formula by passes
-    that run no Python code per clause: the set of clause widths, then,
-    in a monotone profile, ``_has_mixed``.  The per-clause loop that
-    reports clause violations runs only when one of them fails.
-    Occurrences are counted into a list indexed by variable, sized by the
-    largest referenced one and never by ``num_vars``; where that list
-    would outnumber the formula's literals, ``occurrences`` counts them.
+    by variable index.  The clauses go to ``check_blocks`` in blocks of
+    ``_CHUNK``, so ``monocnf validate`` runs the same passes.
     """
     clauses = formula.clauses
-    widths = set(map(len, clauses))
+    chunks = (clauses[first : first + _CHUNK] for first in range(0, len(clauses), _CHUNK))
+    return check_blocks(map(clauses_block, chunks), profile, sum(map(len, clauses)))
+
+
+def check_blocks(blocks: Iterable[Block], profile: Profile, limit: int) -> ViolationReport:
+    """``check_profile`` of the clauses of ``blocks``, in order, holding one
+    block at a time.
+
+    Each clause rule is first decided for the whole block by passes that
+    run no Python code per clause: its set of widths (just 3 when its
+    zeros fall on every fourth literal) and, in a monotone profile,
+    ``_has_mixed``.  The per-clause loop that reports clause violations
+    runs only on a block that fails one of them, and numbers its clauses
+    on from the clauses of the blocks before.  Occurrences are added to
+    one count indexed by variable, which grows to the largest variable
+    seen but never past ``limit``; past it a ``Counter`` holds them.
+    """
     violations: list[Violation] = []
-    if not widths <= profile.widths or profile.monotone and _has_mixed(clauses, widths):
-        for index, clause in enumerate(clauses):
-            if len(clause) not in profile.widths:
-                violations.append(
-                    Violation("width", index, f"width {len(clause)}, profile allows {profile.width_rule()}")
-                )
-            if profile.monotone and not clause.sign:
-                violations.append(Violation("monotonicity", index, "mixed clause in a monotone profile"))
-    cap = profile.occurrence_cap
-    # a clause is sorted by variable, so its last literal holds its largest
-    top = max(map(abs, map(itemgetter(-1), clauses)), default=0)
-    if top > sum(map(len, clauses)):
-        counts = occurrences(formula)
-        over = sorted(compress(counts, map(cap.__lt__, counts.values())))
-    else:
-        counts = [0] * (top + 1)
-        for var in map(abs, chain.from_iterable(clauses)):
+    counts: list[int] | Counter[int] = [0]
+    offset = 0
+    for flat, mags, ends in blocks:
+        widths = {3} if type(ends) is range else set(map(len, block_rows(flat, ends)))
+        if not widths <= profile.widths or profile.monotone and _has_mixed(flat, ends):
+            for index, clause in enumerate(block_rows(flat, ends), offset):
+                if len(clause) not in profile.widths:
+                    violations.append(
+                        Violation("width", index, f"width {len(clause)}, profile allows {profile.width_rule()}")
+                    )
+                if profile.monotone and min(clause) < 0 < max(clause):
+                    violations.append(Violation("monotonicity", index, "mixed clause in a monotone profile"))
+        offset += len(ends)
+        top = max(mags)
+        if top >= len(counts) and type(counts) is list:
+            if top > limit:
+                counts = Counter(dict(compress(enumerate(counts), counts)))
+            else:
+                counts += repeat(0, top + 1 - len(counts))
+        for var in compress(mags, mags):  # not the clause ends
             counts[var] += 1
-        over = compress(count(), map(cap.__lt__, counts))
+    cap = profile.occurrence_cap
+    if type(counts) is list:
+        over: Iterable[int] = compress(count(), map(cap.__lt__, counts))
+    else:
+        over = sorted(compress(counts, map(cap.__lt__, counts.values())))
     for var in over:
         violations.append(Violation("occurrence", var, f"{counts[var]} occurrences, cap is {cap}"))
     return ViolationReport(violations)
 
 
-def _has_mixed(clauses: tuple[Clause, ...], widths: set[int]) -> bool:
-    """Whether some clause holds literals of both signs.  Literals are
-    nonzero, so a clause is mixed exactly when a product of two of its
-    literals is negative: with widths 2 and 3 only, its first literal's
-    product with its second or with its last; otherwise its least
-    literal's product with its greatest.  The first test needs no
-    ``min`` or ``max`` call per clause and takes about half the time."""
-    if widths <= {2, 3}:
-        first = itemgetter(0)
-        return any(
-            min(map(mul, map(first, clauses), map(other, clauses)), default=1) < 0
-            for other in (itemgetter(1), itemgetter(-1))
-        )
-    return min(map(mul, map(min, clauses), map(max, clauses)), default=1) < 0
+def _has_mixed(flat: list[int], ends: Sequence[int]) -> bool:
+    """Whether a block holds a clause with literals of both signs.  Literals
+    are nonzero, so a clause is mixed exactly when a product of two of its
+    literals is negative: when every width is 3, its first literal's
+    product with its second or its third; otherwise a product of
+    neighbours, which is 0 across a clause end.  The first test reads a
+    quarter of the literals per product and takes about half the time."""
+    if type(ends) is range:
+        first = flat[0::4]
+        return min(map(mul, first, flat[1::4])) < 0 or min(map(mul, first, flat[2::4])) < 0
+    return min(map(mul, flat, flat[1:])) < 0

@@ -247,7 +247,7 @@ class Target:
     template: tuple[tuple[str, tuple[int, ...]], ...]
     growth: tuple[int, int]
 
-    def runs(self, formula: CnfFormula) -> tuple[int, int, Iterator[Run]]:
+    def runs(self, formula: CnfFormula) -> tuple[int, int, Runs]:
         """Check the input, then lay out the output without building it.
         Returns its variable count, its clause count and its runs.
 
@@ -275,20 +275,7 @@ class Target:
         first = formula.num_vars + mixed + 1
         num_vars = first - 1 + self.growth[0] * pairs
         num_clauses = len(clauses) + mixed + self.growth[1] * pairs
-        return num_vars, num_clauses, self._runs(clauses, FreshAllocator(formula.num_vars + 1), first)
-
-    def _runs(self, clauses: tuple[Clause, ...], bridges: FreshAllocator, first: int) -> Iterator[Run]:
-        for source, clause in enumerate(clauses):
-            if clause.sign:
-                rule, children = "input", (clause,)
-            else:
-                rule, children = "gold", sorted(gold_step(clause, bridges), key=len, reverse=True)
-            for child in children:
-                if len(child) == 3:
-                    yield source, rule, child
-                else:
-                    yield source, None, self._instance(child, first)
-                    first += self.growth[0]
+        return num_vars, num_clauses, Runs(self, clauses, formula.num_vars + 1, first)
 
     def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[str, ...]]:
         """Check the input, then split its mixed clauses and expand its
@@ -338,6 +325,32 @@ class Target:
         x, y = pair
         stop = first + self.growth[0]
         return _table(x, y, range(first, stop) if x > 0 else range(-first, -stop, -1))
+
+
+@dataclass(frozen=True)
+class Runs:
+    """The runs of ``Target.runs`` on a checked input.  Each walk lays them
+    out afresh, so a caller may read them twice without holding them all
+    or checking the input again."""
+
+    target: Target
+    clauses: tuple[Clause, ...]
+    bridge: int  # the first bridge variable
+    first: int  # the first fresh variable of the template instances
+
+    def __iter__(self) -> Iterator[Run]:
+        target, bridges, first = self.target, FreshAllocator(self.bridge), self.first
+        for source, clause in enumerate(self.clauses):
+            if clause.sign:
+                rule, children = "input", (clause,)
+            else:
+                rule, children = "gold", sorted(gold_step(clause, bridges), key=len, reverse=True)
+            for child in children:
+                if len(child) == 3:
+                    yield source, rule, child
+                else:
+                    yield source, None, target._instance(child, first)
+                    first += target.growth[0]
 
 
 def _table(x: int, y: int, fresh: Sequence[int]) -> list[int]:

@@ -292,3 +292,14 @@ def reference_check_profile(formula: CnfFormula, profile: Profile) -> ViolationR
     for var, total in over:
         violations.append(Violation("occurrence", var, f"{total} occurrences, cap is {cap}"))
     return ViolationReport(violations)
+
+
+def reference_validate(data: bytes, profile: Profile) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``monocnf validate`` on ``data``, from
+    ``reference_parse`` followed by ``reference_check_profile``."""
+    try:
+        doc = reference_parse(data)
+    except DimacsError as exc:
+        return 3, "", f"error: {exc}\n"
+    report = reference_check_profile(doc.formula, profile)
+    return (1 if report else 0), "".join(f"{violation}\n" for violation in report), ""

@@ -407,8 +407,8 @@ def test_run_restores_the_callers_collector_state(tmp_path, capsys, monkeypatch)
     # the collector is off while a command runs, and an in-process caller
     # gets back the state it had, also when the command fails
     during = []
-    check = cli.check_profile
-    monkeypatch.setattr(cli, "check_profile", lambda *args: during.append(gc.isenabled()) or check(*args))
+    check = cli.check_blocks
+    monkeypatch.setattr(cli, "check_blocks", lambda *args: during.append(gc.isenabled()) or check(*args))
     source = _write(tmp_path, "in.cnf", SAT_MIXED)
     after = []
     was_enabled = gc.isenabled()

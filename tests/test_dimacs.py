@@ -210,6 +210,22 @@ def test_parse_peak_memory_is_no_higher_than_the_line_loop():
     assert peaks[0] <= peaks[1], peaks
 
 
+def test_load_holds_no_bytes_once_they_are_decoded(tmp_path):
+    formula = generate(GenConfig(2000, 2666, 3))
+    data = serialize(DimacsDocument(to_monotone_3sat4(formula)[0])).encode()
+    path = tmp_path / "in.cnf"
+    path.write_bytes(data)
+    peaks = []
+    for step in (lambda: load(str(path)), lambda: parse(data)):  # data is held outside the second
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] - peaks[1] < len(data) / 2, (peaks, len(data))
+
+
 def test_serialize_parse_serialize_idempotent():
     messy = "c x\np cnf 3 2\n3 1\n-2 0\n  -1  -3 0\n"
     once = serialize(parse(messy))

@@ -1,16 +1,16 @@
 """Seeded DIMACS fuzzing: mutated generator output never escapes the
 documented errors, in the parser or on the command line, and the parser
-agrees with the frozen line-by-line reference on every document."""
+and ``validate`` agree with the frozen line-by-line references on every
+document."""
 
 from monocnf import Clause, DimacsDocument, DimacsError, GenConfig, SplitMix64, dimacs, generate, parse, serialize
 from monocnf.cli import run
+from conftest import BLOCK_CHARS
 from naive import reference_parse
 
 SEED = 0x5EED
 CASES = 1500
 CLI_EVERY = 10  # every tenth case also goes through validate and reduce
-# tiny blocks put block ends between the mutated lines; the default comes last
-BLOCK_CHARS = (1, 7, dimacs._BLOCK_CHARS)
 
 SPLICED_LINES = ["%", "p cnf 3 1", "p cnf 99999999999999999999 1", "p", "c", "c trace 0 r3 0", "0"]
 ODD_TOKENS = ["_", "1_0", "١", "-٣", "+1", "-0", "--1", "x", "00", "9" * 30]
@@ -58,7 +58,9 @@ def _outcome(parser, data: bytes):
         return None, (str(exc), exc.line)
 
 
-def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(tmp_path, capsys, monkeypatch):
+def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(
+    tmp_path, capsys, monkeypatch, validate_like_reference
+):
     rng = SplitMix64(SEED)
     bases = [
         serialize(DimacsDocument(generate(GenConfig(n, n * 4 // 3, seed)), ("gen",)))
@@ -80,6 +82,6 @@ def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(tmp_path, cap
         source.write_bytes(data)
         profile = _pick(rng, ["3sat4", "mono23sat4", "mono3sat4"])
         target = _pick(rng, ["mono23sat4", "mono3sat5", "mono3sat4"])
-        assert run(["validate", "--profile", profile, str(source)]) in (0, 1, 2, 3), data
+        validate_like_reference(source, profile)  # at every block size, as parse above
         assert run(["reduce", "--target", target, str(source), output]) in (0, 1, 2, 3), data
-    capsys.readouterr()
+        capsys.readouterr()
