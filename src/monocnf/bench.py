@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .dimacs import _clip
 from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula
-from .reduce import TARGETS
+from .reduce import TARGETS, _census
 
 
 class GenerationError(ValueError):
@@ -152,15 +152,13 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
     """Run every target on a 3-SAT-4 instance and return one CSV row per
     target, matching CSV_HEADER.  Raises RuntimeError when a target's
     measured size differs from the closed form stated by ``Target.runs``."""
-    mixed = sum(not c.sign for c in formula.clauses)
-    rows = []
+    measured_rows = []
     for name, target in TARGETS.items():
         start = time.perf_counter()
         out, _ = target.reduce(formula)
         millis = (time.perf_counter() - start) * 1000.0
-        if name == "mono23sat4":  # the 2-clause census of mixed elimination, TARGETS' first entry
+        if name == "mono23sat4":  # the 2-clause census of mixed elimination
             census = Counter((len(c), c.sign) for c in out.clauses)
-            pos2, neg2 = census[2, 1], census[2, -1]
         # variables as the clauses use them: ``out.num_vars`` is the closed form's
         measured = (max((formula.num_vars, *out.variables())), len(out.clauses))
         expected = target.runs(formula)[:2]
@@ -168,6 +166,7 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
             raise RuntimeError(
                 f"blowup identity violated for {name}: measured vars/clauses {measured}, expected {expected}"
             )
-        prefix = (seed, formula.num_vars, len(formula.clauses), mixed, pos2, neg2, name)
-        rows.append(tuple(map(str, prefix + measured)) + (f"{millis:.3f}",))
-    return rows
+        measured_rows.append((name, *measured, f"{millis:.3f}"))
+    mixed, _ = _census(formula.clauses)
+    prefix = (seed, formula.num_vars, len(formula.clauses), mixed, census[2, 1], census[2, -1])
+    return [tuple(map(str, prefix + row)) for row in measured_rows]

@@ -299,13 +299,26 @@ class Target:
         """The template's slot literals, one tuple per clause."""
         return tuple(slots for _, slots in self.template)
 
+    @cached_property
+    def _pattern(self) -> tuple[tuple[int, ...], ...]:
+        """The template's slot literals in one row, its clause widths, and
+        for each fresh slot 3, 4, ... the row position of its first literal
+        and that literal's sign: what ``text`` renders and what
+        ``solve._is_instance`` reads an instance by."""
+        row = tuple(chain.from_iterable(self._shape))
+        first: dict[int, int] = {}
+        for position, lit in enumerate(row):
+            first.setdefault(abs(lit), position)
+        positions = tuple(first[var] for var in range(3, max(first) + 1))
+        signs = tuple(1 if row[position] > 0 else -1 for position in positions)
+        return row, tuple(map(len, self._shape)), positions, signs
+
     def text(self, runs: Iterable[Run]) -> Iterator[str]:
         """The DIMACS body lines of each piece of ``runs``: a kept 3-clause
         is one line, and a template one ``%`` over its slots' values, read
         from the piece's lookup table."""
-        shape = self._shape
-        block = clause_format(map(len, shape))
-        slots = tuple(chain.from_iterable(shape))
+        slots, widths, _, _ = self._pattern
+        block = clause_format(widths)
         kept = clause_format((3,))
         for _, rule, values in runs:
             yield kept % values if rule else block % tuple(map(values.__getitem__, slots))

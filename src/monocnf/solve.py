@@ -22,7 +22,8 @@ either side: the reductions replace each input clause C with clauses T
 over C's variables and fresh ones Z that occur nowhere else, and when
 ∃Z. T ≡ C for every replacement, the output is equisatisfiable with the
 input at every size.  The truth table checks that lemma once per template;
-one linear pass checks that the output is made of such replacements.
+one linear pass per target, in table order, checks that the output is made
+of that target's replacements.
 When it is not, DPLL decides both sides.
 """
 
@@ -32,11 +33,11 @@ from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Clause, CnfFormula
-from .reduce import TARGETS, Target, _census, _table
+from .reduce import TARGETS, Target, _table
 
 Assignment = dict[int, bool]
 
@@ -178,17 +179,20 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     the first unit clause in input order, else the pure literal of the
     lowest variable.  Then the search branches on the lowest live
     variable, true branch first, so runs are deterministic; ``explored``
-    counts the branches taken.  Unset variables are false in the witness.
+    counts the branches taken.  Unset variables are false in the witness,
+    and so is every declared variable that no clause holds.
     Raises VariableLimitError, before any search, when num_vars exceeds
     WITNESS_VAR_LIMIT.
     """
     n = formula.num_vars
     _check_witness_limit(n)
     clauses = formula.clauses
-    # Lists indexed by literal have 2n + 1 slots, so -v lands on slot 2n + 1 - v.
-    # Every literal no clause holds shares one empty tuple: a header may
-    # declare millions of variables that no clause uses.
-    occurs: list[Sequence[int]] = [()] * (2 * n + 1)
+    # The search runs over variables 1..m, m the largest a clause holds (a
+    # clause is sorted by variable): a header may declare millions more.
+    m = max(map(abs, map(itemgetter(-1), clauses)), default=0)
+    # Lists indexed by literal have 2m + 1 slots, so -v lands on slot 2m + 1 - v.
+    # Every literal no clause holds shares one empty tuple.
+    occurs: list[Sequence[int]] = [()] * (2 * m + 1)
     for index, clause in enumerate(clauses):
         for lit in clause:
             if not occurs[lit]:
@@ -197,12 +201,12 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     live = [len(indices) for indices in occurs]  # unsatisfied clauses holding the literal
     true = [0] * len(clauses)  # true literals per clause
     free = [len(clause) for clause in clauses]  # unassigned literals per clause
-    value: list[bool | None] = [None] * (n + 1)
+    value: list[bool | None] = [None] * (m + 1)
     trail: list[int] = []
     # Min-heaps, checked lazily: along one path a unit clause only becomes
     # satisfied, and a pure variable only becomes set or dead.
     units = [index for index, clause in enumerate(clauses) if len(clause) == 1]
-    pures = [v for v in range(1, n + 1) if (live[v] == 0) != (live[-v] == 0)]
+    pures = [v for v in range(1, m + 1) if (live[v] == 0) != (live[-v] == 0)]
 
     def assign(lit: int) -> bool:
         """Set ``lit`` true; False when that empties a clause."""
@@ -272,9 +276,10 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
         if lit is not None:  # it emptied a clause
             continue
         # with no conflict, every unsatisfied clause holds a live variable
-        var = next((v for v in range(start, n + 1) if value[v] is None and (live[v] or live[-v])), None)
+        var = next((v for v in range(start, m + 1) if value[v] is None and (live[v] or live[-v])), None)
         if var is None:
-            witness = {v: bool(value[v]) for v in range(1, n + 1)}
+            witness = dict.fromkeys(range(1, n + 1), False)
+            witness.update((v, True) for v in range(1, m + 1) if value[v])
             if not evaluate(formula, witness):
                 raise RuntimeError("internal error: DPLL witness failed re-evaluation")
             return SatVerdict(satisfiable=True, witness=witness, explored=decisions)
@@ -300,20 +305,12 @@ def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
 
 def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:
     """Whether ``reduced`` is an instance of some target's scheme on
-    ``original`` whose lemma holds.  The clause count names the target: each
-    pair, a 2-clause of the input or one split off a mixed clause, adds the
-    target's ``growth[1]`` clauses, and the growths differ.  Without pairs
-    no template is used, and every target checks the same."""
-    clauses = original.clauses
-    if not set(map(len, clauses)) <= {2, 3}:
+    ``original`` whose lemma holds.  Each target's pass is tried in table
+    order, and a target's lemma is checked only when its pass reads the
+    output; a pass reads only its own target's layout."""
+    if not set(map(len, original.clauses)) <= {2, 3}:
         return False
-    mixed, pairs = _census(clauses)
-    extra = len(reduced.clauses) - len(clauses) - mixed
-    return any(
-        (not pairs or _lemma_holds(target)) and _is_instance(original, reduced, target)
-        for target in TARGETS.values()
-        if target.growth[1] * pairs == extra
-    )
+    return any(_is_instance(original, reduced, target) and _lemma_holds(target) for target in TARGETS.values())
 
 
 # The gold split of both mixed shapes as ``_is_instance`` reads it: the two
@@ -330,14 +327,14 @@ _GOLD_SPLITS = (
 def _lemma_holds(target: Target) -> bool:
     """Whether the target's scheme replaces each clause by an
     equivalent up to its fresh variables: gold's split of each mixed shape,
-    and the template on the pair (s, 2s) with fresh variables 3s, 4s, ...
-    for either sign s, through the lookup table ``_is_instance`` reads.
+    and the template on the pairs (1, 2) and (-1, -2) with fresh variables
+    from 3, through ``Target._instance`` as the reduction instantiates it.
     Checked once per process, when first needed, since the largest
     template takes about a tenth of a second."""
     instances = []
-    for sign in (1, -1):
-        lookup = _table(sign, 2 * sign, range(3 * sign, (target.growth[0] + 3) * sign, sign)).__getitem__
-        instances.append(([[*map(lookup, slots)] for slots in target._shape], (sign, 2 * sign)))
+    for pair in ((1, 2), (-1, -2)):
+        lookup = target._instance(pair, 3).__getitem__
+        instances.append(([[*map(lookup, slots)] for slots in target._shape], pair))
     return all(_projects_to(clauses, clause) for clauses, clause in chain(_GOLD_SPLITS, instances))
 
 
@@ -357,21 +354,6 @@ def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> boo
     return True
 
 
-@cache
-def _pattern(target: Target) -> tuple[tuple[int, ...], ...]:
-    """The target template's slot literals in one row, its clause widths, and for
-    each fresh slot 3, 4, ... the row position of its first literal and
-    that literal's sign."""
-    shape = target._shape
-    row = tuple(chain.from_iterable(shape))
-    first: dict[int, int] = {}
-    for position, lit in enumerate(row):
-        first.setdefault(abs(lit), position)
-    positions = tuple(first[var] for var in range(3, max(first) + 1))
-    signs = tuple(1 if row[position] > 0 else -1 for position in positions)
-    return row, tuple(map(len, shape)), positions, signs
-
-
 def _is_instance(original: CnfFormula, reduced: CnfFormula, target: Target) -> bool:
     """Whether ``reduced``, read as given, is the target's output on
     ``original``, up to the numbering of fresh variables.
@@ -387,14 +369,18 @@ def _is_instance(original: CnfFormula, reduced: CnfFormula, target: Target) -> b
       in variable order, as the reduction numbers them;
     * no bridge or fresh variable is claimed by two groups, and every
       output clause is consumed.
+
+    An output that runs out before the input does is refused, not read past.
     """
     n = original.num_vars
     out = reduced.clauses
-    row, widths, positions, signs = _pattern(target)
+    row, widths, positions, signs = target._pattern
     size = len(widths)
     claimed = bytearray(reduced.num_vars + 1)
     j = 0
     for clause in original.clauses:
+        if j == len(out):  # each input clause consumes at least one output clause
+            return False
         sign = clause.sign
         if len(clause) == 3:
             if sign:

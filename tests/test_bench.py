@@ -166,6 +166,15 @@ def test_blowup_two_clause_census_matches_mixed_count():
             assert int(row[4]) + int(row[5]) == int(row[3])
 
 
+def test_blowup_rows_do_not_depend_on_the_order_of_the_targets(monkeypatch):
+    formula = generate(GenConfig(12, 16, 5))
+    by_name = {row[6]: row[:-1] for row in blowup_rows(5, formula)}  # millis aside
+    monkeypatch.setattr(bench, "TARGETS", dict(reversed(TARGETS.items())))
+    rows = blowup_rows(5, formula)
+    assert [row[6] for row in rows] == list(reversed(by_name))
+    assert {row[6]: row[:-1] for row in rows} == by_name
+
+
 def test_blowup_identity_violation_names_the_target(monkeypatch):
     # one clause too few per 2-clause: the measured gadget output breaks it
     wrong = dataclasses.replace(TARGETS["mono3sat4"], growth=(21, 24))

@@ -203,6 +203,17 @@ def test_dpll_matches_frozen_reference_search():
     assert searched >= 50
 
 
+def test_dpll_declared_variables_no_clause_holds_change_only_the_witness_length():
+    for formula in _differential_corpus(range(8, 10), range(2), 20, range(10, 16)):
+        padded = CnfFormula(formula.clauses, formula.num_vars + 7)
+        verdict, wider = solve_dpll(formula), solve_dpll(padded)
+        assert (wider.satisfiable, wider.explored) == (verdict.satisfiable, verdict.explored)
+        if verdict.witness is not None:
+            unused = dict.fromkeys(range(formula.num_vars + 1, padded.num_vars + 1), False)
+            assert wider.witness == verdict.witness | unused
+            assert list(wider.witness) == list(range(1, padded.num_vars + 1))
+
+
 def test_dpll_witness_on_reduced_n300_is_pinned(tmp_path, capsys):
     # 8,200 clauses, decided with no branch: the witness is propagation's alone
     source, reduced = str(tmp_path / "g.cnf"), str(tmp_path / "r.cnf")
@@ -409,6 +420,16 @@ def test_instance_check_consumes_every_output_clause():
         assert not solve._is_instance(original, longer, target)
 
 
+def test_instance_check_refuses_every_prefix_of_an_output_without_reading_past_it():
+    original = generate(GenConfig(12, 16, 5))
+    for target in TARGETS.values():
+        reduced, _ = target.reduce(original)
+        for end in range(len(reduced.clauses)):
+            prefix = CnfFormula(reduced.clauses[:end], reduced.num_vars)
+            assert not any(solve._is_instance(original, prefix, other) for other in TARGETS.values())
+            assert not solve._certified(original, prefix)
+
+
 def test_check_equisat_proves_the_n10k_reduction_without_dpll(monkeypatch):
     original = generate(GenConfig(10000, 13333, 7))
     reduced, trace = to_monotone_3sat4(original)
@@ -417,6 +438,18 @@ def test_check_equisat_proves_the_n10k_reduction_without_dpll(monkeypatch):
     # with its trace comments, the bytes of ``reduce --trace`` that CI pins as t10k.cnf
     digest = hashlib.sha256(serialize(DimacsDocument(reduced, trace)).encode()).hexdigest()
     assert digest == "752e715ba8e617491b73c623d99eced0483a8cb95709d3117a28ef6146a20d82"
+
+    def refuse(formula):
+        raise AssertionError("solve_dpll was called")
+
+    monkeypatch.setattr(solve, "solve_dpll", refuse)
+    assert check_equisat(original, reduced)
+
+
+@pytest.mark.parametrize("name", ["mono3sat5", "mono3sat5-compact", "mono23sat4"])
+def test_check_equisat_proves_every_target_at_n10k_without_dpll(name, monkeypatch):
+    original = generate(GenConfig(10000, 13333, 7))
+    reduced, _ = TARGETS[name].reduce(original)
 
     def refuse(formula):
         raise AssertionError("solve_dpll was called")
