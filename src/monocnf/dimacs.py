@@ -16,6 +16,7 @@ parsing semantics.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
@@ -103,10 +104,19 @@ def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | N
     stop = len(text) if stop < 0 else stop + 1
     if not _BODY_RE.fullmatch(text, start, stop):
         return stop, None
+    chunk = text[start:stop]
+    # the C JSON scanner reads the list split() and int() would: the regex
+    # keeps floats, true, null and brackets away from it, each comma stands
+    # for one space or LF, and JSON allows only tab or CR beside a comma;
+    # what it refuses ("+1", "007", doubled or leading blanks, a tab between
+    # literals, over 4,300 digits) falls back to split() and int()
     try:
-        flat = list(map(int, text[start:stop].split()))
+        flat = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",").rstrip(",") + "]")
     except ValueError:
-        return stop, None
+        try:
+            flat = list(map(int, chunk.split()))
+        except ValueError:
+            return stop, None
     flat, mags, ends = block = _block(flat)
     if flat[-1:] != [0] or max(mags) > num_vars:
         return stop, None

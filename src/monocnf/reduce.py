@@ -320,8 +320,9 @@ class Target:
         slots, widths, _, _ = self._pattern
         block = clause_format(widths)
         kept = clause_format((3,))
+        pick = itemgetter(*slots)  # a tuple: every template has at least 2 slots
         for _, rule, values in runs:
-            yield kept % values if rule else block % tuple(map(values.__getitem__, slots))
+            yield kept % values if rule else block % pick(values)
 
     def trace(self, runs: Iterable[Run]) -> Iterator[str]:
         """One "trace <index> <rule> <source>" comment per output clause of ``runs``."""

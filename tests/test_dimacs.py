@@ -196,6 +196,45 @@ def test_only_the_block_holding_an_irregular_line_is_read_line_by_line(
     assert [not accepted for _, _, accepted in calls] == [start <= at < stop for start, stop, _ in calls]
 
 
+def _deep_respaced(old: str, new: str) -> str:
+    """``_deep``'s regular document with every ``old`` in its body made ``new``."""
+    header, body = _deep("-3 4 5 0").split("\n", 1)
+    return header + "\n" + body.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_deep_respaced(" ", "  "), id="doubled-spaces"),
+        pytest.param(_deep_respaced(" ", "\t"), id="tabs-between-literals"),
+        pytest.param(_deep("-3\t4 \t5 0"), id="tabs-in-one-line"),
+        pytest.param(_deep(" \t-3 4 5 0 "), id="leading-and-trailing-blanks"),
+        pytest.param(_deep_respaced("\n", "\r\n"), id="crlf"),
+        pytest.param(_deep_respaced("\n", "\n\n"), id="blank-lines"),
+        pytest.param(_deep_respaced("0\n", "0\n \r\n"), id="blank-lines-holding-blanks"),
+        pytest.param(_deep("-3 4 5 0")[:-1], id="no-final-newline"),
+        pytest.param(_deep("-3 +4 +5 0"), id="plus-signs"),
+        pytest.param(_deep("-3 004 05 0"), id="leading-zeros"),
+        pytest.param(_deep_respaced(" 0\n", " -0\n"), id="minus-zero-terminators"),
+        pytest.param(_deep("-3 4 " + "9" * 4301 + " 0"), id="literal-of-4301-digits"),
+    ],
+)
+@pytest.mark.parametrize("block_chars", [1 << 14, dimacs._BLOCK_CHARS])
+def test_blanks_signs_and_digits_keep_each_block_on_its_path(monkeypatch, block_chars, text):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    calls = _spy_blocks(monkeypatch)
+    outcome = _outcome(text)
+    long_literal = text.find("9" * 4301)
+    if long_literal < 0:
+        assert list(outcome.formula.clauses) == [(1, -2, 3)] * 9000 + [(-3, 4, 5)] * 1000
+    else:
+        assert outcome[1] == 9002
+    # only a block that split and int cannot read goes to the line loop
+    line_loop = [start <= long_literal < stop for start, stop, _ in calls]
+    assert [not accepted for _, _, accepted in calls] == line_loop
+    assert len(calls) > 1
+
+
 def test_parse_peak_memory_is_no_higher_than_the_line_loop():
     formula = generate(GenConfig(2000, 2666, 3))
     data = serialize(DimacsDocument(to_monotone_3sat4(formula)[0])).encode()

@@ -1,7 +1,7 @@
 """Seeded DIMACS fuzzing: mutated generator output never escapes the
 documented errors, in the parser or on the command line, and the parser
 and ``validate`` agree with the frozen line-by-line references on every
-document."""
+document, mutated or only re-spaced."""
 
 from monocnf import Clause, DimacsDocument, DimacsError, GenConfig, SplitMix64, dimacs, generate, parse, serialize
 from monocnf.cli import run
@@ -11,6 +11,10 @@ from naive import reference_parse
 SEED = 0x5EED
 CASES = 1500
 CLI_EVERY = 10  # every tenth case also goes through validate and reduce
+
+RESPACE_SEED = 0xB1A2C
+RESPACE_CASES = 400
+BLANKS = [" ", "  ", "\t", " \t", "\t\t "]
 
 SPLICED_LINES = ["%", "p cnf 3 1", "p cnf 99999999999999999999 1", "p", "c", "c trace 0 r3 0", "0"]
 ODD_TOKENS = ["_", "1_0", "١", "-٣", "+1", "-0", "--1", "x", "00", "9" * 30]
@@ -85,3 +89,40 @@ def test_mutated_dimacs_raises_only_dimacs_errors_and_exits_0_to_3(
         validate_like_reference(source, profile)  # at every block size, as parse above
         assert run(["reduce", "--target", target, str(source), output]) in (0, 1, 2, 3), data
         capsys.readouterr()
+
+
+def _respace(rng: SplitMix64, text: str) -> bytes:
+    """``text`` with some of its blanks changed: runs of spaces or tabs
+    between tokens, a CR before LF, leading blanks and blank lines, each
+    kind on about half the lines when the case draws it."""
+    kinds = rng.below(16)
+    lines = []
+    for line in text.split("\n"):
+        if kinds & 1 and rng.coin():
+            first, *rest = line.split(" ")
+            line = first + "".join(_pick(rng, BLANKS) + token for token in rest)
+        if kinds & 2 and rng.coin():
+            line = _pick(rng, BLANKS) + line
+        if kinds & 4 and rng.coin():
+            line += "\r"
+        lines.append(line)
+        if kinds & 8 and rng.coin():
+            lines.append(_pick(rng, ["", "\r", *BLANKS]))
+    return "\n".join(lines).encode()
+
+
+def test_respaced_dimacs_parses_and_validates_like_the_references(tmp_path, monkeypatch, validate_like_reference):
+    rng = SplitMix64(RESPACE_SEED)
+    bases = [
+        serialize(DimacsDocument(generate(GenConfig(n, n * 4 // 3, seed))))
+        for seed, n in enumerate(range(6, 30, 3))
+    ]
+    source = tmp_path / "in.cnf"
+    for _ in range(RESPACE_CASES):
+        data = _respace(rng, _pick(rng, bases))
+        expected = _outcome(reference_parse, data)
+        for block_chars in BLOCK_CHARS:
+            monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+            assert _outcome(parse, data) == expected, (block_chars, data)
+        source.write_bytes(data)
+        validate_like_reference(source, _pick(rng, ["3sat4", "mono3sat4"]))
