@@ -27,6 +27,7 @@ from .formula import Clause, CnfFormula, FormulaError, _trusted_clause, _trusted
 
 _HEADER_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)$")
 _BODY_RE = re.compile(r"[0-9+\- \t\r\n]*")
+_COMMAS = str.maketrans(" \t\r\n", ",,,,")  # the blanks _BODY_RE allows
 _BLOCK_CHARS = 1 << 16  # a few thousand lines: bounds each block's token list
 _ECHO_LIMIT = 40
 
@@ -97,26 +98,26 @@ def block_rows(flat: list[int], ends: Sequence[int]) -> Iterable[tuple[int, ...]
 def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | None]:
     """The end of the block of whole lines from ``start``, about
     ``_BLOCK_CHARS`` long, and its clauses, or None unless the block is
-    regular: ASCII digits, signs and blanks only, every literal in range,
-    every clause nonempty, valid and ended by a 0 in the block.  The line
-    loop reads an irregular block instead, so each error has one source."""
+    regular: ASCII digits, minus signs and blanks only, no zero-padded
+    literal, every literal in range, every clause nonempty, valid and ended
+    by a 0 in the block.  The line loop reads an irregular block instead,
+    so each error has one source."""
     stop = text.find("\n", start + _BLOCK_CHARS)
     stop = len(text) if stop < 0 else stop + 1
     if not _BODY_RE.fullmatch(text, start, stop):
         return stop, None
-    chunk = text[start:stop]
-    # the C JSON scanner reads the list split() and int() would: the regex
-    # keeps floats, true, null and brackets away from it, each comma stands
-    # for one space or LF, and JSON allows only tab or CR beside a comma;
-    # what it refuses ("+1", "007", doubled or leading blanks, a tab between
-    # literals, over 4,300 digits) falls back to split() and int()
+    # each run of blanks becomes one comma, so the C JSON scanner reads
+    # split()'s tokens as int() would: the regex keeps floats, true, null
+    # and brackets away from it; it refuses every token int() refuses and
+    # also "+1" and "007", and the line loop reads a refused block with the
+    # same clauses and errors
+    chunk = text[start:stop].translate(_COMMAS)
+    while ",," in chunk:
+        chunk = chunk.replace(",,", ",")
     try:
-        flat = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",").rstrip(",") + "]")
+        flat = json.loads("[" + chunk.strip(",") + "]")
     except ValueError:
-        try:
-            flat = list(map(int, chunk.split()))
-        except ValueError:
-            return stop, None
+        return stop, None
     flat, mags, ends = block = _block(flat)
     if flat[-1:] != [0] or max(mags) > num_vars:
         return stop, None

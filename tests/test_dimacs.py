@@ -202,36 +202,39 @@ def _deep_respaced(old: str, new: str) -> str:
     return header + "\n" + body.replace(old, new)
 
 
+LONG_LITERAL = "9" * 4301
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text,refused",
     [
-        pytest.param(_deep_respaced(" ", "  "), id="doubled-spaces"),
-        pytest.param(_deep_respaced(" ", "\t"), id="tabs-between-literals"),
-        pytest.param(_deep("-3\t4 \t5 0"), id="tabs-in-one-line"),
-        pytest.param(_deep(" \t-3 4 5 0 "), id="leading-and-trailing-blanks"),
-        pytest.param(_deep_respaced("\n", "\r\n"), id="crlf"),
-        pytest.param(_deep_respaced("\n", "\n\n"), id="blank-lines"),
-        pytest.param(_deep_respaced("0\n", "0\n \r\n"), id="blank-lines-holding-blanks"),
-        pytest.param(_deep("-3 4 5 0")[:-1], id="no-final-newline"),
-        pytest.param(_deep("-3 +4 +5 0"), id="plus-signs"),
-        pytest.param(_deep("-3 004 05 0"), id="leading-zeros"),
-        pytest.param(_deep_respaced(" 0\n", " -0\n"), id="minus-zero-terminators"),
-        pytest.param(_deep("-3 4 " + "9" * 4301 + " 0"), id="literal-of-4301-digits"),
+        pytest.param(_deep_respaced(" ", "  "), None, id="doubled-spaces"),
+        pytest.param(_deep_respaced(" ", "\t"), None, id="tabs-between-literals"),
+        pytest.param(_deep("-3\t4 \t5 0"), None, id="tabs-in-one-line"),
+        pytest.param(_deep(" \t-3 4 5 0 "), None, id="leading-and-trailing-blanks"),
+        pytest.param(_deep_respaced("\n", "\r\n"), None, id="crlf"),
+        pytest.param(_deep_respaced("\n", "\n\n"), None, id="blank-lines"),
+        pytest.param(_deep_respaced("0\n", "0\n \r\n"), None, id="blank-lines-holding-blanks"),
+        pytest.param(_deep("-3 4 5 0")[:-1], None, id="no-final-newline"),
+        pytest.param(_deep_respaced(" 0\n", " -0\n"), None, id="minus-zero-terminators"),
+        pytest.param(_deep("-3 +4 +5 0"), "+4", id="plus-signs"),
+        pytest.param(_deep("-3 004 05 0"), "004", id="leading-zeros"),
+        pytest.param(_deep("-3 4 " + LONG_LITERAL + " 0"), LONG_LITERAL, id="literal-of-4301-digits"),
     ],
 )
 @pytest.mark.parametrize("block_chars", [1 << 14, dimacs._BLOCK_CHARS])
-def test_blanks_signs_and_digits_keep_each_block_on_its_path(monkeypatch, block_chars, text):
+def test_only_a_block_holding_a_token_json_refuses_is_read_line_by_line(monkeypatch, block_chars, text, refused):
     monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
     calls = _spy_blocks(monkeypatch)
     outcome = _outcome(text)
-    long_literal = text.find("9" * 4301)
-    if long_literal < 0:
-        assert list(outcome.formula.clauses) == [(1, -2, 3)] * 9000 + [(-3, 4, 5)] * 1000
-    else:
+    if refused == LONG_LITERAL:
         assert outcome[1] == 9002
-    # only a block that split and int cannot read goes to the line loop
-    line_loop = [start <= long_literal < stop for start, stop, _ in calls]
-    assert [not accepted for _, _, accepted in calls] == line_loop
+    else:
+        assert list(outcome.formula.clauses) == [(1, -2, 3)] * 9000 + [(-3, 4, 5)] * 1000
+    # any run of blanks is read whole; a sign, a padded literal or one too
+    # long for int() sends its block to the line loop
+    at = -1 if refused is None else text.index(refused)
+    assert [not accepted for _, _, accepted in calls] == [start <= at < stop for start, stop, _ in calls]
     assert len(calls) > 1
 
 
