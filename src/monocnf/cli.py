@@ -19,6 +19,7 @@ import argparse
 import csv
 import gc
 import sys
+from itertools import islice
 from typing import NoReturn, Sequence
 
 from . import bench, dimacs
@@ -67,7 +68,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("UNSAT")
     else:
         print("SAT")
-        print("v", *(v if value else -v for v, value in verdict.witness.items()), 0)
+        # one write per 65,536 literals: print writes each argument apart
+        literals = map(str, (v if value else -v for v, value in verdict.witness.items()))
+        sys.stdout.write("v")
+        while chunk := " ".join(islice(literals, 1 << 16)):
+            sys.stdout.write(f" {chunk}")
+        print(" 0")
     return EXIT_OK
 
 
@@ -177,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check-equisat", help="compare the SAT verdicts of two formulas",
         description="Compare the SAT verdicts of two formulas. When the reduced formula is an output of "
         "the reduction scheme on the original, the verdicts are equal by the scheme's lemma, checked "
-        "exhaustively once per template, and neither side is solved; otherwise DPLL decides both. "
+        "exhaustively once per target on each of its rows, and neither side is solved; otherwise DPLL decides both. "
         f"Either way both formulas must declare at most {WITNESS_VAR_LIMIT:,} variables, DPLL's witness bound.",
     )
     p.add_argument("original", help="original DIMACS CNF file")

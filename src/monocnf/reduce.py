@@ -13,12 +13,12 @@ Three layers:
 * Pipelines: the ``TARGETS`` table maps each target name to its output
   profile, its 2-clause template (the pair itself, r3, compact r3, or
   widening plus gadget), compiled once from its rule, and the growth per
-  2-clause read from it.  ``Target.runs`` lays out a target's output as
-  one run per input clause and states its size, ``Target.text`` and
-  ``Target.trace`` render the runs as DIMACS body lines and trace
-  comments, ``Target.reduce`` builds the formula and its trace comments
-  from them, and ``eliminate_mixed``, ``to_monotone_3sat5`` and
-  ``to_monotone_3sat4`` run table entries.
+  2-clause read from it.  ``Target.rows`` states the scheme once: one row
+  of output clauses per input shape.  ``Target.runs`` lays out a target's
+  output as one row per input clause and states its size; ``Target.text``,
+  ``Target.trace`` and ``Target.reduce`` read the rows as DIMACS body lines,
+  trace comments and the formula, and ``eliminate_mixed``,
+  ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
 a replaced clause's children are inserted at its position, and fresh
@@ -222,16 +222,75 @@ def instantiate_gadget(gadget: CnfFormula, alloc: FreshAllocator) -> tuple[list[
     return clauses, GADGET_DESIGNATED + offset
 
 
-# one piece of a run, (source, rule, values): see ``Target.runs``
-Run = tuple[int, str | None, Sequence[int]]
-
-
 def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
     """A positive 2-clause widened by a fresh variable, then the gadget
     forcing that variable false.  Only the positive probe of ``_target``
-    runs it; ``Target._instance`` mirrors the result for a negative pair."""
+    runs it; a negative pair reads the mirror of the result (see ``_split``)."""
     gadget, designated = instantiate_gadget(FORCE_FALSE_GADGET, alloc)
     return [Clause(pair + (designated,)), *gadget]
+
+
+# (rule label, slot literals) per output clause of one row
+Clauses = tuple[tuple[str, tuple[int, ...]], ...]
+
+
+def _split(clause: Sequence[int]) -> tuple[str | None, Sequence[int], int]:
+    """The shape of a clause of width 2 or 3, the key of its row in
+    ``Target.rows`` (None for a mixed 2-clause), its input slot values and
+    its sign.  A monotone clause's slots are its literals.  A mixed clause's
+    are the two literals of one sign, then the third one negated, and its
+    sign is theirs: the other mixed shape, and a negative pair, read their
+    row as the mirror image, every fresh slot negated.  Three products
+    decide, with no sort."""
+    if len(clause) == 2:
+        x, y = clause
+        return "pair" if x * y > 0 else None, clause, 1 if x > 0 else -1
+    x, y, z = clause
+    if x * y > 0:
+        if x * z > 0:
+            return "kept", clause, 1
+        return "mixed", (x, y, -z), 1 if x > 0 else -1
+    if x * z > 0:
+        return "mixed", (x, z, -y), 1 if x > 0 else -1
+    return "mixed", (y, z, -x), 1 if y > 0 else -1
+
+
+def _table(ins: Sequence[int], fresh: Sequence[int]) -> list[int]:
+    """A row's lookup table: slot k reads ``ins[k - 1]`` up to the input's
+    width and ``fresh`` after it, and slot -k the negation of slot k."""
+    return [0, *ins, *fresh, *map(neg, reversed(fresh)), *map(neg, reversed(ins))]
+
+
+def _signed(sign: int, first: int, count: int) -> range:
+    """``count`` fresh variables from ``first``, each in the clause's sign."""
+    return range(sign * first, sign * (first + count), sign)
+
+
+def _over(clauses: Clauses, table: Sequence[int]) -> list[tuple[int, ...]]:
+    """The literals of each clause of a row, read from ``table``."""
+    return [tuple(map(table.__getitem__, lits)) for _, lits in clauses]
+
+
+# Gold's split of the mixed probe (1, 2, -3) over the bridge 4, wider child first.
+GOLD: Clauses = tuple(
+    ("gold", child) for child in sorted(gold_step(Clause((1, 2, -3)), FreshAllocator(4)), key=len, reverse=True)
+)
+
+
+class Row:
+    """One row compiled for its readers: input slots 1 to ``width``, then
+    fresh slots, the first ``bridges`` from the bridge pool and the other
+    ``block`` from the pool of the expansion blocks."""
+
+    def __init__(self, clauses: Clauses, width: int, bridges: int = 0):
+        self.clauses = clauses
+        slots = tuple(chain.from_iterable(lits for _, lits in clauses))
+        self.widths = tuple(len(lits) for _, lits in clauses)
+        variables = [*map(abs, slots)]
+        self.firsts = tuple(map(variables.index, range(width + 1, max(variables) + 1)))  # fresh slots' first positions
+        self.bridges, self.block = bridges, len(self.firsts) - bridges
+        self.pick = itemgetter(*slots)  # the row's literals from a table, as a tuple: every row has 2 slots or more
+        self.text = clause_format(self.widths)  # its DIMACS lines, a format over ``pick``'s literals
 
 
 @dataclass(frozen=True)
@@ -244,20 +303,35 @@ class Target:
     trace comments."""
 
     profile: str
-    template: tuple[tuple[str, tuple[int, ...]], ...]
+    template: Clauses
     growth: tuple[int, int]
+
+    @cached_property
+    def rows(self) -> dict[str, Row]:
+        """The scheme, one row per shape of ``_split``: the kept 3-clause
+        over slots 1 to 3; the template over a pair in slots 1 and 2, fresh
+        slots from 3; gold's split of a mixed clause in slots 1 to 3 over the
+        bridge slot 4, its 2-clause child replaced by the template with fresh
+        slots from 5.  The reduction writes these rows, ``solve._lemma_holds``
+        proves each at a probe of its shape, and ``solve._is_instance`` reads
+        outputs only through them: the lemma vets what the pass accepts by
+        construction."""
+        wide, (_, narrow) = GOLD
+        _, ins, sign = _split(narrow)
+        expansion = _over(self.template, _table(ins, _signed(sign, 5, self.growth[0])))
+        mixed = (wide, *zip((label for label, _ in self.template), expansion))
+        return {"kept": Row((("input", (1, 2, 3)),), 3), "pair": Row(self.template, 2), "mixed": Row(mixed, 3, 1)}
 
     def runs(self, formula: CnfFormula) -> tuple[int, int, Runs]:
         """Check the input, then lay out the output without building it.
         Returns its variable count, its clause count and its runs.
 
-        Each input clause becomes one contiguous run, in input order, of one
-        or two pieces ``(source, rule, values)``: the 3-clause ``values`` kept
-        whole (rule "input") or split off by gold (rule "gold"), or, with rule
-        None, a 2-clause's template over the lookup table ``values`` (see
-        ``_instance``).  The bridges are numbered from ``num_vars + 1`` and
-        the expansion blocks after them, so each fresh variable is in one run
-        and the counts follow from the census of mixed clauses and 2-clauses.
+        Each input clause becomes one run ``(source, row, table)``, in input
+        order: its shape's row over the lookup table of its slot values (see
+        ``_split`` and ``_table``).  The bridges are numbered from
+        ``num_vars + 1`` and the expansion blocks after them, so each fresh
+        variable is in one run and the counts follow from the census of mixed
+        clauses and 2-clauses.
 
         Every target accepts 3-SAT-4 input.  One whose profile bars 2-clauses
         also accepts monotone (2,3)-SAT-4 input; one whose profile allows
@@ -284,61 +358,25 @@ class Target:
         to the bytes of ``monocnf reduce --trace``."""
         num_vars, _, runs = self.runs(formula)
         runs = list(runs)
-        shape = self._shape
-        clauses: list[Clause] = []
-        for _, rule, values in runs:
-            if rule:
-                clauses.append(values)
-            else:
-                lookup = values.__getitem__
-                clauses.extend([_trusted_clause(map(lookup, slots)) for slots in shape])
+        clauses = [_trusted_clause(map(table.__getitem__, lits)) for _, row, table in runs for _, lits in row.clauses]
         return _trusted_formula(clauses, num_vars), tuple(self.trace(runs))
 
-    @cached_property
-    def _shape(self) -> tuple[tuple[int, ...], ...]:
-        """The template's slot literals, one tuple per clause."""
-        return tuple(slots for _, slots in self.template)
-
-    @cached_property
-    def _pattern(self) -> tuple[tuple[int, ...], ...]:
-        """The template's slot literals in one row, its clause widths, and
-        for each fresh slot 3, 4, ... the row position of its first literal
-        and that literal's sign: what ``text`` renders and what
-        ``solve._is_instance`` reads an instance by."""
-        row = tuple(chain.from_iterable(self._shape))
-        first: dict[int, int] = {}
-        for position, lit in enumerate(row):
-            first.setdefault(abs(lit), position)
-        positions = tuple(first[var] for var in range(3, max(first) + 1))
-        signs = tuple(1 if row[position] > 0 else -1 for position in positions)
-        return row, tuple(map(len, self._shape)), positions, signs
-
     def text(self, runs: Iterable[Run]) -> Iterator[str]:
-        """The DIMACS body lines of each piece of ``runs``: a kept 3-clause
-        is one line, and a template one ``%`` over its slots' values, read
-        from the piece's lookup table."""
-        slots, widths, _, _ = self._pattern
-        block = clause_format(widths)
-        kept = clause_format((3,))
-        pick = itemgetter(*slots)  # a tuple: every template has at least 2 slots
-        for _, rule, values in runs:
-            yield kept % values if rule else block % pick(values)
+        """The DIMACS body lines of each run: its row's literals, read from
+        the run's lookup table."""
+        for _, row, table in runs:
+            yield row.text % row.pick(table)
 
     def trace(self, runs: Iterable[Run]) -> Iterator[str]:
         """One "trace <index> <rule> <source>" comment per output clause of ``runs``."""
-        labels = [label for label, _ in self.template]
         index = count()
-        for source, rule, _ in runs:
-            for label in (rule,) if rule else labels:
+        for source, row, _ in runs:
+            for label, _ in row.clauses:
                 yield f"trace {next(index)} {label} {source}"
 
-    def _instance(self, pair: Clause, first: int) -> list[int]:
-        """The ``_table`` of the template on ``pair`` over the fresh variables
-        from ``first``, negated for a negative pair.  The pair lies below
-        ``first``, so the map keeps variable order."""
-        x, y = pair
-        stop = first + self.growth[0]
-        return _table(x, y, range(first, stop) if x > 0 else range(-first, -stop, -1))
+
+# one input clause's run, (source, row, table): see ``Target.runs``
+Run = tuple[int, Row, list[int]]
 
 
 @dataclass(frozen=True)
@@ -350,27 +388,17 @@ class Runs:
     target: Target
     clauses: tuple[Clause, ...]
     bridge: int  # the first bridge variable
-    first: int  # the first fresh variable of the template instances
+    first: int  # the first fresh variable of the expansion blocks
 
     def __iter__(self) -> Iterator[Run]:
-        target, bridges, first = self.target, FreshAllocator(self.bridge), self.first
+        rows, bridge, first = self.target.rows, self.bridge, self.first
         for source, clause in enumerate(self.clauses):
-            if clause.sign:
-                rule, children = "input", (clause,)
-            else:
-                rule, children = "gold", sorted(gold_step(clause, bridges), key=len, reverse=True)
-            for child in children:
-                if len(child) == 3:
-                    yield source, rule, child
-                else:
-                    yield source, None, target._instance(child, first)
-                    first += target.growth[0]
-
-
-def _table(x: int, y: int, fresh: Sequence[int]) -> list[int]:
-    """A template's lookup table: slots 1 and 2 read x and y, slot k >= 3
-    reads ``fresh[k - 3]``, and slot -k the negation of slot k."""
-    return [0, x, y, *fresh, *map(neg, reversed(fresh)), -y, -x]
+            shape, ins, sign = _split(clause)
+            row = rows[shape]
+            fresh = (*_signed(sign, bridge, row.bridges), *_signed(sign, first, row.block))
+            bridge += row.bridges
+            first += row.block
+            yield source, row, _table(ins, fresh)
 
 
 def _census(clauses: Sequence[Clause]) -> tuple[int, int]:

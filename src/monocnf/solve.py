@@ -21,10 +21,10 @@ formula.
 either side: the reductions replace each input clause C with clauses T
 over C's variables and fresh ones Z that occur nowhere else, and when
 ∃Z. T ≡ C for every replacement, the output is equisatisfiable with the
-input at every size.  The truth table checks that lemma once per template;
-one linear pass per target, in table order, checks that the output is made
-of that target's replacements.
-When it is not, DPLL decides both sides.
+input at every size.  The replacements are the rows of ``Target.rows``,
+one per input shape.  The truth table checks that lemma once per row and
+sign; one linear pass per target, in table order, checks that the output
+is made of that target's rows.  When it is not, DPLL decides both sides.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
 from itertools import chain
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Clause, CnfFormula
-from .reduce import TARGETS, Target, _table
+from .reduce import TARGETS, Target, _over, _signed, _split, _table
 
 Assignment = dict[int, bool]
 
@@ -313,29 +313,20 @@ def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:
     return any(_is_instance(original, reduced, target) and _lemma_holds(target) for target in TARGETS.values())
 
 
-# The gold split of both mixed shapes as ``_is_instance`` reads it: the two
-# literals of one sign widened by the bridge in that sign, then the third
-# literal widened by the bridge's negation.  Written by hand, not taken from
-# ``gold_step``: the lemma must vet what ``_is_instance`` accepts.
-_GOLD_SPLITS = (
-    (((1, 2, 4), (-3, -4)), (1, 2, -3)),
-    (((-2, -3, -4), (1, 4)), (1, -2, -3)),
-)
-
-
 @cache
 def _lemma_holds(target: Target) -> bool:
-    """Whether the target's scheme replaces each clause by an
-    equivalent up to its fresh variables: gold's split of each mixed shape,
-    and the template on the pairs (1, 2) and (-1, -2) with fresh variables
-    from 3, through ``Target._instance`` as the reduction instantiates it.
-    Checked once per process, when first needed, since the largest
-    template takes about a tenth of a second."""
-    instances = []
-    for pair in ((1, 2), (-1, -2)):
-        lookup = target._instance(pair, 3).__getitem__
-        instances.append(([[*map(lookup, slots)] for slots in target._shape], pair))
-    return all(_projects_to(clauses, clause) for clauses, clause in chain(_GOLD_SPLITS, instances))
+    """Whether each of the target's rows replaces a clause of its shape by
+    an equivalent up to the row's fresh variables.  One probe clause per
+    shape and sign, the cheap pair probes first, is read by ``_split`` with
+    fresh variables from 4 on, as ``_is_instance`` reads an instance.
+    Checked once per process, when first needed: about a tenth of a second
+    for all four targets, most of it for the gadget's rows."""
+    for probe in ((1, 2), (-1, -2), (1, 2, 3), (1, 2, -3), (1, -2, -3)):
+        shape, ins, sign = _split(probe)
+        row = target.rows[shape]
+        if not _projects_to(_over(row.clauses, _table(ins, _signed(sign, 4, len(row.firsts)))), probe):
+            return False
+    return True
 
 
 def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> bool:
@@ -343,75 +334,49 @@ def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> boo
     ``clauses`` that ``clause`` does not hold.  Each assignment of the
     clause's variables is fixed in turn, and the clauses it leaves must
     have a model over Z, by truth table, exactly when it satisfies the
-    clause."""
+    clause.  The clauses that hold none of its variables are tabled once."""
     fixed = [abs(lit) for lit in clause]
     hidden = sorted(set(map(abs, chain.from_iterable(clauses))).difference(fixed))
+    touched = [c for c in clauses if not set(fixed).isdisjoint(map(abs, c))]
+    rest = _truth_table([c for c in clauses if c not in touched], hidden)[0]
     for bits in range(1 << len(fixed)):
         true = {var if bits >> i & 1 else -var for i, var in enumerate(fixed)}
-        left = [[lit for lit in c if -lit not in true] for c in clauses if true.isdisjoint(c)]
-        if (all(left) and _truth_table(left, hidden)[0] != 0) == true.isdisjoint(clause):
+        left = [[lit for lit in c if -lit not in true] for c in touched if true.isdisjoint(c)]
+        if (all(left) and rest & _truth_table(left, hidden)[0] != 0) == true.isdisjoint(clause):
             return False
     return True
 
 
 def _is_instance(original: CnfFormula, reduced: CnfFormula, target: Target) -> bool:
     """Whether ``reduced``, read as given, is the target's output on
-    ``original``, up to the numbering of fresh variables.
-    One pass over the input's clauses, in order, consumes the output's:
-
-    * a monotone 3-clause is kept verbatim;
-    * a mixed 3-clause is replaced by its two gold children, wider child
-      first, on a bridge variable above ``original.num_vars``, the wider
-      child holding it in its own sign and the other negated;
-    * a monotone 2-clause, or gold's narrower child, is replaced by the
-      template under a literal map that fixes the pair (slots 1 and 2) and
-      sends each other slot to its own variable above ``original.num_vars``
-      in variable order, as the reduction numbers them;
-    * no bridge or fresh variable is claimed by two groups, and every
-      output clause is consumed.
-
-    An output that runs out before the input does is refused, not read past.
+    ``original``, up to the numbering of fresh variables.  One pass over the
+    input's clauses, in order, consumes for each one the group of output
+    clauses its row lays out (see ``Target.rows``): the group must have the
+    row's clause widths and equal the row over the clause's slot values and
+    fresh variables.  Each fresh slot's variable is read at its first
+    position, in the sign that the row and the clause's sign give it, never
+    the output's; it lies above ``original.num_vars``, and no two slots or
+    groups claim it.  Every output clause must be consumed, and an output
+    that runs out before the input does is refused, not read past.
     """
     n = original.num_vars
     out = reduced.clauses
-    row, widths, positions, signs = target._pattern
-    size = len(widths)
     claimed = bytearray(reduced.num_vars + 1)
     j = 0
     for clause in original.clauses:
-        if j == len(out):  # each input clause consumes at least one output clause
+        shape, ins, sign = _split(clause)
+        if shape is None:
             return False
-        sign = clause.sign
-        if len(clause) == 3:
-            if sign:
-                if out[j] != clause:
-                    return False
-                j += 1
-                continue
-            positive = tuple(filter((0).__lt__, clause))
-            negative = tuple(filter((0).__gt__, clause))
-            wide, narrow = (positive, negative) if len(positive) == 2 else (negative, positive)
-            child = out[j]
-            bridge = child[-1]
-            var = abs(bridge)
-            if child != (*wide, bridge) or (bridge > 0) != (wide[0] > 0) or var <= n or claimed[var]:
-                return False
-            claimed[var] = 1
-            j += 1
-            x, y = narrow[0], -bridge
-        elif sign:
-            x, y = clause
-        else:
-            return False
-        group = out[j : j + size]
-        j += size
-        if tuple(map(len, group)) != widths:
+        row = target.rows[shape]
+        group = out[j : j + len(row.widths)]
+        j += len(row.widths)
+        if tuple(map(len, group)) != row.widths:
             return False
         lits = tuple(chain.from_iterable(group))
-        fresh = list(map(mul, map(lits.__getitem__, positions), signs))
-        if tuple(map(_table(x, y, fresh).__getitem__, row)) != lits:
+        fresh = [abs(lits[position]) for position in row.firsts]
+        if row.pick(_table(ins, [sign * var for var in fresh])) != lits:
             return False
-        for var in map(abs, fresh):
+        for var in fresh:
             if var <= n or claimed[var]:
                 return False
             claimed[var] = 1

@@ -1,9 +1,25 @@
-"""Seeded DIMACS fuzzing: mutated generator output never escapes the
+"""Seeded fuzzing.  DIMACS: mutated generator output never escapes the
 documented errors, in the parser or on the command line, and the parser
 and ``validate`` agree with the frozen line-by-line references on every
-document, mutated or only re-spaced."""
+document, mutated or only re-spaced.  The equisat certificate: edited
+reductions it accepts keep the original's verdict."""
 
-from monocnf import Clause, DimacsDocument, DimacsError, GenConfig, SplitMix64, dimacs, generate, parse, serialize
+from monocnf import (
+    TARGETS,
+    Clause,
+    CnfFormula,
+    DimacsDocument,
+    DimacsError,
+    GenConfig,
+    SplitMix64,
+    dimacs,
+    eliminate_mixed,
+    generate,
+    parse,
+    serialize,
+    solve,
+    solve_dpll,
+)
 from monocnf.cli import run
 from conftest import BLOCK_CHARS
 from naive import reference_parse
@@ -15,6 +31,9 @@ CLI_EVERY = 10  # every tenth case also goes through validate and reduce
 RESPACE_SEED = 0xB1A2C
 RESPACE_CASES = 400
 BLANKS = [" ", "  ", "\t", " \t", "\t\t "]
+
+CERT_SEED = 0xCE27
+CERT_EDITS = 24  # edited copies of each reduction
 
 SPLICED_LINES = ["%", "p cnf 3 1", "p cnf 99999999999999999999 1", "p", "c", "c trace 0 r3 0", "0"]
 ODD_TOKENS = ["_", "1_0", "١", "-٣", "+1", "-0", "--1", "x", "00", "9" * 30]
@@ -126,3 +145,56 @@ def test_respaced_dimacs_parses_and_validates_like_the_references(tmp_path, monk
             assert _outcome(parse, data) == expected, (block_chars, data)
         source.write_bytes(data)
         validate_like_reference(source, _pick(rng, ["3sat4", "mono3sat4"]))
+
+
+def _edit(rng: SplitMix64, clauses: list[Clause], num_vars: int) -> int:
+    """Apply one edit to a formula's clauses in place: flip a literal's
+    sign, rename a variable by exchanging its name with another's (or with
+    one past ``num_vars``), swap two clauses or drop one.  Returns the
+    variable count."""
+    kind, i = rng.below(4), rng.below(len(clauses))
+    if kind == 0:
+        at = rng.below(len(clauses[i]))
+        clauses[i] = Clause(-lit if k == at else lit for k, lit in enumerate(clauses[i]))
+    elif kind == 1:
+        old, new = abs(_pick(rng, clauses[i])), 1 + rng.below(num_vars + 1)
+        names = {old: new, new: old}
+        clauses[:] = [Clause(names.get(abs(lit), abs(lit)) * (1 if lit > 0 else -1) for lit in c) for c in clauses]
+        num_vars = max(num_vars, new)
+    elif kind == 2:
+        j = rng.below(len(clauses))
+        clauses[i], clauses[j] = clauses[j], clauses[i]
+    elif len(clauses) > 1:
+        del clauses[i]
+    return num_vars
+
+
+def test_edited_reductions_that_the_certificate_accepts_keep_the_verdict():
+    rng = SplitMix64(CERT_SEED)
+    cases = []
+    for seed, n in enumerate(range(8, 15)):
+        formula = generate(GenConfig(n, n * 4 // 3, seed))
+        cases += [(formula, target) for target in TARGETS.values()]
+        # unsatisfiable: at least two of three true and two of three false,
+        # which only the targets that take monotone (2,3)-SAT-4 input accept
+        mono23, _ = eliminate_mixed(formula)
+        a, b, c = range(mono23.num_vars + 1, mono23.num_vars + 4)
+        core = [[a, b], [a, c], [b, c], [-a, -b], [-a, -c], [-b, -c]]
+        planted = CnfFormula([*mono23.clauses, *map(Clause, core)], mono23.num_vars + 3)
+        cases += [(planted, target) for target in TARGETS.values() if target.profile != "mono23sat4"]
+    accepted = 0
+    for original, target in cases:
+        reduced, _ = target.reduce(original)
+        assert solve._certified(original, reduced)
+        verdict = solve_dpll(original).satisfiable
+        for _ in range(CERT_EDITS):
+            clauses, num_vars = list(reduced.clauses), reduced.num_vars
+            for _ in range(1 + rng.below(3)):
+                num_vars = _edit(rng, clauses, num_vars)
+            edited = CnfFormula(clauses, num_vars)
+            if solve._certified(original, edited):
+                accepted += 1
+                assert solve_dpll(edited).satisfiable == verdict, (target, clauses)
+    # some edits leave an instance: a clause swapped with itself, a variable
+    # renamed to itself, or a fresh one renamed to an unused one in order
+    assert accepted

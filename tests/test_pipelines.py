@@ -260,7 +260,7 @@ def test_template_instance_equals_direct_rule_output(name, sign):
     # far-apart pairs, and fresh variables just above the pair
     for x, y, first in [(1, 2, 3), (1, 1000, 1001), (7, 9, 10), (2, 5, 40), (999, 1000, 5000)]:
         pair = Clause((sign * x, sign * y))
-        lookup = target._instance(pair, first).__getitem__
+        lookup = reduce._table(pair, range(sign * first, sign * (first + target.growth[0]), sign)).__getitem__
         # plain tuples: the renamed slots must already be in canonical order
         instance = [(label, tuple(map(lookup, slots))) for label, slots in target.template]
         assert instance == _direct_expansion(name, pair, first)

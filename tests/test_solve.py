@@ -20,6 +20,7 @@ from monocnf import (
     evaluate,
     generate,
     parse,
+    reduce,
     serialize,
     solve,
     solve_dpll,
@@ -325,14 +326,24 @@ def test_scheme_lemma_holds_for_every_target_and_fails_on_a_broken_template(name
     assert not solve._lemma_holds(replace(target, template=target.template[:-1]))
 
 
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_scheme_lemma_fails_on_a_broken_gold_split(name, monkeypatch):
+    wide, narrow = reduce.GOLD
+    # the wide child without its bridge forces the two literals of one sign;
+    # with the bridge in one sign in both children, the split forces nothing
+    for gold in ((("gold", wide[1][:2]), narrow), (wide, ("gold", (-3, 4)))):
+        monkeypatch.setattr(reduce, "GOLD", gold)
+        # a copy compiles its rows anew; the cache would answer for the original
+        assert not solve._lemma_holds.__wrapped__(replace(TARGETS[name]))
+
+
 def _blocks(name: str, formula: CnfFormula) -> list[range]:
     """The clause positions of each template block in ``name``'s output."""
     target, blocks, at = TARGETS[name], [], 0
-    for _, rule, _ in target.runs(formula)[2]:
-        size = 1 if rule else len(target.template)
-        if rule is None:
-            blocks.append(range(at, at + size))
-        at += size
+    for _, row, _ in target.runs(formula)[2]:
+        at += len(row.clauses)
+        if row is not target.rows["kept"]:  # the template ends the row of a pair or a mixed clause
+            blocks.append(range(at - len(target.template), at))
     return blocks
 
 
@@ -409,6 +420,37 @@ def test_an_output_of_a_template_whose_lemma_fails_is_left_to_dpll(monkeypatch):
     reduced, _ = broken.reduce(original)
     assert solve._is_instance(original, reduced, broken)
     assert not solve._certified(original, reduced)
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_instance_check_refuses_a_fresh_variable_negated_throughout_its_group(name):
+    # renumbering a fresh variable keeps an instance, negating it does not:
+    # its sign comes from the row, the bridge's as well as a block's
+    original = generate(GenConfig(12, 16, 5))
+    target = TARGETS[name]
+    reduced, _ = target.reduce(original)
+    assert solve._certified(original, reduced)
+    at, flips = 0, 0
+    for _, row, _ in target.runs(original)[2]:
+        group = range(at, at + len(row.clauses))
+        at = group.stop
+        for var in _fresh(reduced, group, original.num_vars):
+            assert not solve._certified(original, _relabelled(reduced, group, {var: var}, -1)), (group, var)
+            flips += 1
+    assert flips == reduced.num_vars - original.num_vars
+
+
+def test_instance_check_reads_the_clause_boundaries_of_a_group():
+    # a template whose second clause starts above where its first ends: a
+    # literal moved across that boundary keeps the group's literals in
+    # order, but not its clauses
+    target = replace(TARGETS["mono3sat5"], template=(("r", (1, 2, 3)), ("r", (4, 5, 6))), growth=(4, 1))
+    original = CnfFormula.from_ints([[1, 2], [3, 4, 5]])
+    reduced, _ = target.reduce(original)
+    assert solve._is_instance(original, reduced, target)
+    (x, y, u), (v, *rest) = reduced.clauses[:2]
+    moved = [Clause((x, y)), Clause((u, v, *rest)), *reduced.clauses[2:]]
+    assert not solve._is_instance(original, CnfFormula(moved, reduced.num_vars), target)
 
 
 def test_instance_check_consumes_every_output_clause():
