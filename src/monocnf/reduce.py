@@ -279,16 +279,14 @@ GOLD: Clauses = tuple(
 
 class Row:
     """One row compiled for its readers: input slots 1 to ``width``, then
-    fresh slots, the first ``bridges`` from the bridge pool and the other
-    ``block`` from the pool of the expansion blocks."""
+    fresh slots up to its largest, the first ``bridges`` from the bridge
+    pool and the other ``block`` from the pool of the expansion blocks."""
 
     def __init__(self, clauses: Clauses, width: int, bridges: int = 0):
         self.clauses = clauses
         slots = tuple(chain.from_iterable(lits for _, lits in clauses))
         self.widths = tuple(len(lits) for _, lits in clauses)
-        variables = [*map(abs, slots)]
-        self.firsts = tuple(map(variables.index, range(width + 1, max(variables) + 1)))  # fresh slots' first positions
-        self.bridges, self.block = bridges, len(self.firsts) - bridges
+        self.bridges, self.block = bridges, max(map(abs, slots)) - width - bridges
         self.pick = itemgetter(*slots)  # the row's literals from a table, as a tuple: every row has 2 slots or more
         self.text = clause_format(self.widths)  # its DIMACS lines, a format over ``pick``'s literals
 
@@ -313,9 +311,9 @@ class Target:
         slots from 3; gold's split of a mixed clause in slots 1 to 3 over the
         bridge slot 4, its 2-clause child replaced by the template with fresh
         slots from 5.  The reduction writes these rows, ``solve._lemma_holds``
-        proves each at a probe of its shape, and ``solve._is_instance`` reads
-        outputs only through them: the lemma vets what the pass accepts by
-        construction."""
+        proves each at a probe of its shape, and ``solve._is_instance``
+        compares an output with the runs of these rows: the lemma vets what
+        the pass accepts by construction."""
         wide, (_, narrow) = GOLD
         _, ins, sign = _split(narrow)
         expansion = _over(self.template, _table(ins, _signed(sign, 5, self.growth[0])))
@@ -383,10 +381,11 @@ Run = tuple[int, Row, list[int]]
 class Runs:
     """The runs of ``Target.runs`` on a checked input.  Each walk lays them
     out afresh, so a caller may read them twice without holding them all
-    or checking the input again."""
+    or checking the input again.  This is the one place that numbers fresh
+    variables: ``solve._certified`` compares an output with its runs."""
 
     target: Target
-    clauses: tuple[Clause, ...]
+    clauses: Sequence[Sequence[int]]
     bridge: int  # the first bridge variable
     first: int  # the first fresh variable of the expansion blocks
 

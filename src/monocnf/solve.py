@@ -23,8 +23,10 @@ over C's variables and fresh ones Z that occur nowhere else, and when
 ∃Z. T ≡ C for every replacement, the output is equisatisfiable with the
 input at every size.  The replacements are the rows of ``Target.rows``,
 one per input shape.  The truth table checks that lemma once per row and
-sign; one linear pass per target, in table order, checks that the output
-is made of that target's rows.  When it is not, DPLL decides both sides.
+sign; one linear pass per target, in table order, compares the output
+with that target's runs on the input, ``reduce.Runs``, which number the
+fresh variables as the reduction does.  Any other output, a renumbered
+one included, is left to DPLL, which decides both sides.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .formula import Clause, CnfFormula
-from .reduce import TARGETS, Target, _over, _signed, _split, _table
+from .reduce import TARGETS, Run, Runs, Target, _census, _over
 
 Assignment = dict[int, bool]
 
@@ -292,8 +294,8 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
 def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
     """True iff both formulas have the same SAT verdict.
 
-    When ``reduced`` is an output of the reduction scheme on ``original``
-    (see ``_is_instance``), the verdicts are equal by the scheme's lemma and
+    When ``reduced`` is a target's output on ``original`` (see
+    ``_certified``), the verdicts are equal by the scheme's lemma and
     neither side is decided.  Otherwise ``solve_dpll`` decides both.  Its
     WITNESS_VAR_LIMIT applies to both sides either way, checked first."""
     _check_witness_limit(original.num_vars)
@@ -304,27 +306,32 @@ def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
 
 
 def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:
-    """Whether ``reduced`` is an instance of some target's scheme on
-    ``original`` whose lemma holds.  Each target's pass is tried in table
-    order, and a target's lemma is checked only when its pass reads the
-    output; a pass reads only its own target's layout."""
-    if not set(map(len, original.clauses)) <= {2, 3}:
+    """Whether ``reduced`` is some target's output on ``original`` and that
+    target's lemma holds.  Every input clause needs a row, so its width is
+    2 or 3 and a 2-clause is monotone.  Each target's runs on the input, in
+    table order, are laid out with the fresh variables of ``Target.runs``;
+    a target's lemma is checked only when its runs are the output."""
+    clauses, n = original.clauses, original.num_vars
+    if not set(map(len, clauses)) <= {2, 3} or any(len(c) == 2 and c[0] * c[1] < 0 for c in clauses):
         return False
-    return any(_is_instance(original, reduced, target) and _lemma_holds(target) for target in TARGETS.values())
+    first = n + _census(clauses)[0] + 1
+    return any(
+        _is_instance(reduced, Runs(target, clauses, n + 1, first)) and _lemma_holds(target)
+        for target in TARGETS.values()
+    )
 
 
 @cache
 def _lemma_holds(target: Target) -> bool:
     """Whether each of the target's rows replaces a clause of its shape by
     an equivalent up to the row's fresh variables.  One probe clause per
-    shape and sign, the cheap pair probes first, is read by ``_split`` with
-    fresh variables from 4 on, as ``_is_instance`` reads an instance.
+    shape and sign, the cheap pair probes first, is laid out by ``Runs``
+    with its bridge 4 and its block from 5, as a run of an output is.
     Checked once per process, when first needed: about a tenth of a second
     for all four targets, most of it for the gadget's rows."""
     for probe in ((1, 2), (-1, -2), (1, 2, 3), (1, 2, -3), (1, -2, -3)):
-        shape, ins, sign = _split(probe)
-        row = target.rows[shape]
-        if not _projects_to(_over(row.clauses, _table(ins, _signed(sign, 4, len(row.firsts)))), probe):
+        ((_, row, table),) = Runs(target, (probe,), 4, 5)
+        if not _projects_to(_over(row.clauses, table), probe):
             return False
     return True
 
@@ -347,37 +354,17 @@ def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> boo
     return True
 
 
-def _is_instance(original: CnfFormula, reduced: CnfFormula, target: Target) -> bool:
-    """Whether ``reduced``, read as given, is the target's output on
-    ``original``, up to the numbering of fresh variables.  One pass over the
-    input's clauses, in order, consumes for each one the group of output
-    clauses its row lays out (see ``Target.rows``): the group must have the
-    row's clause widths and equal the row over the clause's slot values and
-    fresh variables.  Each fresh slot's variable is read at its first
-    position, in the sign that the row and the clause's sign give it, never
-    the output's; it lies above ``original.num_vars``, and no two slots or
-    groups claim it.  Every output clause must be consumed, and an output
-    that runs out before the input does is refused, not read past.
-    """
-    n = original.num_vars
+def _is_instance(reduced: CnfFormula, runs: Iterable[Run]) -> bool:
+    """Whether ``reduced``, read as given, is exactly ``runs``.  One pass, in
+    run order, takes for each run the group of output clauses its row lays
+    out: the group must have the row's clause widths and the row's literals
+    from the run's table.  Every output clause must be consumed, and an
+    output that runs out before the runs do is refused, not read past."""
     out = reduced.clauses
-    claimed = bytearray(reduced.num_vars + 1)
     j = 0
-    for clause in original.clauses:
-        shape, ins, sign = _split(clause)
-        if shape is None:
-            return False
-        row = target.rows[shape]
+    for _, row, table in runs:
         group = out[j : j + len(row.widths)]
         j += len(row.widths)
-        if tuple(map(len, group)) != row.widths:
+        if tuple(map(len, group)) != row.widths or tuple(chain.from_iterable(group)) != row.pick(table):
             return False
-        lits = tuple(chain.from_iterable(group))
-        fresh = [abs(lits[position]) for position in row.firsts]
-        if row.pick(_table(ins, [sign * var for var in fresh])) != lits:
-            return False
-        for var in fresh:
-            if var <= n or claimed[var]:
-                return False
-            claimed[var] = 1
     return j == len(out)

@@ -270,7 +270,7 @@ def test_argument_errors_are_short_lines(argv, capsys):
     assert all(len(line) < 300 for line in err.splitlines())
 
 
-def test_check_equisat_verdicts(tmp_path, capsys):
+def test_check_equisat_verdicts(tmp_path, capsys, monkeypatch):
     original = _write(tmp_path, "orig.cnf", SAT_MIXED)
     reduced = str(tmp_path / "red.cnf")
     assert run(["reduce", "--target", "mono3sat4", original, reduced]) == 0
@@ -280,6 +280,21 @@ def test_check_equisat_verdicts(tmp_path, capsys):
     unsat = _write(tmp_path, "unsat.cnf", UNSAT_TINY)
     assert run(["check-equisat", original, unsat]) == 1
     assert "not equisatisfiable" in capsys.readouterr().out
+
+    # no row takes a mixed 2-clause: DPLL decides, with no traceback
+    pair = _write(tmp_path, "pair.cnf", "p cnf 3 2\n1 -2 0\n1 2 3 0\n")
+    assert run(["check-equisat", pair, pair]) == 0
+    assert capsys.readouterr() == ("equisatisfiable\n", "")
+
+    def refuse(formula):
+        raise AssertionError("solve_dpll was called")
+
+    # the trace comments are not clauses, and --compact-r3 has its own target
+    monkeypatch.setattr(solve, "solve_dpll", refuse)
+    for flags in (["--target", "mono3sat4", "--trace"], ["--target", "mono3sat5", "--compact-r3"]):
+        assert run(["reduce", *flags, original, reduced]) == 0
+        assert run(["check-equisat", original, reduced]) == 0
+        assert capsys.readouterr().out == "equisatisfiable\n"
 
 
 def test_blowup_emits_csv(capsys):

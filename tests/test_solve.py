@@ -397,7 +397,28 @@ def _broken_reductions():
     yield "fresh variables are renamed onto input variables", pairs, _relabelled(reduced, block, onto_input)
 
 
-@pytest.mark.parametrize("original, broken", [pytest.param(*case[1:], id=case[0]) for case in _broken_reductions()])
+def _outputs_left_to_dpll():
+    """(label, original, output) for outputs that are not the reduction's
+    own although nothing in them is broken: the pass compares with the
+    reduction's numbering of fresh variables, and no row takes a mixed
+    2-clause."""
+    original = generate(GenConfig(12, 16, 5))
+    reduced, _ = to_monotone_3sat4(original)
+    assert original.num_vars < 26 and reduced.num_vars == 298  # both fresh
+    wider = CnfFormula(reduced.clauses, 299)
+    # the swap changes the literal order of some clauses, the rename does not
+    yield "fresh variables 26 and 298 swap names", original, _relabelled(
+        wider, range(len(reduced)), {26: 298, 298: 26}
+    )
+    yield "fresh variable 298 is renamed to 299", original, _relabelled(wider, range(len(reduced)), {298: 299})
+    pair = CnfFormula.from_ints([[1, -2], [1, 2, 3]])
+    yield "the input holds a mixed 2-clause", pair, pair
+
+
+@pytest.mark.parametrize(
+    "original, broken",
+    [pytest.param(*case[1:], id=case[0]) for case in (*_broken_reductions(), *_outputs_left_to_dpll())],
+)
 def test_instance_check_refuses_a_broken_reduction_and_dpll_decides(original, broken, monkeypatch):
     calls = []
 
@@ -418,7 +439,7 @@ def test_an_output_of_a_template_whose_lemma_fails_is_left_to_dpll(monkeypatch):
     monkeypatch.setitem(TARGETS, "broken", broken)
     original = generate(GenConfig(12, 16, 5))
     reduced, _ = broken.reduce(original)
-    assert solve._is_instance(original, reduced, broken)
+    assert solve._is_instance(reduced, broken.runs(original)[2])
     assert not solve._certified(original, reduced)
 
 
@@ -447,19 +468,19 @@ def test_instance_check_reads_the_clause_boundaries_of_a_group():
     target = replace(TARGETS["mono3sat5"], template=(("r", (1, 2, 3)), ("r", (4, 5, 6))), growth=(4, 1))
     original = CnfFormula.from_ints([[1, 2], [3, 4, 5]])
     reduced, _ = target.reduce(original)
-    assert solve._is_instance(original, reduced, target)
+    assert solve._is_instance(reduced, target.runs(original)[2])
     (x, y, u), (v, *rest) = reduced.clauses[:2]
     moved = [Clause((x, y)), Clause((u, v, *rest)), *reduced.clauses[2:]]
-    assert not solve._is_instance(original, CnfFormula(moved, reduced.num_vars), target)
+    assert not solve._is_instance(CnfFormula(moved, reduced.num_vars), target.runs(original)[2])
 
 
 def test_instance_check_consumes_every_output_clause():
     original = generate(GenConfig(12, 16, 5))
     for target in TARGETS.values():
         reduced, _ = target.reduce(original)
-        assert solve._is_instance(original, reduced, target)
+        assert solve._is_instance(reduced, target.runs(original)[2])
         longer = CnfFormula([*reduced.clauses, reduced.clauses[0]], reduced.num_vars)
-        assert not solve._is_instance(original, longer, target)
+        assert not solve._is_instance(longer, target.runs(original)[2])
 
 
 def test_instance_check_refuses_every_prefix_of_an_output_without_reading_past_it():
@@ -468,7 +489,7 @@ def test_instance_check_refuses_every_prefix_of_an_output_without_reading_past_i
         reduced, _ = target.reduce(original)
         for end in range(len(reduced.clauses)):
             prefix = CnfFormula(reduced.clauses[:end], reduced.num_vars)
-            assert not any(solve._is_instance(original, prefix, other) for other in TARGETS.values())
+            assert not any(solve._is_instance(prefix, other.runs(original)[2]) for other in TARGETS.values())
             assert not solve._certified(original, prefix)
 
 
