@@ -28,7 +28,14 @@ from .dimacs import DimacsDocument, DimacsError, _clip
 from .formula import FormulaError
 from .profiles import PROFILES, check_blocks
 from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TARGETS, ProfileError
-from .solve import WITNESS_VAR_LIMIT, VariableLimitError, check_equisat, solve_dpll, solve_exhaustive, verify_forcing
+from .solve import (
+    WITNESS_VAR_LIMIT,
+    VariableLimitError,
+    check_equisat_body,
+    solve_dpll,
+    solve_exhaustive,
+    verify_forcing,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,8 +110,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_check_equisat(args: argparse.Namespace) -> int:
     original = dimacs.load(args.original).formula
-    reduced = dimacs.load(args.reduced).formula
-    same = check_equisat(original, reduced)
+    with open(args.reduced, "rb") as handle:
+        body = dimacs.Body(handle.read())
+    same = check_equisat_body(original, body)
     print("equisatisfiable" if same else "not equisatisfiable")
     return EXIT_OK if same else EXIT_CHECK_FAILED
 

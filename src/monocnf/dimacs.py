@@ -135,7 +135,8 @@ def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | N
 class Body:
     """A DIMACS document read in one pass.  Iterating over it yields the
     body's clauses as ``Block`` values, each clause in canonical order, and
-    sets ``num_vars`` and ``comments`` on the way, so a reader need hold
+    sets ``num_vars``, ``num_clauses`` and ``comments`` on the way (the
+    header's counts before the first block is out), so a reader need hold
     only the text, one block and what it derives from them.
 
     Each block of whole lines, about ``_BLOCK_CHARS`` long, is tokenized
@@ -153,6 +154,7 @@ class Body:
                 raise DimacsError(f"input is not UTF-8: byte {exc.start} cannot be decoded") from None
         self.text = text
         self.num_vars: int | None = None
+        self.num_clauses: int | None = None  # the header's count, which the end checks compare with the body
         self.comments: list[str] = []
 
     def __iter__(self) -> Iterator[Block]:
@@ -203,7 +205,7 @@ class Body:
                     raise DimacsError(f"malformed header: {_clip(repr(line))}", lineno)
                 try:
                     num_vars = self.num_vars = int(match.group(1))
-                    num_clauses = int(match.group(2))
+                    num_clauses = self.num_clauses = int(match.group(2))
                 except ValueError:
                     raise DimacsError("header count has too many digits", lineno) from None
                 continue

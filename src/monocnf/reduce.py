@@ -255,15 +255,15 @@ def _split(clause: Sequence[int]) -> tuple[str | None, Sequence[int], int]:
     return "mixed", (y, z, -x), 1 if y > 0 else -1
 
 
-def _table(ins: Sequence[int], fresh: Sequence[int]) -> list[int]:
-    """A row's lookup table: slot k reads ``ins[k - 1]`` up to the input's
-    width and ``fresh`` after it, and slot -k the negation of slot k."""
-    return [0, *ins, *fresh, *map(neg, reversed(fresh)), *map(neg, reversed(ins))]
-
-
-def _signed(sign: int, first: int, count: int) -> range:
-    """``count`` fresh variables from ``first``, each in the clause's sign."""
-    return range(sign * first, sign * (first + count), sign)
+def _table(ins: Sequence[int], fresh: range, more: range = range(0)) -> list[int]:
+    """A run's lookup table: slot k reads ``ins[k - 1]`` up to the input's
+    width, then the variables of ``fresh`` and of ``more``, ranges of step 1
+    or -1 (the clause's sign); slot -k reads the negation of slot k.
+    Negated and reversed, such a range r is ``range(r.step - r.stop,
+    r.step - r.start, r.step)``: no fresh variable is negated one by one."""
+    mirror_more = range(more.step - more.stop, more.step - more.start, more.step)
+    mirror_fresh = range(fresh.step - fresh.stop, fresh.step - fresh.start, fresh.step)
+    return [0, *ins, *fresh, *more, *mirror_more, *mirror_fresh, *map(neg, reversed(ins))]
 
 
 def _over(clauses: Clauses, table: Sequence[int]) -> list[tuple[int, ...]]:
@@ -285,10 +285,12 @@ class Row:
     def __init__(self, clauses: Clauses, width: int, bridges: int = 0):
         self.clauses = clauses
         slots = tuple(chain.from_iterable(lits for _, lits in clauses))
-        self.widths = tuple(len(lits) for _, lits in clauses)
         self.bridges, self.block = bridges, max(map(abs, slots)) - width - bridges
         self.pick = itemgetter(*slots)  # the row's literals from a table, as a tuple: every row has 2 slots or more
-        self.text = clause_format(self.widths)  # its DIMACS lines, a format over ``pick``'s literals
+        # its DIMACS lines, a format over ``pick``'s literals
+        self.text = clause_format(len(lits) for _, lits in clauses)
+        # slot 0 reads 0, so this picks the flat literals of a ``dimacs.Block``: each clause ended by a 0
+        self.flat = itemgetter(*chain.from_iterable((*lits, 0) for _, lits in clauses))
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,7 @@ class Target:
         the pass accepts by construction."""
         wide, (_, narrow) = GOLD
         _, ins, sign = _split(narrow)
-        expansion = _over(self.template, _table(ins, _signed(sign, 5, self.growth[0])))
+        expansion = _over(self.template, _table(ins, range(sign * 5, sign * (5 + self.growth[0]), sign)))
         mixed = (wide, *zip((label for label, _ in self.template), expansion))
         return {"kept": Row((("input", (1, 2, 3)),), 3), "pair": Row(self.template, 2), "mixed": Row(mixed, 3, 1)}
 
@@ -329,7 +331,7 @@ class Target:
         ``_split`` and ``_table``).  The bridges are numbered from
         ``num_vars + 1`` and the expansion blocks after them, so each fresh
         variable is in one run and the counts follow from the census of mixed
-        clauses and 2-clauses.
+        clauses and 2-clauses (see ``size``).
 
         Every target accepts 3-SAT-4 input.  One whose profile bars 2-clauses
         also accepts monotone (2,3)-SAT-4 input; one whose profile allows
@@ -343,11 +345,16 @@ class Target:
                 raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", check_profile(formula, strict))
             if not check_profile(formula, PROFILES["mono23sat4"]).ok:
                 raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", check_profile(formula, strict))
-        mixed, pairs = _census(clauses)
-        first = formula.num_vars + mixed + 1
-        num_vars = first - 1 + self.growth[0] * pairs
-        num_clauses = len(clauses) + mixed + self.growth[1] * pairs
-        return num_vars, num_clauses, Runs(self, clauses, formula.num_vars + 1, first)
+        census = _census(clauses)
+        n = formula.num_vars
+        return (*self.size(n, len(clauses), census), Runs(self, clauses, n + 1, n + census[0] + 1))
+
+    def size(self, num_vars: int, num_clauses: int, census: tuple[int, int]) -> tuple[int, int]:
+        """The variable and clause counts of the output on an input of these
+        counts whose ``_census`` is ``census``: each mixed clause adds a
+        bridge and a clause, and each 2-clause adds the target's growth."""
+        mixed, pairs = census
+        return num_vars + mixed + self.growth[0] * pairs, num_clauses + mixed + self.growth[1] * pairs
 
     def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[str, ...]]:
         """Check the input, then split its mixed clauses and expand its
@@ -394,10 +401,11 @@ class Runs:
         for source, clause in enumerate(self.clauses):
             shape, ins, sign = _split(clause)
             row = rows[shape]
-            fresh = (*_signed(sign, bridge, row.bridges), *_signed(sign, first, row.block))
+            bridges = range(sign * bridge, sign * (bridge + row.bridges), sign)
+            block = range(sign * first, sign * (first + row.block), sign)
             bridge += row.bridges
             first += row.block
-            yield source, row, _table(ins, fresh)
+            yield source, row, _table(ins, bridges, block)
 
 
 def _census(clauses: Sequence[Clause]) -> tuple[int, int]:

@@ -23,10 +23,13 @@ over C's variables and fresh ones Z that occur nowhere else, and when
 ∃Z. T ≡ C for every replacement, the output is equisatisfiable with the
 input at every size.  The replacements are the rows of ``Target.rows``,
 one per input shape.  The truth table checks that lemma once per row and
-sign; one linear pass per target, in table order, compares the output
-with that target's runs on the input, ``reduce.Runs``, which number the
-fresh variables as the reduction does.  Any other output, a renumbered
-one included, is left to DPLL, which decides both sides.
+sign.  One linear pass compares the output's flat literals, 0-terminated
+clauses as in a ``dimacs.Block``, with the runs on the input,
+``reduce.Runs``, which number the fresh variables as the reduction does,
+of each target whose clause count is the output's.  ``check_equisat_body``
+runs that pass on a DIMACS body block by block as it is tokenized, and
+never builds the output.  Any other output, a renumbered one included, is
+left to DPLL, which decides both sides.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
-from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from operator import add, itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
+from .dimacs import Body, parse
 from .formula import Clause, CnfFormula
 from .reduce import TARGETS, Run, Runs, Target, _census, _over
 
@@ -305,19 +309,48 @@ def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
     return solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
 
 
+def check_equisat_body(original: CnfFormula, body: Body) -> bool:
+    """``check_equisat`` of ``original`` and the formula of ``body``, without
+    building that formula when it is a target's output on ``original``: the
+    pass reads the body's blocks as they are tokenized, and reading them to
+    the end runs the body's own checks.  Otherwise the body's text is parsed
+    whole for DPLL.  The witness limits are checked once the body has been
+    read whole, so a DimacsError in it comes first, as when it is parsed."""
+    next(iter(body), None)  # reads the header, which precedes the first block
+    certified = _certified_blocks(original, body.num_clauses, lambda: map(itemgetter(0), body))
+    reduced = None if certified else parse(body.text).formula
+    _check_witness_limit(original.num_vars)
+    _check_witness_limit(body.num_vars)
+    return certified or solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
+
+
 def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:
     """Whether ``reduced`` is some target's output on ``original`` and that
+    target's lemma holds (see ``_certified_blocks``), its clauses read as
+    one block."""
+    flat = tuple(chain.from_iterable(map(add, reduced.clauses, repeat((0,)))))
+    return _certified_blocks(original, len(reduced.clauses), lambda: (flat,))
+
+
+def _certified_blocks(
+    original: CnfFormula, num_clauses: int, blocks: Callable[[], Iterable[Sequence[int]]]
+) -> bool:
+    """Whether the output of ``num_clauses`` clauses whose flat literals
+    ``blocks()`` yields is some target's output on ``original`` and that
     target's lemma holds.  Every input clause needs a row, so its width is
-    2 or 3 and a 2-clause is monotone.  Each target's runs on the input, in
-    table order, are laid out with the fresh variables of ``Target.runs``;
-    a target's lemma is checked only when its runs are the output."""
+    2 or 3 and a 2-clause is monotone.  Only a target whose clause count
+    (``Target.size``) is the output's is tried, in table order, each on a
+    fresh walk of the blocks; two are tried only when their growth is equal
+    or the input has no 2-clause."""
     clauses, n = original.clauses, original.num_vars
     if not set(map(len, clauses)) <= {2, 3} or any(len(c) == 2 and c[0] * c[1] < 0 for c in clauses):
         return False
-    first = n + _census(clauses)[0] + 1
+    census = _census(clauses)
+    first = n + census[0] + 1
     return any(
-        _is_instance(reduced, Runs(target, clauses, n + 1, first)) and _lemma_holds(target)
+        _is_instance(blocks(), Runs(target, clauses, n + 1, first)) and _lemma_holds(target)
         for target in TARGETS.values()
+        if target.size(n, len(clauses), census)[1] == num_clauses
     )
 
 
@@ -354,17 +387,26 @@ def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> boo
     return True
 
 
-def _is_instance(reduced: CnfFormula, runs: Iterable[Run]) -> bool:
-    """Whether ``reduced``, read as given, is exactly ``runs``.  One pass, in
-    run order, takes for each run the group of output clauses its row lays
-    out: the group must have the row's clause widths and the row's literals
-    from the run's table.  Every output clause must be consumed, and an
-    output that runs out before the runs do is refused, not read past."""
-    out = reduced.clauses
-    j = 0
+def _is_instance(blocks: Iterable[Sequence[int]], runs: Iterable[Run]) -> bool:
+    """Whether the output whose flat literals ``blocks`` yields, each clause
+    ended by a 0 as in a ``dimacs.Block``, is exactly ``runs``.  One pass, in
+    run order, compares the next literals with each run's group of clauses
+    (``Row.flat``), so the literals and the clause ends are compared at
+    once.  A group that straddles a block end is compared in parts.  Every
+    literal must be consumed, and an output that runs out before the runs do
+    is refused, not read past."""
+    blocks = map(tuple, blocks)
+    flat, at = (), 0
     for _, row, table in runs:
-        group = out[j : j + len(row.widths)]
-        j += len(row.widths)
-        if tuple(map(len, group)) != row.widths or tuple(chain.from_iterable(group)) != row.pick(table):
-            return False
-    return j == len(out)
+        group = row.flat(table)
+        end = at + len(group)
+        while flat[at:end] != group:
+            if end <= len(flat) or flat[at:] != group[: len(flat) - at]:
+                return False
+            group = group[len(flat) - at :]  # the rest goes on in the next block
+            flat = next(blocks, None)
+            if flat is None:
+                return False
+            at, end = 0, len(group)
+        at = end
+    return at == len(flat) and next(blocks, None) is None

@@ -1,12 +1,15 @@
 """Command-line interface: subcommand behavior, streams, exit codes."""
 
 import gc
+from functools import cache
 
 import pytest
 
-from monocnf import TARGETS, CnfFormula, DimacsDocument, ProfileError, bench, parse, serialize, solve
+from monocnf import TARGETS, CnfFormula, DimacsDocument, DimacsError, ProfileError, bench, dimacs, parse, serialize, solve
 from monocnf import cli
 from monocnf.cli import run
+
+from conftest import BLOCK_CHARS
 
 SAT_MIXED = "p cnf 3 1\n1 -2 3 0\n"
 UNSAT_TINY = "p cnf 1 2\n1 0\n-1 0\n"
@@ -295,6 +298,66 @@ def test_check_equisat_verdicts(tmp_path, capsys, monkeypatch):
         assert run(["reduce", *flags, original, reduced]) == 0
         assert run(["check-equisat", original, reduced]) == 0
         assert capsys.readouterr().out == "equisatisfiable\n"
+
+
+@cache
+def _reduced_n300() -> tuple[str, bytes]:
+    """An n=300 instance and its mono3sat4 output, 8,252 clauses over several
+    body blocks of the default size."""
+    original = bench.generate(bench.GenConfig(300, 400, 7))
+    reduced, _ = TARGETS["mono3sat4"].reduce(original)
+    return serialize(DimacsDocument(original)), serialize(DimacsDocument(reduced)).encode()
+
+
+def _late_errors():
+    """(label, reduced file) pairs: the output of ``_reduced_n300``, which
+    matches the target's runs up to a late error."""
+    _, data = _reduced_n300()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1  # the start of the last clause line
+    top = data.split(maxsplit=3)[2]  # the declared variable count
+    yield "clause-count-mismatch", data[:last]
+    yield "last-clause-unterminated", data[:last] + b"1 -2 3\n"
+    yield "duplicate-in-last-clause", data[:last] + b"-%s -%s 1 0\n" % (top, top)
+    yield "non-utf8-byte", data[: last - 100] + b"\xff" + data[last - 100 :]
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("data", [pytest.param(data, id=label) for label, data in _late_errors()])
+def test_check_equisat_reports_a_late_error_in_the_reduced_file_as_parse_does(
+    tmp_path, capsys, monkeypatch, data, block_chars
+):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    original = _write(tmp_path, "orig.cnf", _reduced_n300()[0])
+    reduced = tmp_path / "red.cnf"
+    reduced.write_bytes(data)
+    with pytest.raises(DimacsError) as error:
+        parse(data)
+
+    def refuse(text):
+        raise AssertionError("the reduced file was parsed whole")
+
+    # the error comes from the block pass, which reads up to it
+    monkeypatch.setattr(solve, "parse", refuse)
+    assert run(["check-equisat", original, str(reduced)]) == 3
+    assert capsys.readouterr() == ("", f"error: {error.value}\n")
+
+
+def test_check_equisat_applies_the_witness_limit_to_a_certified_reduction(tmp_path, capsys, monkeypatch):
+    original = _write(tmp_path, "orig.cnf", _reduced_n300()[0])
+    reduced = tmp_path / "red.cnf"
+    reduced.write_bytes(_reduced_n300()[1])
+    num_vars = parse(reduced.read_bytes()).formula.num_vars
+
+    def refuse(formula):
+        raise AssertionError("solve_dpll was called")
+
+    monkeypatch.setattr(solve, "solve_dpll", refuse)
+    # the reduced header, then the original's, above the limit; then neither
+    for limit, code in ((num_vars - 1, 3), (299, 3), (num_vars, 0)):
+        monkeypatch.setattr(solve, "WITNESS_VAR_LIMIT", limit)
+        assert run(["check-equisat", original, str(reduced)]) == code
+        expected = ("", f"error: declared variable count exceeds the witness limit of {limit}\n")
+        assert capsys.readouterr() == (expected if code else ("equisatisfiable\n", ""))
 
 
 def test_blowup_emits_csv(capsys):

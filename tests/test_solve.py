@@ -4,6 +4,8 @@ import hashlib
 import random
 import tracemalloc
 from dataclasses import replace
+from itertools import accumulate
+from operator import itemgetter
 
 import pytest
 
@@ -13,9 +15,11 @@ from monocnf import (
     CnfFormula,
     DimacsDocument,
     GenConfig,
+    PROFILES,
     SplitMix64,
     VariableLimitError,
     check_equisat,
+    dimacs,
     eliminate_mixed,
     evaluate,
     generate,
@@ -30,7 +34,10 @@ from monocnf import (
     verify_forcing,
 )
 from monocnf.cli import run
+from monocnf.dimacs import Body, clauses_block
+from monocnf.solve import check_equisat_body
 
+from conftest import BLOCK_CHARS
 from naive import naive_model_census, naive_satisfiable, reference_dpll
 
 # At least two of three true and at least two of three false: no unit, no
@@ -357,6 +364,11 @@ def _relabelled(formula: CnfFormula, positions: range, variables: dict[int, int]
     return CnfFormula(clauses, formula.num_vars)
 
 
+def _flat(formula: CnfFormula) -> list[list[int]]:
+    """``formula``'s clauses as the one block of flat literals that ``_is_instance`` reads."""
+    return [clauses_block(formula.clauses)[0]]
+
+
 def _fresh(formula: CnfFormula, positions: range, above: int) -> list[int]:
     return sorted({abs(lit) for i in positions for lit in formula.clauses[i] if abs(lit) > above})
 
@@ -439,7 +451,7 @@ def test_an_output_of_a_template_whose_lemma_fails_is_left_to_dpll(monkeypatch):
     monkeypatch.setitem(TARGETS, "broken", broken)
     original = generate(GenConfig(12, 16, 5))
     reduced, _ = broken.reduce(original)
-    assert solve._is_instance(reduced, broken.runs(original)[2])
+    assert solve._is_instance(_flat(reduced), broken.runs(original)[2])
     assert not solve._certified(original, reduced)
 
 
@@ -468,19 +480,19 @@ def test_instance_check_reads_the_clause_boundaries_of_a_group():
     target = replace(TARGETS["mono3sat5"], template=(("r", (1, 2, 3)), ("r", (4, 5, 6))), growth=(4, 1))
     original = CnfFormula.from_ints([[1, 2], [3, 4, 5]])
     reduced, _ = target.reduce(original)
-    assert solve._is_instance(reduced, target.runs(original)[2])
+    assert solve._is_instance(_flat(reduced), target.runs(original)[2])
     (x, y, u), (v, *rest) = reduced.clauses[:2]
     moved = [Clause((x, y)), Clause((u, v, *rest)), *reduced.clauses[2:]]
-    assert not solve._is_instance(CnfFormula(moved, reduced.num_vars), target.runs(original)[2])
+    assert not solve._is_instance(_flat(CnfFormula(moved, reduced.num_vars)), target.runs(original)[2])
 
 
 def test_instance_check_consumes_every_output_clause():
     original = generate(GenConfig(12, 16, 5))
     for target in TARGETS.values():
         reduced, _ = target.reduce(original)
-        assert solve._is_instance(reduced, target.runs(original)[2])
+        assert solve._is_instance(_flat(reduced), target.runs(original)[2])
         longer = CnfFormula([*reduced.clauses, reduced.clauses[0]], reduced.num_vars)
-        assert not solve._is_instance(longer, target.runs(original)[2])
+        assert not solve._is_instance(_flat(longer), target.runs(original)[2])
 
 
 def test_instance_check_refuses_every_prefix_of_an_output_without_reading_past_it():
@@ -489,8 +501,107 @@ def test_instance_check_refuses_every_prefix_of_an_output_without_reading_past_i
         reduced, _ = target.reduce(original)
         for end in range(len(reduced.clauses)):
             prefix = CnfFormula(reduced.clauses[:end], reduced.num_vars)
-            assert not any(solve._is_instance(prefix, other.runs(original)[2]) for other in TARGETS.values())
+            assert not any(solve._is_instance(_flat(prefix), other.runs(original)[2]) for other in TARGETS.values())
             assert not solve._certified(original, prefix)
+
+
+def _body(formula: CnfFormula) -> Body:
+    return Body(serialize(DimacsDocument(formula)))
+
+
+def _body_flats(formula: CnfFormula):
+    """The flat literals of each block that ``Body`` reads from ``formula``'s text."""
+    return map(itemgetter(0), _body(formula))
+
+
+def _counted_dpll(monkeypatch) -> list[CnfFormula]:
+    """The formulas that ``solve_dpll`` is called on from now on."""
+    calls = []
+
+    def counted(formula):
+        calls.append(formula)
+        return solve_dpll(formula)
+
+    monkeypatch.setattr(solve, "solve_dpll", counted)
+    return calls
+
+
+def _refuse_dpll(monkeypatch) -> None:
+    def refuse(formula):
+        raise AssertionError("solve_dpll was called")
+
+    monkeypatch.setattr(solve, "solve_dpll", refuse)
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("original, broken", [pytest.param(*case[1:], id=case[0]) for case in _broken_reductions()])
+def test_block_pass_refuses_a_broken_reduction_and_dpll_decides(original, broken, block_chars, monkeypatch):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    expected = solve_dpll(original).satisfiable == solve_dpll(broken).satisfiable
+    calls = _counted_dpll(monkeypatch)
+    assert check_equisat_body(original, _body(broken)) == expected
+    assert calls == [original, broken]  # the second parsed from the body's text
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+def test_block_pass_consumes_every_clause_and_refuses_every_prefix_without_reading_past_it(block_chars, monkeypatch):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    # every row: a mixed clause of each shape and a kept clause; then a pair
+    # of each sign, which only the targets whose profile bars 2-clauses take
+    mixed = CnfFormula.from_ints([[1, 2, -3], [1, -2, -4], [2, 3, 4]])
+    pairs = CnfFormula.from_ints([[1, 2], [-3, -4], [1, 3, 4]])
+    wide = [target for target in TARGETS.values() if 2 not in PROFILES[target.profile].widths]
+    for original, targets in ((mixed, list(TARGETS.values())), (pairs, wide)):
+        for target in targets:
+            reduced, _ = target.reduce(original)
+            assert solve._is_instance(_body_flats(reduced), target.runs(original)[2])
+            longer = CnfFormula([*reduced.clauses, reduced.clauses[0]], reduced.num_vars)
+            assert not solve._is_instance(_body_flats(longer), target.runs(original)[2])
+            for end in range(len(reduced.clauses)):
+                prefix = CnfFormula(reduced.clauses[:end], reduced.num_vars)
+                runs = (other.runs(original)[2] for other in targets)
+                assert not any(solve._is_instance(_body_flats(prefix), each) for each in runs), (target, end)
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+def test_block_pass_reads_the_clause_boundaries_of_a_group(block_chars, monkeypatch):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    # as in the formula test: a literal moved across the boundary of the
+    # template's two clauses keeps the group's literals in order
+    target = replace(TARGETS["mono3sat5"], template=(("r", (1, 2, 3)), ("r", (4, 5, 6))), growth=(4, 1))
+    original = CnfFormula.from_ints([[1, 2], [3, 4, 5]])
+    reduced, _ = target.reduce(original)
+    assert solve._is_instance(_body_flats(reduced), target.runs(original)[2])
+    (x, y, u), (v, *rest) = reduced.clauses[:2]
+    moved = CnfFormula([Clause((x, y)), Clause((u, v, *rest)), *reduced.clauses[2:]], reduced.num_vars)
+    assert not solve._is_instance(_body_flats(moved), target.runs(original)[2])
+
+
+def test_block_pass_reads_a_group_that_straddles_a_block_end(monkeypatch):
+    original = generate(GenConfig(300, 400, 7))
+    target = TARGETS["mono3sat4"]
+    reduced, _ = target.reduce(original)
+    blocks = list(_body_flats(reduced))
+    group_ends = set(accumulate(len(row.flat(table)) for _, row, table in target.runs(original)[2]))
+    assert len(blocks) > 1 and len(blocks[0]) not in group_ends  # the first block ends inside a group
+    _refuse_dpll(monkeypatch)
+    assert check_equisat_body(original, _body(reduced))
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+def test_a_tie_in_clause_count_is_read_by_each_candidate_in_table_order(block_chars, monkeypatch):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    target = TARGETS["mono3sat5"]
+    # the same clauses in another order: the lemma holds, the runs differ
+    twin = replace(target, template=target.template[::-1])
+    monkeypatch.setitem(TARGETS, "twin", twin)
+    original = generate(GenConfig(12, 16, 5))
+    outputs = [each.reduce(original)[0] for each in (target, twin)]
+    assert outputs[0] != outputs[1] and len(outputs[0].clauses) == len(outputs[1].clauses)
+    _refuse_dpll(monkeypatch)
+    for reduced in outputs:
+        assert check_equisat(original, reduced)
+        assert check_equisat_body(original, _body(reduced))
 
 
 def test_check_equisat_proves_the_n10k_reduction_without_dpll(monkeypatch):
