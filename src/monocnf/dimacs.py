@@ -97,11 +97,11 @@ def block_rows(flat: list[int], ends: Sequence[int]) -> Iterable[tuple[int, ...]
 
 def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | None]:
     """The end of the block of whole lines from ``start``, about
-    ``_BLOCK_CHARS`` long, and its clauses, or None unless the block is
-    regular: ASCII digits, minus signs and blanks only, no zero-padded
-    literal, every literal in range, every clause nonempty, valid and ended
-    by a 0 in the block.  The line loop reads an irregular block instead,
-    so each error has one source."""
+    ``_BLOCK_CHARS`` long, and its clauses as read, or None unless it is
+    regular: ASCII digits, minus signs and blanks only, no zero-padded literal,
+    every literal in range, every clause nonempty, in ascending variable order
+    (as ``serialize`` writes it) and ended by a 0 in the block.  The line loop
+    reads any other block, so only it builds a ``Clause`` from text."""
     stop = text.find("\n", start + _BLOCK_CHARS)
     stop = len(text) if stop < 0 else stop + 1
     if not _BODY_RE.fullmatch(text, start, stop):
@@ -123,13 +123,9 @@ def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | N
         return stop, None
     if type(ends) is not range and 1 in map(sub, ends, [-1, *ends]):
         return stop, None  # a 0 first or right after another: an empty clause
-    # strict ascent fails only at the zero that ends each clause
-    if sum(map(lt, mags, mags[1:])) == len(flat) - 1 - len(ends):
-        return stop, block
-    try:
-        return stop, clauses_block(map(Clause, block_rows(flat, ends)))
-    except FormulaError:
-        return stop, None
+    # strict ascent fails only at the zero that ends each clause: a clause
+    # out of canonical order or with a repeated variable is left to the line loop
+    return stop, block if sum(map(lt, mags, mags[1:])) == len(flat) - 1 - len(ends) else None
 
 
 class Body:

@@ -328,10 +328,7 @@ class Target:
 
         Each input clause becomes one run ``(source, row, table)``, in input
         order: its shape's row over the lookup table of its slot values (see
-        ``_split`` and ``_table``).  The bridges are numbered from
-        ``num_vars + 1`` and the expansion blocks after them, so each fresh
-        variable is in one run and the counts follow from the census of mixed
-        clauses and 2-clauses (see ``size``).
+        ``_split`` and ``_table``), its fresh variables numbered by ``Runs``.
 
         Every target accepts 3-SAT-4 input.  One whose profile bars 2-clauses
         also accepts monotone (2,3)-SAT-4 input; one whose profile allows
@@ -347,7 +344,7 @@ class Target:
                 raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", check_profile(formula, strict))
         census = _census(clauses)
         n = formula.num_vars
-        return (*self.size(n, len(clauses), census), Runs(self, clauses, n + 1, n + census[0] + 1))
+        return (*self.size(n, len(clauses), census), Runs(self, clauses, n, census[0]))
 
     def size(self, num_vars: int, num_clauses: int, census: tuple[int, int]) -> tuple[int, int]:
         """The variable and clause counts of the output on an input of these
@@ -389,15 +386,18 @@ class Runs:
     """The runs of ``Target.runs`` on a checked input.  Each walk lays them
     out afresh, so a caller may read them twice without holding them all
     or checking the input again.  This is the one place that numbers fresh
-    variables: ``solve._certified`` compares an output with its runs."""
+    variables, the bridges from ``num_vars + 1`` and the expansion blocks
+    from ``num_vars + mixed + 1``, so each is in one run and the counts follow
+    from the census (see ``Target.size``); ``solve._certified`` compares an
+    output with its runs."""
 
     target: Target
     clauses: Sequence[Sequence[int]]
-    bridge: int  # the first bridge variable
-    first: int  # the first fresh variable of the expansion blocks
+    num_vars: int  # the input's variable count
+    mixed: int  # its mixed clauses, one bridge each
 
     def __iter__(self) -> Iterator[Run]:
-        rows, bridge, first = self.target.rows, self.bridge, self.first
+        rows, bridge, first = self.target.rows, self.num_vars + 1, self.num_vars + self.mixed + 1
         for source, clause in enumerate(self.clauses):
             shape, ins, sign = _split(clause)
             row = rows[shape]
@@ -422,13 +422,11 @@ def _census(clauses: Sequence[Clause]) -> tuple[int, int]:
 def _target(profile: str, rule: Callable[..., list[Clause]], labels: tuple[str, ...]) -> Target:
     """A table entry with its rule compiled into a template, by running it
     once on the probe 2-clause (1, 2) with fresh variables from 3 on.
-    ``labels`` name the produced clauses, the last one repeating; growth
-    is the fresh variables and the clauses, less the probe they replace,
-    so a rule that returns the probe itself keeps each 2-clause at (0, 0)."""
-    alloc = FreshAllocator(3)
-    labelled = zip(chain(labels, repeat(labels[-1])), rule(Clause((1, 2)), alloc))
-    template = tuple(labelled)
-    return Target(profile, template, (alloc.next_index - 3, len(template) - 1))
+    ``labels`` name the produced clauses, the last one repeating; growth is
+    the pair row's fresh block (``Row.block``, which ``Runs`` numbers by) and
+    its clauses less the probe, so a rule that returns the probe keeps (0, 0)."""
+    template = tuple(zip(chain(labels, repeat(labels[-1])), rule(Clause((1, 2)), FreshAllocator(3))))
+    return Target(profile, template, (Row(template, 2).block, len(template) - 1))
 
 
 TARGETS: dict[str, Target] = {

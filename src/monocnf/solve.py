@@ -346,9 +346,8 @@ def _certified_blocks(
     if not set(map(len, clauses)) <= {2, 3} or any(len(c) == 2 and c[0] * c[1] < 0 for c in clauses):
         return False
     census = _census(clauses)
-    first = n + census[0] + 1
     return any(
-        _is_instance(blocks(), Runs(target, clauses, n + 1, first)) and _lemma_holds(target)
+        _is_instance(blocks(), Runs(target, clauses, n, census[0])) and _lemma_holds(target)
         for target in TARGETS.values()
         if target.size(n, len(clauses), census)[1] == num_clauses
     )
@@ -358,12 +357,12 @@ def _certified_blocks(
 def _lemma_holds(target: Target) -> bool:
     """Whether each of the target's rows replaces a clause of its shape by
     an equivalent up to the row's fresh variables.  One probe clause per
-    shape and sign, the cheap pair probes first, is laid out by ``Runs``
-    with its bridge 4 and its block from 5, as a run of an output is.
+    shape and sign, the cheap pair probes first, is laid out by ``Runs`` as in
+    an output over 3 variables and 1 mixed clause: bridge 4, block from 5.
     Checked once per process, when first needed: about a tenth of a second
     for all four targets, most of it for the gadget's rows."""
     for probe in ((1, 2), (-1, -2), (1, 2, 3), (1, 2, -3), (1, -2, -3)):
-        ((_, row, table),) = Runs(target, (probe,), 4, 5)
+        ((_, row, table),) = Runs(target, (probe,), 3, 1)
         if not _projects_to(_over(row.clauses, table), probe):
             return False
     return True

@@ -14,6 +14,7 @@ from monocnf import (
     DimacsDocument,
     DimacsError,
     GenConfig,
+    cli,
     dimacs,
     dump,
     generate,
@@ -236,6 +237,33 @@ def test_only_a_block_holding_a_token_json_refuses_is_read_line_by_line(monkeypa
     at = -1 if refused is None else text.index(refused)
     assert [not accepted for _, _, accepted in calls] == [start <= at < stop for start, stop, _ in calls]
     assert len(calls) > 1
+
+
+@pytest.mark.parametrize("block_chars", [1 << 14, dimacs._BLOCK_CHARS])
+def test_only_the_block_holding_a_clause_out_of_canonical_order_is_read_line_by_line(monkeypatch, block_chars):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    calls = _spy_blocks(monkeypatch)
+    text = _deep("5 4 -3 0")
+    assert list(_outcome(text).formula.clauses) == [(1, -2, 3)] * 9000 + [(-3, 4, 5)] * 1000
+    # a block is tokenized whole only as serialize writes it: the line loop
+    # sorts that one clause, and the blocks around it are read whole
+    at = text.index("5 4 -3 0")
+    assert [not accepted for _, _, accepted in calls] == [start <= at < stop for start, stop, _ in calls]
+    assert len(calls) > 1
+
+
+def test_every_block_of_gen_and_reduce_output_is_tokenized_whole(monkeypatch, tmp_path):
+    source = str(tmp_path / "g.cnf")
+    assert cli.run(["gen", "--vars", "2000", "--clauses", "2666", "--seed", "3", source]) == 0
+    paths = [source]
+    for args in (["mono23sat4"], ["mono3sat5"], ["mono3sat5", "--compact-r3"], ["mono3sat4"]):
+        paths.append(str(tmp_path / f"r{len(paths)}.cnf"))
+        assert cli.run(["reduce", "--target", *args, source, paths[-1]]) == 0
+    calls = _spy_blocks(monkeypatch)
+    for path in paths:
+        calls.clear()
+        load(path)
+        assert calls and all(accepted for _, _, accepted in calls), path
 
 
 def test_parse_peak_memory_is_no_higher_than_the_line_loop():
