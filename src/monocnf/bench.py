@@ -8,7 +8,7 @@ seed reproduces the same instance on any platform and Python version.
 
 Blowup accounting runs every target of ``reduce.TARGETS`` on an
 instance, reports output sizes and wall time as CSV rows, and checks the
-measured counts against the closed forms stated by ``Target.runs``.
+measured counts against the closed forms stated by ``Target.size``.
 """
 
 from __future__ import annotations
@@ -151,22 +151,22 @@ CSV_HEADER = (
 def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
     """Run every target on a 3-SAT-4 instance and return one CSV row per
     target, matching CSV_HEADER.  Raises RuntimeError when a target's
-    measured size differs from the closed form stated by ``Target.runs``."""
+    measured size differs from the closed form stated by ``Target.size``."""
+    census = _census(formula.clauses)
     measured_rows = []
     for name, target in TARGETS.items():
         start = time.perf_counter()
         out, _ = target.reduce(formula)
         millis = (time.perf_counter() - start) * 1000.0
-        if name == "mono23sat4":  # the 2-clause census of mixed elimination
-            census = Counter((len(c), c.sign) for c in out.clauses)
+        if name == "mono23sat4":  # the 2-clauses of mixed elimination, by sign
+            pairs = Counter((len(c), c.sign) for c in out.clauses)
         # variables as the clauses use them: ``out.num_vars`` is the closed form's
         measured = (max((formula.num_vars, *out.variables())), len(out.clauses))
-        expected = target.runs(formula)[:2]
+        expected = target.size(formula.num_vars, len(formula.clauses), census)
         if measured != expected:
             raise RuntimeError(
                 f"blowup identity violated for {name}: measured vars/clauses {measured}, expected {expected}"
             )
         measured_rows.append((name, *measured, f"{millis:.3f}"))
-    mixed, _ = _census(formula.clauses)
-    prefix = (seed, formula.num_vars, len(formula.clauses), mixed, census[2, 1], census[2, -1])
+    prefix = (seed, formula.num_vars, len(formula.clauses), census[0], pairs[2, 1], pairs[2, -1])
     return [tuple(map(str, prefix + row)) for row in measured_rows]

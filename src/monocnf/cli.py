@@ -152,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--compact-r3", action="store_true", dest="compact_r3",
-        # its clauses replace the 2-clause
-        help=f"use the {TARGETS['mono3sat5-compact'].growth[1] + 1}-clause 2-clause expansion (mono3sat5 only)",
+        help=f"use the {len(TARGETS['mono3sat5-compact'].template)}-clause 2-clause expansion (mono3sat5 only)",
     )
     p.add_argument("--trace", action="store_true", help="embed per-clause provenance comments")
     p.add_argument("input", help="input DIMACS CNF file")

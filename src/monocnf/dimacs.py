@@ -273,11 +273,7 @@ def serialize(doc: DimacsDocument) -> str:
     clauses = doc.formula.clauses
     # one format string for the whole body, applied once to every literal
     formats = {width: clause_format((width,)) for width in set(map(len, clauses))}
-    if len(formats) == 1:
-        (body,) = formats.values()
-        body *= len(clauses)
-    else:
-        body = "".join(map(formats.__getitem__, map(len, clauses)))
+    body = "".join(map(formats.__getitem__, map(len, clauses)))
     head = "".join(_head(doc.comments, doc.formula.num_vars, len(clauses)))
     return head + body % tuple(chain.from_iterable(clauses))
 

@@ -11,11 +11,12 @@ Three layers:
   on a designated variable; instantiated per widened 2-clause so nothing
   exceeds four occurrences.
 * Pipelines: the ``TARGETS`` table maps each target name to its output
-  profile, its 2-clause template (the pair itself, r3, compact r3, or
-  widening plus gadget), compiled once from its rule, and the growth per
-  2-clause read from it.  ``Target.rows`` states the scheme once: one row
-  of output clauses per input shape.  ``Target.runs`` lays out a target's
-  output as one row per input clause and states its size; ``Target.text``,
+  profile and its 2-clause template (the pair itself, r3, compact r3, or
+  widening plus gadget), compiled once from its rule.  ``Target.rows``
+  states the scheme once: one row of output clauses per input shape, the
+  growth per 2-clause read from the pair row.  ``Target.size`` states the
+  output's counts, and ``Target.runs`` lays out a target's output as one
+  row per input clause; ``Target.text``,
   ``Target.trace`` and ``Target.reduce`` read the rows as DIMACS body lines,
   trace comments and the formula, and ``eliminate_mixed``,
   ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run table entries.
@@ -59,10 +60,6 @@ class FreshAllocator:
         if next_index < 1:
             raise ValueError(f"variable indices start at 1, got {next_index}")
         self._next = next_index
-
-    @property
-    def next_index(self) -> int:
-        return self._next
 
     def fresh(self) -> int:
         index = self._next
@@ -295,16 +292,14 @@ class Row:
 
 @dataclass(frozen=True)
 class Target:
-    """One reduction target: the class its output meets, the template
+    """One reduction target: the class its output meets and the template
     that replaces each monotone 2-clause left by mixed elimination (one
     (rule label, slot literals) per clause; mixed elimination's is the
-    pair itself) and what each 2-clause adds, in (variables, clauses).
-    It lays out its output as runs and renders them as DIMACS text and
-    trace comments."""
+    pair itself).  It lays out its output as runs and renders them as
+    DIMACS text and trace comments."""
 
     profile: str
     template: Clauses
-    growth: tuple[int, int]
 
     @cached_property
     def rows(self) -> dict[str, Row]:
@@ -318,16 +313,25 @@ class Target:
         the pass accepts by construction."""
         wide, (_, narrow) = GOLD
         _, ins, sign = _split(narrow)
-        expansion = _over(self.template, _table(ins, range(sign * 5, sign * (5 + self.growth[0]), sign)))
+        pair = Row(self.template, 2)
+        expansion = _over(self.template, _table(ins, range(sign * 5, sign * (5 + pair.block), sign)))
         mixed = (wide, *zip((label for label, _ in self.template), expansion))
-        return {"kept": Row((("input", (1, 2, 3)),), 3), "pair": Row(self.template, 2), "mixed": Row(mixed, 3, 1)}
+        return {"kept": Row((("input", (1, 2, 3)),), 3), "pair": pair, "mixed": Row(mixed, 3, 1)}
+
+    @property
+    def growth(self) -> tuple[int, int]:
+        """What each 2-clause adds, in (variables, clauses): the pair row's
+        fresh block (``Row.block``, which ``Runs`` numbers by) and its clauses
+        less the pair, so a template that is the pair itself adds (0, 0)."""
+        return self.rows["pair"].block, len(self.template) - 1
 
     def runs(self, formula: CnfFormula) -> tuple[int, int, Runs]:
         """Check the input, then lay out the output without building it.
-        Returns its variable count, its clause count and its runs.
+        Returns its variable count and its clause count, as ``size`` states
+        them, and its runs.
 
-        Each input clause becomes one run ``(source, row, table)``, in input
-        order: its shape's row over the lookup table of its slot values (see
+        Each input clause becomes one run ``(row, table)``, in input order:
+        its shape's row over the lookup table of its slot values (see
         ``_split`` and ``_table``), its fresh variables numbered by ``Runs``.
 
         Every target accepts 3-SAT-4 input.  One whose profile bars 2-clauses
@@ -350,8 +354,8 @@ class Target:
         """The variable and clause counts of the output on an input of these
         counts whose ``_census`` is ``census``: each mixed clause adds a
         bridge and a clause, and each 2-clause adds the target's growth."""
-        mixed, pairs = census
-        return num_vars + mixed + self.growth[0] * pairs, num_clauses + mixed + self.growth[1] * pairs
+        (mixed, pairs), (fresh, added) = census, self.growth
+        return num_vars + mixed + fresh * pairs, num_clauses + mixed + added * pairs
 
     def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[str, ...]]:
         """Check the input, then split its mixed clauses and expand its
@@ -360,25 +364,26 @@ class Target:
         to the bytes of ``monocnf reduce --trace``."""
         num_vars, _, runs = self.runs(formula)
         runs = list(runs)
-        clauses = [_trusted_clause(map(table.__getitem__, lits)) for _, row, table in runs for _, lits in row.clauses]
+        clauses = [_trusted_clause(map(table.__getitem__, lits)) for row, table in runs for _, lits in row.clauses]
         return _trusted_formula(clauses, num_vars), tuple(self.trace(runs))
 
     def text(self, runs: Iterable[Run]) -> Iterator[str]:
         """The DIMACS body lines of each run: its row's literals, read from
         the run's lookup table."""
-        for _, row, table in runs:
+        for row, table in runs:
             yield row.text % row.pick(table)
 
     def trace(self, runs: Iterable[Run]) -> Iterator[str]:
-        """One "trace <index> <rule> <source>" comment per output clause of ``runs``."""
+        """One "trace <index> <rule> <source>" comment per output clause of
+        ``runs``; a run's source is its position, its input clause's index."""
         index = count()
-        for source, row, _ in runs:
+        for source, (row, _) in enumerate(runs):
             for label, _ in row.clauses:
                 yield f"trace {next(index)} {label} {source}"
 
 
-# one input clause's run, (source, row, table): see ``Target.runs``
-Run = tuple[int, Row, list[int]]
+# one input clause's run, (row, table): see ``Target.runs``, whose counts ``Target.size`` states
+Run = tuple[Row, list[int]]
 
 
 @dataclass(frozen=True)
@@ -387,9 +392,9 @@ class Runs:
     out afresh, so a caller may read them twice without holding them all
     or checking the input again.  This is the one place that numbers fresh
     variables, the bridges from ``num_vars + 1`` and the expansion blocks
-    from ``num_vars + mixed + 1``, so each is in one run and the counts follow
-    from the census (see ``Target.size``); ``solve._certified`` compares an
-    output with its runs."""
+    from ``num_vars + mixed + 1``, so each is in one run and the counts are
+    those ``Target.size`` states from the census; ``solve._certified``
+    compares an output with its runs."""
 
     target: Target
     clauses: Sequence[Sequence[int]]
@@ -398,14 +403,14 @@ class Runs:
 
     def __iter__(self) -> Iterator[Run]:
         rows, bridge, first = self.target.rows, self.num_vars + 1, self.num_vars + self.mixed + 1
-        for source, clause in enumerate(self.clauses):
+        for clause in self.clauses:
             shape, ins, sign = _split(clause)
             row = rows[shape]
             bridges = range(sign * bridge, sign * (bridge + row.bridges), sign)
             block = range(sign * first, sign * (first + row.block), sign)
             bridge += row.bridges
             first += row.block
-            yield source, row, _table(ins, bridges, block)
+            yield row, _table(ins, bridges, block)
 
 
 def _census(clauses: Sequence[Clause]) -> tuple[int, int]:
@@ -422,11 +427,8 @@ def _census(clauses: Sequence[Clause]) -> tuple[int, int]:
 def _target(profile: str, rule: Callable[..., list[Clause]], labels: tuple[str, ...]) -> Target:
     """A table entry with its rule compiled into a template, by running it
     once on the probe 2-clause (1, 2) with fresh variables from 3 on.
-    ``labels`` name the produced clauses, the last one repeating; growth is
-    the pair row's fresh block (``Row.block``, which ``Runs`` numbers by) and
-    its clauses less the probe, so a rule that returns the probe keeps (0, 0)."""
-    template = tuple(zip(chain(labels, repeat(labels[-1])), rule(Clause((1, 2)), FreshAllocator(3))))
-    return Target(profile, template, (Row(template, 2).block, len(template) - 1))
+    ``labels`` name the produced clauses, the last one repeating."""
+    return Target(profile, tuple(zip(chain(labels, repeat(labels[-1])), rule(Clause((1, 2)), FreshAllocator(3)))))
 
 
 TARGETS: dict[str, Target] = {

@@ -362,7 +362,7 @@ def _lemma_holds(target: Target) -> bool:
     Checked once per process, when first needed: about a tenth of a second
     for all four targets, most of it for the gadget's rows."""
     for probe in ((1, 2), (-1, -2), (1, 2, 3), (1, 2, -3), (1, -2, -3)):
-        ((_, row, table),) = Runs(target, (probe,), 3, 1)
+        ((row, table),) = Runs(target, (probe,), 3, 1)
         if not _projects_to(_over(row.clauses, table), probe):
             return False
     return True
@@ -396,7 +396,7 @@ def _is_instance(blocks: Iterable[Sequence[int]], runs: Iterable[Run]) -> bool:
     is refused, not read past."""
     blocks = map(tuple, blocks)
     flat, at = (), 0
-    for _, row, table in runs:
+    for row, table in runs:
         group = row.flat(table)
         end = at + len(group)
         while flat[at:end] != group:

@@ -117,7 +117,7 @@ def test_criterion_04_rule_arithmetic():
         for compact, clause_count, var_count in ((False, 19, 18), (True, 17, 16)):
             alloc = FreshAllocator(3)
             produced = apply_r3(pair, alloc, compact=compact)
-            fresh = range(3, alloc.next_index)
+            fresh = range(3, alloc.fresh())
             label = f"sign={sign} compact={compact}"
             if len(produced) != clause_count:
                 failures.append(f"{label}: {len(produced)} clauses")
@@ -150,7 +150,7 @@ def test_criterion_05_rule_level_equisatisfiability():
             pair = Clause((sign * 1, sign * 2))
             alloc = FreshAllocator(3)
             produced = rule(pair, alloc)
-            num_vars = alloc.next_index - 1
+            num_vars = alloc.fresh() - 1
             for a in (False, True):
                 for b in (False, True):
                     pinned = produced + [

@@ -1,6 +1,5 @@
 """Seeded generation and blowup accounting."""
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -14,6 +13,7 @@ from monocnf import (
     GenConfig,
     GenerationError,
     SplitMix64,
+    Target,
     blowup_rows,
     check_profile,
     generate,
@@ -175,19 +175,31 @@ def test_blowup_rows_do_not_depend_on_the_order_of_the_targets(monkeypatch):
     assert {row[6]: row[:-1] for row in rows} == by_name
 
 
+def _skew_size(monkeypatch, name: str, per_pair: tuple[int, int]) -> None:
+    """Make ``Target.size`` of ``TARGETS[name]`` add ``per_pair`` more
+    (variables, clauses) per 2-clause than the target's growth."""
+    size = Target.size
+
+    def skewed(self, num_vars, num_clauses, census):
+        counts = size(self, num_vars, num_clauses, census)
+        if self is not TARGETS[name]:
+            return counts
+        return counts[0] + per_pair[0] * census[1], counts[1] + per_pair[1] * census[1]
+
+    monkeypatch.setattr(Target, "size", skewed)
+
+
 def test_blowup_identity_violation_names_the_target(monkeypatch):
     # one clause too few per 2-clause: the measured gadget output breaks it
-    wrong = dataclasses.replace(TARGETS["mono3sat4"], growth=(21, 24))
-    monkeypatch.setitem(TARGETS, "mono3sat4", wrong)
+    _skew_size(monkeypatch, "mono3sat4", (0, -1))
     with pytest.raises(RuntimeError, match="blowup identity violated for mono3sat4"):
         blowup_rows(0, CnfFormula.from_ints([[1, -2, 3]]))
 
 
 def test_blowup_measures_variables_from_the_output_clauses(monkeypatch):
     # one variable too many per 2-clause: the output's clauses use one fewer,
-    # though its declared count follows the same growth
-    wrong = dataclasses.replace(TARGETS["mono3sat4"], growth=(22, 25))
-    monkeypatch.setitem(TARGETS, "mono3sat4", wrong)
+    # though its declared count follows the same closed form
+    _skew_size(monkeypatch, "mono3sat4", (1, 0))
     with pytest.raises(RuntimeError, match="blowup identity violated for mono3sat4"):
         blowup_rows(0, CnfFormula.from_ints([[1, -2, 3], [-4, 5, 6]]))
 

@@ -1,5 +1,6 @@
 """End-to-end reduction pipelines: shapes, profiles, traces, verdicts."""
 
+import dataclasses
 import itertools
 import re
 from pathlib import Path
@@ -16,6 +17,7 @@ from monocnf import (
     FreshAllocator,
     GenConfig,
     ProfileError,
+    Target,
     apply_r3,
     check_equisat,
     check_profile,
@@ -237,6 +239,18 @@ def test_target_growth_matches_closed_forms():
         "mono3sat5-compact": (16, 16),
         "mono3sat4": (21, 25),
     }
+
+
+def test_target_growth_follows_its_template():
+    # a target is its profile and template: without the gadget's last clause
+    # each 2-clause adds one clause fewer, over the same fresh block
+    target = TARGETS["mono3sat4"]
+    shorter = dataclasses.replace(target, template=target.template[:-1])
+    assert shorter.growth == (21, 24)
+    assert shorter.size(2, 1, (0, 1)) == (2 + 21, 1 + 24)
+    out, _ = shorter.reduce(CnfFormula.from_ints([[1, 2]]))
+    assert (out.num_vars, len(out.clauses)) == (2 + 21, 1 + 24)
+    assert [field.name for field in dataclasses.fields(Target)] == ["profile", "template"]
 
 
 def _direct_expansion(name, pair, first):

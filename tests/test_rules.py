@@ -21,7 +21,7 @@ def test_allocator_hands_out_consecutive_indices():
     alloc = FreshAllocator(5)
     assert alloc.fresh() == 5
     assert alloc.fresh_many(3) == (6, 7, 8)
-    assert alloc.next_index == 9
+    assert alloc.fresh() == 9
 
 
 def test_allocator_for_formula_starts_past_declared():
@@ -31,7 +31,7 @@ def test_allocator_for_formula_starts_past_declared():
     # the fresh variable is past the declared count, not the largest referenced
     assert positive == Clause((1, 3, 8))
     assert negative == Clause((-2, -8))
-    assert alloc.next_index == 9
+    assert alloc.fresh() == 9
 
 
 def test_allocator_rejects_nonpositive_start():
@@ -147,7 +147,7 @@ def test_measured_occurrence_deltas_match_rule_stats(key, apply, sign):
     pair = Clause((sign * 1, sign * 2))
     alloc = FreshAllocator(3)
     produced = apply(pair, alloc)
-    assert _measure(pair, produced, range(3, alloc.next_index)) == RULE_DELTAS[key]
+    assert _measure(pair, produced, range(3, alloc.fresh())) == RULE_DELTAS[key]
 
 
 def _pair_satisfied(pair: Clause, a: bool, b: bool) -> bool:
@@ -165,7 +165,7 @@ def test_r1_r2_projection_preserves_pair_semantics(apply, sign):
     pair = Clause((sign * 1, sign * 2))
     alloc = FreshAllocator(3)
     produced = apply(pair, alloc)
-    num_vars = alloc.next_index - 1
+    num_vars = alloc.fresh() - 1
     for a in (False, True):
         for b in (False, True):
             fixed = [(1,) if a else (-1,), (2,) if b else (-2,)]

@@ -347,7 +347,7 @@ def test_scheme_lemma_fails_on_a_broken_gold_split(name, monkeypatch):
 def _blocks(name: str, formula: CnfFormula) -> list[range]:
     """The clause positions of each template block in ``name``'s output."""
     target, blocks, at = TARGETS[name], [], 0
-    for _, row, _ in target.runs(formula)[2]:
+    for row, _ in target.runs(formula)[2]:
         at += len(row.clauses)
         if row is not target.rows["kept"]:  # the template ends the row of a pair or a mixed clause
             blocks.append(range(at - len(target.template), at))
@@ -447,7 +447,7 @@ def test_instance_check_refuses_a_broken_reduction_and_dpll_decides(original, br
 
 def test_an_output_of_a_template_whose_lemma_fails_is_left_to_dpll(monkeypatch):
     target = TARGETS["mono3sat4"]
-    broken = replace(target, template=target.template[:-1], growth=(21, target.growth[1] - 1))
+    broken = replace(target, template=target.template[:-1])
     monkeypatch.setitem(TARGETS, "broken", broken)
     original = generate(GenConfig(12, 16, 5))
     reduced, _ = broken.reduce(original)
@@ -464,7 +464,7 @@ def test_instance_check_refuses_a_fresh_variable_negated_throughout_its_group(na
     reduced, _ = target.reduce(original)
     assert solve._certified(original, reduced)
     at, flips = 0, 0
-    for _, row, _ in target.runs(original)[2]:
+    for row, _ in target.runs(original)[2]:
         group = range(at, at + len(row.clauses))
         at = group.stop
         for var in _fresh(reduced, group, original.num_vars):
@@ -477,7 +477,7 @@ def test_instance_check_reads_the_clause_boundaries_of_a_group():
     # a template whose second clause starts above where its first ends: a
     # literal moved across that boundary keeps the group's literals in
     # order, but not its clauses
-    target = replace(TARGETS["mono3sat5"], template=(("r", (1, 2, 3)), ("r", (4, 5, 6))), growth=(4, 1))
+    target = replace(TARGETS["mono3sat5"], template=(("r", (1, 2, 3)), ("r", (4, 5, 6))))
     original = CnfFormula.from_ints([[1, 2], [3, 4, 5]])
     reduced, _ = target.reduce(original)
     assert solve._is_instance(_flat(reduced), target.runs(original)[2])
@@ -568,7 +568,7 @@ def test_block_pass_reads_the_clause_boundaries_of_a_group(block_chars, monkeypa
     monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
     # as in the formula test: a literal moved across the boundary of the
     # template's two clauses keeps the group's literals in order
-    target = replace(TARGETS["mono3sat5"], template=(("r", (1, 2, 3)), ("r", (4, 5, 6))), growth=(4, 1))
+    target = replace(TARGETS["mono3sat5"], template=(("r", (1, 2, 3)), ("r", (4, 5, 6))))
     original = CnfFormula.from_ints([[1, 2], [3, 4, 5]])
     reduced, _ = target.reduce(original)
     assert solve._is_instance(_body_flats(reduced), target.runs(original)[2])
@@ -582,7 +582,7 @@ def test_block_pass_reads_a_group_that_straddles_a_block_end(monkeypatch):
     target = TARGETS["mono3sat4"]
     reduced, _ = target.reduce(original)
     blocks = list(_body_flats(reduced))
-    group_ends = set(accumulate(len(row.flat(table)) for _, row, table in target.runs(original)[2]))
+    group_ends = set(accumulate(len(row.flat(table)) for row, table in target.runs(original)[2]))
     assert len(blocks) > 1 and len(blocks[0]) not in group_ends  # the first block ends inside a group
     _refuse_dpll(monkeypatch)
     assert check_equisat_body(original, _body(reduced))
