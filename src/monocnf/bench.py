@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dimacs import _clip
-from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula
+from .formula import CnfFormula, _stored_formula
 from .reduce import TARGETS, _census
 
 
@@ -109,7 +109,7 @@ def generate(cfg: GenConfig) -> CnfFormula:
     for _ in range(_MAX_ATTEMPTS):
         budget = [4] * (cfg.variable_count + 1)
         eligible = list(range(1, cfg.variable_count + 1))
-        clauses: list[Clause] = []
+        flat: list[int] = []  # the formula's store: each clause's literals, then a 0
         for _ in range(cfg.clause_count):
             size = len(eligible)
             if size < 3:
@@ -121,13 +121,14 @@ def generate(cfg: GenConfig) -> CnfFormula:
                 picks.append(moved.get(i, eligible[i]))
                 moved[i] = moved.get(last, eligible[last])
             picks.sort()
-            clauses.append(_trusted_clause(v if rng.coin() else -v for v in picks))
+            flat += [v if rng.coin() else -v for v in picks]
+            flat.append(0)
             for v in picks:
                 budget[v] -= 1
                 if not budget[v]:
                     del eligible[bisect_left(eligible, v)]
         else:
-            return _trusted_formula(clauses, cfg.variable_count)
+            return _stored_formula(tuple(flat), cfg.variable_count, cfg.clause_count)
     raise GenerationError(
         f"no valid instance after {_MAX_ATTEMPTS} attempts for "
         f"vars={cfg.variable_count} clauses={cfg.clause_count} seed={_clip(str(cfg.seed))}"
@@ -160,13 +161,13 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
         millis = (time.perf_counter() - start) * 1000.0
         if name == "mono23sat4":  # the 2-clauses of mixed elimination, by sign
             pairs = Counter((len(c), c.sign) for c in out.clauses)
-        # variables as the clauses use them: ``out.num_vars`` is the closed form's
-        measured = (max((formula.num_vars, *out.variables())), len(out.clauses))
-        expected = target.size(formula.num_vars, len(formula.clauses), census)
+        # variables and clauses as the store holds them: ``out.num_vars`` and ``len(out)`` are the closed form's
+        measured = (max((formula.num_vars, *out.variables())), out.flat.count(0))
+        expected = target.size(formula.num_vars, len(formula), census)
         if measured != expected:
             raise RuntimeError(
                 f"blowup identity violated for {name}: measured vars/clauses {measured}, expected {expected}"
             )
         measured_rows.append((name, *measured, f"{millis:.3f}"))
-    prefix = (seed, formula.num_vars, len(formula.clauses), census[0], pairs[2, 1], pairs[2, -1])
+    prefix = (seed, formula.num_vars, len(formula), census[0], pairs[2, 1], pairs[2, -1])
     return [tuple(map(str, prefix + row)) for row in measured_rows]

@@ -12,6 +12,11 @@ line with literals in ascending variable order, LF line endings.
 Comment lines starting with "trace " carry clause provenance emitted by
 the reduction pipelines; they are informational only and never affect
 parsing semantics.
+
+``Body`` reads a document's clauses as ``Block`` values: flat literals,
+each clause ended by a 0, as a ``CnfFormula`` stores them.  ``parse``
+chains the blocks into the formula's store, and ``serialize`` formats that
+store in one call; neither builds a ``Clause`` for a regular block.
 """
 
 from __future__ import annotations
@@ -19,11 +24,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import add, lt, not_, sub
+from itertools import chain
+from operator import itemgetter, lt, sub
 from typing import Iterable, Iterator, Sequence
 
-from .formula import Clause, CnfFormula, FormulaError, _trusted_clause, _trusted_formula
+from .formula import Clause, CnfFormula, FormulaError, _stored_formula, clause_ends
 
 _HEADER_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)$")
 _BODY_RE = re.compile(r"[0-9+\- \t\r\n]*")
@@ -68,31 +73,21 @@ def _check_comment(comment: str, line: int | None = None) -> None:
         raise DimacsError(f"comment {_clip(repr(comment))} must be one line not ending in whitespace", line)
 
 
-# a block's clauses as one list of their literals, each clause ended by a
-# 0, with the literals' magnitudes and the offsets of the zeros, which are
-# a range when every clause has width 3
-Block = tuple[list[int], list[int], Sequence[int]]
+# a block's clauses as one sequence of their literals, each clause ended by
+# a 0, with the literals' magnitudes, the offsets of the zeros (a range when
+# every clause has width 3, see ``formula.clause_ends``) and the largest
+# variable
+Block = tuple[Sequence[int], list[int], Sequence[int], int]
 
 
-def _block(flat: list[int]) -> Block:
-    """The ``Block`` of the clauses whose literals are ``flat``."""
-    if len(flat) == 4 * flat.count(0) and not any(flat[3::4]):
-        ends: Sequence[int] = range(3, len(flat), 4)
-    else:
-        ends = list(compress(count(), map(not_, flat)))
-    return flat, list(map(abs, flat)), ends
-
-
-def clauses_block(clauses: Iterable[tuple[int, ...]]) -> Block:
-    """The ``Block`` of ``clauses``."""
-    return _block(list(chain.from_iterable(map(add, clauses, repeat((0,))))))
-
-
-def block_rows(flat: list[int], ends: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """The clauses of a block, each the tuple of its literals."""
-    if type(ends) is range:
-        return zip(flat[0::4], flat[1::4], flat[2::4])
-    return map(flat.__getitem__, map(slice, [0, *map((1).__add__, ends)], ends))
+def _block(flat: Sequence[int]) -> Block:
+    """The ``Block`` of the clauses whose literals are ``flat``.  A clause
+    in canonical order ends with its largest variable, so in width 3 the
+    largest is read from the third column alone: ``_block_clauses`` refuses
+    a block out of canonical order before it trusts that."""
+    ends = clause_ends(flat)
+    mags = list(map(abs, flat))
+    return flat, mags, ends, max(mags[2::4] if type(ends) is range else mags, default=0)
 
 
 def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | None]:
@@ -118,14 +113,17 @@ def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | N
         flat = json.loads("[" + chunk.strip(",") + "]")
     except ValueError:
         return stop, None
-    flat, mags, ends = block = _block(flat)
-    if flat[-1:] != [0] or max(mags) > num_vars:
+    flat, mags, ends, top = block = _block(flat)
+    if flat[-1:] != [0]:
         return stop, None
-    if type(ends) is not range and 1 in map(sub, ends, [-1, *ends]):
+    # a clause out of canonical order or with a repeated variable is left to the line loop
+    if type(ends) is range:  # ascent by columns: the first below the second below the third
+        canonical = all(map(lt, mags[0::4], mags[1::4])) and all(map(lt, mags[1::4], mags[2::4]))
+    elif 1 in map(sub, ends, [-1, *ends]):
         return stop, None  # a 0 first or right after another: an empty clause
-    # strict ascent fails only at the zero that ends each clause: a clause
-    # out of canonical order or with a repeated variable is left to the line loop
-    return stop, block if sum(map(lt, mags, mags[1:])) == len(flat) - 1 - len(ends) else None
+    else:  # strict ascent fails only at the zero that ends each clause
+        canonical = sum(map(lt, mags, mags[1:])) == len(flat) - 1 - len(ends)
+    return stop, block if canonical and top <= num_vars else None
 
 
 class Body:
@@ -159,7 +157,7 @@ class Body:
         num_vars: int | None = None
         num_clauses: int | None = None
         found = 0  # clauses read
-        rows: list[Clause] = []  # the line loop's clauses since the last block
+        read: list[int] = []  # the flat literals of the line loop's clauses since the last block
         pending: list[int] = []
         pending_line = 0
 
@@ -168,9 +166,9 @@ class Body:
         block_end = 0  # the line loop reads up to here before it tries a block
         while start < len(text):
             if start >= block_end and num_vars is not None and not pending:
-                if rows:
-                    yield clauses_block(rows)
-                    rows = []
+                if read:
+                    yield _block(read)
+                    read = []
                 block_end, block = _block_clauses(text, start, num_vars)
                 if block is not None:
                     found += len(block[2])
@@ -219,10 +217,11 @@ class Body:
                     if not pending:
                         raise DimacsError("empty clause", lineno)
                     try:
-                        rows.append(Clause(pending))
+                        read += Clause(pending)
                     except FormulaError as exc:
                         # the message may name a variable of thousands of digits
                         raise DimacsError(_clip(str(exc), 100), pending_line) from exc
+                    read.append(0)
                     found += 1
                     pending = []
                     continue
@@ -235,8 +234,8 @@ class Body:
                     )
                 pending.append(lit)
 
-        if rows:
-            yield clauses_block(rows)
+        if read:
+            yield _block(read)
         if num_vars is None:
             raise DimacsError("missing header")
         if pending:
@@ -262,20 +261,22 @@ def parse(text: str | bytes) -> DimacsDocument:
     """
     body = Body(text)
     del text  # bytes are not needed once decoded
-    clauses: list[Clause] = []
-    for flat, _, ends in body:
-        clauses += map(_trusted_clause, block_rows(flat, ends))
-    return DimacsDocument(formula=_trusted_formula(clauses, body.num_vars), comments=tuple(body.comments))
+    flat = tuple(chain.from_iterable(map(itemgetter(0), body)))
+    formula = _stored_formula(flat, body.num_vars, body.num_clauses)
+    return DimacsDocument(formula=formula, comments=tuple(body.comments))
 
 
 def serialize(doc: DimacsDocument) -> str:
     """Render a document in canonical form (see module docstring)."""
-    clauses = doc.formula.clauses
-    # one format string for the whole body, applied once to every literal
-    formats = {width: clause_format((width,)) for width in set(map(len, clauses))}
-    body = "".join(map(formats.__getitem__, map(len, clauses)))
-    head = "".join(_head(doc.comments, doc.formula.num_vars, len(clauses)))
-    return head + body % tuple(chain.from_iterable(clauses))
+    flat = doc.formula.flat
+    ends = clause_ends(flat)
+    # one format string for the whole body, applied once to the store's
+    # literals; a clause spans its literals and its 0
+    spans = list(map(sub, ends, [-1, *ends]))
+    formats = {span: clause_format((span - 1,)) for span in set(spans)}
+    body = "".join(map(formats.__getitem__, spans))
+    head = "".join(_head(doc.comments, doc.formula.num_vars, len(ends)))
+    return head + body % tuple(filter(None, flat))
 
 
 def _head(comments: Iterable[str], num_vars: int, num_clauses: int) -> Iterator[str]:

@@ -4,15 +4,24 @@ Literals follow the DIMACS convention: a positive integer ``v`` is the
 positive literal of variable ``v``, and ``-v`` is its negation.  Variables
 are 1-based, and a ``Clause`` is the sorted tuple of its literals.  All
 values are immutable; transformations build new ones.
+
+A ``CnfFormula`` stores its clauses in one flat tuple of literals, each
+clause's literals in canonical order and then a 0, as a ``dimacs.Block``
+holds them: one store, as in MiniSat's clause arena (Een & Sorensson,
+2003).  Parsing, the reductions and the generator write that store
+directly; serializing, profile checks, the equisat certificate and the
+counts read it.  ``CnfFormula.clauses``, the ``Clause`` values, is a view
+built from the store the first time it is read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
-from typing import Iterable, Iterator
+from functools import cached_property, partial
+from itertools import chain, compress, count, repeat
+from operator import add, not_
+from typing import Iterable, Iterator, Sequence
 
 
 class FormulaError(ValueError):
@@ -68,9 +77,29 @@ class Clause(tuple[int, ...]):
 _trusted_clause = partial(tuple.__new__, Clause)
 
 
+def clause_ends(flat: Sequence[int]) -> Sequence[int]:
+    """The offsets of the zeros that end the clauses of the flat literals
+    ``flat``: a range when every clause has width 3."""
+    if len(flat) == 4 * flat.count(0) and not any(flat[3::4]):
+        return range(3, len(flat), 4)
+    return list(compress(count(), map(not_, flat)))
+
+
+def block_rows(flat: Sequence[int], ends: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """The clauses of the flat literals ``flat``, each the tuple of its
+    literals, cut at ``ends`` (see ``clause_ends``)."""
+    if type(ends) is range:
+        return zip(flat[0::4], flat[1::4], flat[2::4])
+    return map(flat.__getitem__, map(slice, [0, *map((1).__add__, ends)], ends))
+
+
 @dataclass(frozen=True)
 class CnfFormula:
-    """An ordered clause list over variables 1..num_vars.
+    """An ordered clause list over variables 1..num_vars, stored as its flat
+    literals (see the module docstring): equal stores hold equal clause
+    lists, so equality and hashing follow the clauses.  Every writer knows
+    how many clauses it wrote, and keeps that count beside the store, so
+    ``len`` reads no literal.
 
     ``num_vars`` may exceed the largest referenced index (DIMACS headers
     are allowed to declare unused variables); it may never be smaller.
@@ -78,7 +107,7 @@ class CnfFormula:
     does not explicitly reorder.
     """
 
-    clauses: tuple[Clause, ...]
+    flat: tuple[int, ...]
     num_vars: int
 
     def __init__(self, clauses: Iterable[Clause], num_vars: int | None = None):
@@ -86,41 +115,58 @@ class CnfFormula:
         for clause in clause_tuple:
             if not isinstance(clause, Clause):  # a plain tuple was never sorted or checked
                 raise TypeError(f"formula clauses must be Clause values, got {type(clause).__name__}")
-        max_ref = max(map(abs, chain.from_iterable(clause_tuple)), default=0)
+        flat = _flatten(clause_tuple)
+        max_ref = max(map(abs, flat), default=0)
         if num_vars is None:
             num_vars = max_ref
         if num_vars < 0:
             raise FormulaError(f"num_vars must be non-negative, got {num_vars}")
         if max_ref > num_vars:
             raise FormulaError(f"clause references variable {max_ref} beyond declared count {num_vars}")
-        object.__setattr__(self, "clauses", clause_tuple)
-        object.__setattr__(self, "num_vars", num_vars)
+        self.__dict__.update(flat=flat, num_vars=num_vars, _num_clauses=len(clause_tuple))
 
     @classmethod
     def from_ints(cls, clauses: Iterable[Iterable[int]], num_vars: int | None = None) -> "CnfFormula":
         return cls((Clause(c) for c in clauses), num_vars)
 
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses as ``Clause`` values, built from the store when first read."""
+        flat = self.flat
+        return tuple(map(_trusted_clause, block_rows(flat, clause_ends(flat))))
+
     def variables(self) -> frozenset[int]:
         """All variables referenced by at least one clause."""
-        return frozenset(map(abs, chain.from_iterable(self.clauses)))
+        return frozenset(map(abs, filter(None, self.flat)))
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return self._num_clauses
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
 
     def __repr__(self) -> str:
-        return f"CnfFormula({len(self.clauses)} clauses, {self.num_vars} vars)"
+        return f"CnfFormula({len(self)} clauses, {self.num_vars} vars)"
+
+
+def _flatten(clauses: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """The flat literals of ``clauses``, each clause ended by a 0."""
+    return tuple(chain.from_iterable(map(add, clauses, repeat((0,)))))
+
+
+def _stored_formula(flat: tuple[int, ...], num_vars: int, num_clauses: int) -> CnfFormula:
+    """The formula whose store is ``flat``, of ``num_clauses`` clauses,
+    unchecked: for a writer whose clauses are canonical, nonempty and within
+    ``num_vars`` by construction."""
+    formula = object.__new__(CnfFormula)
+    formula.__dict__.update(flat=flat, num_vars=num_vars, _num_clauses=num_clauses)
+    return formula
 
 
 def _trusted_formula(clauses: Iterable[Clause], num_vars: int) -> CnfFormula:
-    """A formula whose clauses are known to reference no variable beyond
-    ``num_vars``, unchecked: for outputs bounded by construction."""
-    formula = object.__new__(CnfFormula)
-    object.__setattr__(formula, "clauses", tuple(clauses))
-    object.__setattr__(formula, "num_vars", num_vars)
-    return formula
+    """``_stored_formula`` of ``Clause`` values."""
+    clause_tuple = tuple(clauses)
+    return _stored_formula(_flatten(clause_tuple), num_vars, len(clause_tuple))
 
 
 def occurrences(formula: CnfFormula) -> Counter[int]:
@@ -129,4 +175,4 @@ def occurrences(formula: CnfFormula) -> Counter[int]:
     Clauses cannot repeat a variable, so this is also its literal count.
     A variable no clause references reads 0.
     """
-    return Counter(map(abs, chain.from_iterable(formula.clauses)))
+    return Counter(map(abs, filter(None, formula.flat)))

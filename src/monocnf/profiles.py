@@ -14,12 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .dimacs import Block, block_rows, clauses_block
-from .formula import CnfFormula
+from .dimacs import Block, _block
+from .formula import CnfFormula, block_rows
 
-_CHUNK = 1 << 12  # clauses per block of a formula
+_CHUNK = 1 << 14  # literals per block of a formula, cut at the next clause end
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,21 @@ def check_profile(formula: CnfFormula, profile: Profile) -> ViolationReport:
     The report is empty exactly when the formula satisfies the profile.
     Ordering is deterministic: clause violations by clause index (width
     before monotonicity at the same clause), then occurrence violations
-    by variable index.  The clauses go to ``check_blocks`` in blocks of
-    ``_CHUNK``, so ``monocnf validate`` runs the same passes.
+    by variable index.  The formula's store goes to ``check_blocks`` in
+    slices of about ``_CHUNK`` literals, each cut at a clause end, so
+    ``monocnf validate`` runs the same passes.
     """
-    clauses = formula.clauses
-    chunks = (clauses[first : first + _CHUNK] for first in range(0, len(clauses), _CHUNK))
-    return check_blocks(map(clauses_block, chunks), profile, sum(map(len, clauses)))
+    return check_blocks(map(_block, _slices(formula.flat)), profile, len(formula.flat))
+
+
+def _slices(flat: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """``flat`` in slices of about ``_CHUNK`` literals, each ending with the
+    0 that ends a clause."""
+    start = 0
+    while start < len(flat):
+        stop = flat.index(0, min(start + _CHUNK, len(flat)) - 1) + 1
+        yield flat[start:stop]
+        start = stop
 
 
 def check_blocks(blocks: Iterable[Block], profile: Profile, limit: int) -> ViolationReport:
@@ -91,7 +100,7 @@ def check_blocks(blocks: Iterable[Block], profile: Profile, limit: int) -> Viola
     violations: list[Violation] = []
     counts: list[int] | Counter[int] = [0]
     offset = 0
-    for flat, mags, ends in blocks:
+    for flat, mags, ends, top in blocks:
         widths = {3} if type(ends) is range else set(map(len, block_rows(flat, ends)))
         if not widths <= profile.widths or profile.monotone and _has_mixed(flat, ends):
             for index, clause in enumerate(block_rows(flat, ends), offset):
@@ -102,7 +111,6 @@ def check_blocks(blocks: Iterable[Block], profile: Profile, limit: int) -> Viola
                 if profile.monotone and min(clause) < 0 < max(clause):
                     violations.append(Violation("monotonicity", index, "mixed clause in a monotone profile"))
         offset += len(ends)
-        top = max(mags)
         if top >= len(counts) and type(counts) is list:
             if top > limit:
                 counts = Counter(dict(compress(enumerate(counts), counts)))
@@ -120,7 +128,7 @@ def check_blocks(blocks: Iterable[Block], profile: Profile, limit: int) -> Viola
     return ViolationReport(violations)
 
 
-def _has_mixed(flat: list[int], ends: Sequence[int]) -> bool:
+def _has_mixed(flat: Sequence[int], ends: Sequence[int]) -> bool:
     """Whether a block holds a clause with literals of both signs.  Literals
     are nonzero, so a clause is mixed exactly when a product of two of its
     literals is negative: when every width is 3, its first literal's

@@ -18,7 +18,7 @@ Three layers:
   output's counts, and ``Target.runs`` lays out a target's output as one
   row per input clause; ``Target.text``,
   ``Target.trace`` and ``Target.reduce`` read the rows as DIMACS body lines,
-  trace comments and the formula, and ``eliminate_mixed``,
+  trace comments and the formula's store, and ``eliminate_mixed``,
   ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
@@ -36,7 +36,7 @@ from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dimacs import clause_format
-from .formula import Clause, CnfFormula, _trusted_clause, _trusted_formula, occurrences
+from .formula import Clause, CnfFormula, _stored_formula, _trusted_clause, occurrences
 from .profiles import PROFILES, ViolationReport, check_profile
 
 
@@ -359,13 +359,14 @@ class Target:
 
     def reduce(self, formula: CnfFormula) -> tuple[CnfFormula, tuple[str, ...]]:
         """Check the input, then split its mixed clauses and expand its
-        2-clauses, building the clauses from ``runs``.  Returns the output
-        and its ``trace`` comments, with which ``DimacsDocument`` serializes
-        to the bytes of ``monocnf reduce --trace``."""
-        num_vars, _, runs = self.runs(formula)
+        2-clauses, writing the output's store from ``runs``, each run's flat
+        literals (``Row.flat``) in turn.  Returns the output and its
+        ``trace`` comments, with which ``DimacsDocument`` serializes to the
+        bytes of ``monocnf reduce --trace``."""
+        num_vars, num_clauses, runs = self.runs(formula)
         runs = list(runs)
-        clauses = [_trusted_clause(map(table.__getitem__, lits)) for row, table in runs for _, lits in row.clauses]
-        return _trusted_formula(clauses, num_vars), tuple(self.trace(runs))
+        flat = tuple(chain.from_iterable(row.flat(table) for row, table in runs))
+        return _stored_formula(flat, num_vars, num_clauses), tuple(self.trace(runs))
 
     def text(self, runs: Iterable[Run]) -> Iterator[str]:
         """The DIMACS body lines of each run: its row's literals, read from

@@ -24,7 +24,7 @@ over C's variables and fresh ones Z that occur nowhere else, and when
 input at every size.  The replacements are the rows of ``Target.rows``,
 one per input shape.  The truth table checks that lemma once per row and
 sign.  One linear pass compares the output's flat literals, 0-terminated
-clauses as in a ``dimacs.Block``, with the runs on the input,
+clauses as a ``CnfFormula`` stores them, with the runs on the input,
 ``reduce.Runs``, which number the fresh variables as the reduction does,
 of each target whose clause count is the output's.  ``check_equisat_body``
 runs that pass on a DIMACS body block by block as it is tokenized, and
@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
-from itertools import chain, repeat
-from operator import add, itemgetter
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dimacs import Body, parse
@@ -326,10 +326,9 @@ def check_equisat_body(original: CnfFormula, body: Body) -> bool:
 
 def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:
     """Whether ``reduced`` is some target's output on ``original`` and that
-    target's lemma holds (see ``_certified_blocks``), its clauses read as
-    one block."""
-    flat = tuple(chain.from_iterable(map(add, reduced.clauses, repeat((0,)))))
-    return _certified_blocks(original, len(reduced.clauses), lambda: (flat,))
+    target's lemma holds (see ``_certified_blocks``), its store read as one
+    block: its ``clauses`` are never built."""
+    return _certified_blocks(original, len(reduced), lambda: (reduced.flat,))
 
 
 def _certified_blocks(

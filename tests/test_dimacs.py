@@ -252,6 +252,36 @@ def test_only_the_block_holding_a_clause_out_of_canonical_order_is_read_line_by_
     assert len(calls) > 1
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        pytest.param("1 1 4 0", "duplicate variable 1 in clause", id="repeat-in-the-second-slot"),
+        pytest.param(
+            "1 4 -4 0", "tautological clause: variable 4 appears with both polarities", id="repeat-in-the-third-slot"
+        ),
+        pytest.param("6 -2 3 0", "variable 6 exceeds declared count 5", id="out-of-range-in-the-first-column"),
+        pytest.param("6 7 8 0", "variable 6 exceeds declared count 5", id="out-of-range-in-every-column"),
+        pytest.param("1 2 6 0", "variable 6 exceeds declared count 5", id="out-of-range-in-the-third-column"),
+        pytest.param("2 1 3 0", None, id="first-two-out-of-order"),
+        pytest.param("1 3 2 0", None, id="last-two-out-of-order"),
+    ],
+)
+@pytest.mark.parametrize("block_chars", [1 << 14, dimacs._BLOCK_CHARS])
+def test_a_width_3_block_is_checked_by_columns(monkeypatch, block_chars, line, message):
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    calls = _spy_blocks(monkeypatch)
+    text = _deep(line)
+    outcome = _outcome(text)
+    if message is None:
+        assert list(outcome.formula.clauses)[9000] == (1, 2, 3)
+    else:
+        assert outcome == (f"line 9002: {message}", 9002)
+    # every block holds width-3 clauses only; the one holding the line goes to the line loop
+    at = text.index(line)
+    assert [not accepted for _, _, accepted in calls] == [start <= at < stop for start, stop, _ in calls]
+    assert len(calls) > 1
+
+
 def test_every_block_of_gen_and_reduce_output_is_tokenized_whole(monkeypatch, tmp_path):
     source = str(tmp_path / "g.cnf")
     assert cli.run(["gen", "--vars", "2000", "--clauses", "2666", "--seed", "3", source]) == 0

@@ -1,11 +1,26 @@
 """Clause and formula construction, canonicalization, and occurrence counts."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from monocnf import Clause, CnfFormula, FormulaError, occurrences
-from monocnf.formula import _trusted_clause
+from monocnf import (
+    PROFILES,
+    TARGETS,
+    Clause,
+    CnfFormula,
+    DimacsDocument,
+    FormulaError,
+    GenConfig,
+    check_profile,
+    generate,
+    occurrences,
+    parse,
+    serialize,
+)
+from monocnf.formula import _trusted_clause, _trusted_formula
+from naive import reference_serialize
 
 
 def test_clause_canonical_order():
@@ -137,3 +152,65 @@ def test_occurrence_table_items_cover_declared_range():
     # every declared variable reads a count; unreferenced ones read 0
     assert [counts[v] for v in range(1, formula.num_vars + 1)] == [1, 1, 0]
     assert 3 not in counts
+
+
+def _by_every_writer(target: str) -> list[list[CnfFormula]]:
+    """Lists of equal formulas, each as every writer of the store builds it:
+    one instance's ``target`` output (widths 2 and 3 for mono23sat4, a width-3
+    store for the others) by ``Target.reduce``, and for mono3sat4 also the
+    instance by ``generate``; then each by the constructor, ``from_ints``,
+    ``parse`` of its text and ``_trusted_formula``."""
+    source = generate(GenConfig(12, 16, 5))
+    written = [TARGETS[target].reduce(source)[0]] + ([source] if target == "mono3sat4" else [])
+    built = []
+    for formula in written:
+        ints = [list(clause) for clause in formula.clauses]
+        built.append([
+            formula,
+            CnfFormula(map(Clause, ints), formula.num_vars),
+            CnfFormula.from_ints(ints, formula.num_vars),
+            parse(serialize(DimacsDocument(formula))).formula,
+            _trusted_formula(map(Clause, ints), formula.num_vars),
+        ])
+    return built
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_every_writer_builds_equal_formulas_that_hash_equal(target):
+    for formulas in _by_every_writer(target):
+        first = formulas[0]
+        for formula in formulas:
+            assert formula == first and hash(formula) == hash(first)
+            assert formula.flat == first.flat and len(formula) == len(first)
+            # the count a writer keeps is the count of clauses it stored
+            assert len(formula) == formula.flat.count(0)
+        # equality follows the clause list: the same literals cut elsewhere, a
+        # reordered list or another declared count make another formula
+        assert first != CnfFormula.from_ints([[1], [2, 3]]) != CnfFormula.from_ints([[1, 2], [3]])
+        assert first != CnfFormula(first.clauses[::-1], first.num_vars)
+        assert first != CnfFormula(first.clauses, first.num_vars + 1)
+
+
+@pytest.mark.parametrize("target", ["mono23sat4", "mono3sat4"])
+def test_serialize_is_byte_identical_from_every_writer(target):
+    for formulas in _by_every_writer(target):
+        texts = {serialize(DimacsDocument(formula, ("note",))) for formula in formulas}
+        assert texts == {reference_serialize(DimacsDocument(formulas[0], ("note",)))}
+
+
+@pytest.mark.parametrize("target", ["mono23sat4", "mono3sat4"])
+def test_counts_read_the_store_and_build_no_view(target):
+    for formulas in _by_every_writer(target):
+        for formula in formulas:
+            formula.__dict__.pop("clauses", None)  # the writers' own reads of the view are undone
+            counts = (len(formula), formula.variables(), occurrences(formula))
+            check_profile(formula, PROFILES["mono23sat4"])
+            serialize(DimacsDocument(formula))
+            assert "clauses" not in vars(formula)
+            clauses = formula.clauses  # built now, from the store
+            assert "clauses" in vars(formula) and all(type(clause) is Clause for clause in clauses)
+            assert counts == (
+                len(clauses),
+                frozenset(abs(lit) for clause in clauses for lit in clause),
+                Counter(abs(lit) for clause in clauses for lit in clause),
+            )

@@ -34,7 +34,7 @@ from monocnf import (
     verify_forcing,
 )
 from monocnf.cli import run
-from monocnf.dimacs import Body, clauses_block
+from monocnf.dimacs import Body
 from monocnf.solve import check_equisat_body
 
 from conftest import BLOCK_CHARS
@@ -322,6 +322,16 @@ def test_check_equisat():
     assert not check_equisat(sat_a, unsat)
 
 
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_a_certified_verdict_never_builds_the_reduced_clauses(name, monkeypatch):
+    original = generate(GenConfig(12, 16, 5))
+    reduced, _ = TARGETS[name].reduce(original)
+    _refuse_dpll(monkeypatch)
+    assert check_equisat(original, reduced)
+    # the pass compared the reduced formula's store with the runs
+    assert "clauses" not in vars(reduced)
+
+
 @pytest.mark.parametrize("name", ["mono3sat5", "mono3sat5-compact", "mono3sat4"])
 def test_scheme_lemma_holds_for_every_target_and_fails_on_a_broken_template(name):
     assert all(map(solve._lemma_holds, TARGETS.values()))
@@ -364,9 +374,9 @@ def _relabelled(formula: CnfFormula, positions: range, variables: dict[int, int]
     return CnfFormula(clauses, formula.num_vars)
 
 
-def _flat(formula: CnfFormula) -> list[list[int]]:
-    """``formula``'s clauses as the one block of flat literals that ``_is_instance`` reads."""
-    return [clauses_block(formula.clauses)[0]]
+def _flat(formula: CnfFormula) -> list[tuple[int, ...]]:
+    """``formula``'s store as the one block of flat literals that ``_is_instance`` reads."""
+    return [formula.flat]
 
 
 def _fresh(formula: CnfFormula, positions: range, above: int) -> list[int]:
