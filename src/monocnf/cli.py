@@ -190,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         "check-equisat", help="compare the SAT verdicts of two formulas",
         description="Compare the SAT verdicts of two formulas. When the reduced formula is an output of "
         "the reduction scheme on the original, the verdicts are equal by the scheme's lemma, checked "
-        "exhaustively once per target on each of its rows, and neither side is solved; otherwise DPLL decides both. "
-        f"Either way both formulas must declare at most {WITNESS_VAR_LIMIT:,} variables, DPLL's witness bound.",
+        "exhaustively once per target on each of its rows, and neither side is solved, at any size; otherwise "
+        f"DPLL decides both, and then both formulas must declare at most {WITNESS_VAR_LIMIT:,} variables, "
+        "DPLL's witness bound.",
     )
     p.add_argument("original", help="original DIMACS CNF file")
     p.add_argument("reduced", help="reduced DIMACS CNF file")

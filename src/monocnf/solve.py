@@ -29,7 +29,8 @@ clauses as a ``CnfFormula`` stores them, with the runs on the input,
 of each target whose clause count is the output's.  ``check_equisat_body``
 runs that pass on a DIMACS body block by block as it is tokenized, and
 never builds the output.  Any other output, a renumbered one included, is
-left to DPLL, which decides both sides.
+left to DPLL, which decides both sides; only that fallback is bounded by
+DPLL's witness limit.
 """
 
 from __future__ import annotations
@@ -173,8 +174,8 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     )
 
 
-def _check_witness_limit(count: int) -> None:
-    if count > WITNESS_VAR_LIMIT:
+def _check_witness_limit(*formulas: CnfFormula) -> None:
+    if any(formula.num_vars > WITNESS_VAR_LIMIT for formula in formulas):
         raise VariableLimitError(f"declared variable count exceeds the witness limit of {WITNESS_VAR_LIMIT}")
 
 
@@ -191,7 +192,7 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     WITNESS_VAR_LIMIT.
     """
     n = formula.num_vars
-    _check_witness_limit(n)
+    _check_witness_limit(formula)
     clauses = formula.clauses
     # The search runs over variables 1..m, m the largest a clause holds (a
     # clause is sorted by variable): a header may declare millions more.
@@ -300,13 +301,9 @@ def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
 
     When ``reduced`` is a target's output on ``original`` (see
     ``_certified``), the verdicts are equal by the scheme's lemma and
-    neither side is decided.  Otherwise ``solve_dpll`` decides both.  Its
-    WITNESS_VAR_LIMIT applies to both sides either way, checked first."""
-    _check_witness_limit(original.num_vars)
-    _check_witness_limit(reduced.num_vars)
-    if _certified(original, reduced):
-        return True
-    return solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
+    neither side is decided, whatever either declares.  Otherwise
+    ``solve_dpll`` decides both (see ``_dpll_agrees``)."""
+    return _certified(original, reduced) or _dpll_agrees(original, reduced)
 
 
 def check_equisat_body(original: CnfFormula, body: Body) -> bool:
@@ -314,14 +311,17 @@ def check_equisat_body(original: CnfFormula, body: Body) -> bool:
     building that formula when it is a target's output on ``original``: the
     pass reads the body's blocks as they are tokenized, and reading them to
     the end runs the body's own checks.  Otherwise the body's text is parsed
-    whole for DPLL.  The witness limits are checked once the body has been
-    read whole, so a DimacsError in it comes first, as when it is parsed."""
+    whole for DPLL."""
     next(iter(body), None)  # reads the header, which precedes the first block
     certified = _certified_blocks(original, body.num_clauses, lambda: map(itemgetter(0), body))
-    reduced = None if certified else parse(body.text).formula
-    _check_witness_limit(original.num_vars)
-    _check_witness_limit(body.num_vars)
-    return certified or solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
+    return certified or _dpll_agrees(original, parse(body.text).formula)
+
+
+def _dpll_agrees(original: CnfFormula, reduced: CnfFormula) -> bool:
+    """Whether ``solve_dpll`` gives both formulas the same verdict.  A side
+    over its witness bound is refused before either side is searched."""
+    _check_witness_limit(original, reduced)
+    return solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
 
 
 def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:

@@ -24,7 +24,6 @@ from monocnf import (
     occurrences,
 )
 from monocnf.dimacs import _HEADER_RE, _check_comment, _clip
-from monocnf.formula import _trusted_formula
 
 
 def _satisfies(bits: Sequence[bool], clauses: Iterable[Iterable[int]]) -> bool:
@@ -260,7 +259,7 @@ def reference_parse(text: str | bytes) -> DimacsDocument:
             f"header declares {_clip(str(num_clauses))} clauses but {len(clauses)} were found"
         )
 
-    return DimacsDocument(formula=_trusted_formula(clauses, num_vars), comments=tuple(comments))
+    return DimacsDocument(formula=CnfFormula(clauses, num_vars), comments=tuple(comments))
 
 
 def reference_serialize(doc: DimacsDocument) -> str:

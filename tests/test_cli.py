@@ -342,22 +342,50 @@ def test_check_equisat_reports_a_late_error_in_the_reduced_file_as_parse_does(
     assert capsys.readouterr() == ("", f"error: {error.value}\n")
 
 
-def test_check_equisat_applies_the_witness_limit_to_a_certified_reduction(tmp_path, capsys, monkeypatch):
-    original = _write(tmp_path, "orig.cnf", _reduced_n300()[0])
-    reduced = tmp_path / "red.cnf"
-    reduced.write_bytes(_reduced_n300()[1])
-    num_vars = parse(reduced.read_bytes()).formula.num_vars
-
+def _refuse_dpll(monkeypatch) -> None:
     def refuse(formula):
         raise AssertionError("solve_dpll was called")
 
     monkeypatch.setattr(solve, "solve_dpll", refuse)
-    # the reduced header, then the original's, above the limit; then neither
-    for limit, code in ((num_vars - 1, 3), (299, 3), (num_vars, 0)):
+
+
+def test_check_equisat_certifies_a_reduction_above_the_witness_limit(tmp_path, capsys, monkeypatch):
+    original = _write(tmp_path, "orig.cnf", _reduced_n300()[0])
+    reduced = tmp_path / "red.cnf"
+    reduced.write_bytes(_reduced_n300()[1])
+    num_vars = parse(reduced.read_bytes()).formula.num_vars
+    _refuse_dpll(monkeypatch)
+    # the reduced header, then both headers, above the limit: the lemma
+    # decides, and only DPLL would have consulted the limit
+    for limit in (num_vars - 1, 299, 0):
         monkeypatch.setattr(solve, "WITNESS_VAR_LIMIT", limit)
-        assert run(["check-equisat", original, str(reduced)]) == code
-        expected = ("", f"error: declared variable count exceeds the witness limit of {limit}\n")
-        assert capsys.readouterr() == (expected if code else ("equisatisfiable\n", ""))
+        assert run(["check-equisat", original, str(reduced)]) == 0
+        assert capsys.readouterr() == ("equisatisfiable\n", "")
+
+
+def test_check_equisat_certifies_a_reduction_that_declares_10_to_the_30_variables(tmp_path, capsys, monkeypatch):
+    # nothing on the certified path may be sized by the declared count
+    text, data = _reduced_n300()
+    original = _write(tmp_path, "orig.cnf", text)
+    reduced = tmp_path / "red.cnf"
+    reduced.write_bytes(b"p cnf %d %s" % (10**30, data.split(maxsplit=3)[3]))  # the clause count and the body
+    _refuse_dpll(monkeypatch)
+    assert run(["check-equisat", original, str(reduced)]) == 0
+    assert capsys.readouterr() == ("equisatisfiable\n", "")
+
+
+def test_check_equisat_refuses_a_dpll_side_over_the_witness_limit_before_any_search(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solve, "WITNESS_VAR_LIMIT", 30)
+    # no file is a reduction of another, so DPLL decides each pair
+    at_limit = _write(tmp_path, "limit.cnf", "p cnf 30 1\n1 2 3 0\n")
+    other = _write(tmp_path, "other.cnf", "p cnf 30 1\n4 5 6 0\n")
+    over = _write(tmp_path, "over.cnf", "p cnf 31 1\n4 5 6 0\n")
+    assert run(["check-equisat", at_limit, other]) == 0
+    assert capsys.readouterr() == ("equisatisfiable\n", "")
+    _refuse_dpll(monkeypatch)
+    for pair in ((at_limit, over), (over, at_limit)):
+        assert run(["check-equisat", *pair]) == 3
+        assert capsys.readouterr() == ("", "error: declared variable count exceeds the witness limit of 30\n")
 
 
 def test_blowup_emits_csv(capsys):
@@ -449,9 +477,11 @@ def test_witness_limit_is_input_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solve, "WITNESS_VAR_LIMIT", 30)
     over = _write(tmp_path, "over.cnf", "p cnf 31 1\n1 2 3 0\n")
     assert run(["solve", over]) == 3
-    assert run(["check-equisat", over, over]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: declared variable count exceeds the witness limit of 30"] * 2
+    assert capsys.readouterr() == ("", "error: declared variable count exceeds the witness limit of 30\n")
+    # mono23sat4 keeps the monotone clause, so its output on over.cnf is
+    # over.cnf: the lemma decides, and the limit bounds only DPLL
+    assert run(["check-equisat", over, over]) == 0
+    assert capsys.readouterr() == ("equisatisfiable\n", "")
     at_limit = _write(tmp_path, "limit.cnf", "p cnf 30 1\n1 2 3 0\n")
     assert run(["solve", at_limit]) == 0
     verdict, witness = capsys.readouterr().out.splitlines()

@@ -19,7 +19,7 @@ from monocnf import (
     parse,
     serialize,
 )
-from monocnf.formula import _trusted_clause, _trusted_formula
+from monocnf.formula import _trusted_clause
 from naive import reference_serialize
 
 
@@ -158,8 +158,8 @@ def _by_every_writer(target: str) -> list[list[CnfFormula]]:
     """Lists of equal formulas, each as every writer of the store builds it:
     one instance's ``target`` output (widths 2 and 3 for mono23sat4, a width-3
     store for the others) by ``Target.reduce``, and for mono3sat4 also the
-    instance by ``generate``; then each by the constructor, ``from_ints``,
-    ``parse`` of its text and ``_trusted_formula``."""
+    instance by ``generate``; then each by the constructor, ``from_ints`` and
+    ``parse`` of its text."""
     source = generate(GenConfig(12, 16, 5))
     written = [TARGETS[target].reduce(source)[0]] + ([source] if target == "mono3sat4" else [])
     built = []
@@ -170,7 +170,6 @@ def _by_every_writer(target: str) -> list[list[CnfFormula]]:
             CnfFormula(map(Clause, ints), formula.num_vars),
             CnfFormula.from_ints(ints, formula.num_vars),
             parse(serialize(DimacsDocument(formula))).formula,
-            _trusted_formula(map(Clause, ints), formula.num_vars),
         ])
     return built
 

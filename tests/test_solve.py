@@ -553,6 +553,28 @@ def test_block_pass_refuses_a_broken_reduction_and_dpll_decides(original, broken
     assert calls == [original, broken]  # the second parsed from the body's text
 
 
+def test_only_the_dpll_fallback_applies_the_witness_limit(monkeypatch):
+    monkeypatch.setattr(solve, "WITNESS_VAR_LIMIT", 30)
+    at_limit = CnfFormula.from_ints([[1, 2, 3]], 30)
+    over = CnfFormula.from_ints([[4, 5, 6]], 31)
+    calls = _counted_dpll(monkeypatch)
+    assert check_equisat(at_limit, CnfFormula.from_ints([[4, 5, 6]], 30))
+    assert len(calls) == 2
+    # neither is a reduction of the other: a side over the limit is refused
+    # before either side is searched
+    _refuse_dpll(monkeypatch)
+    for original, reduced in ((at_limit, over), (over, at_limit)):
+        with pytest.raises(VariableLimitError, match="witness limit of 30$"):
+            check_equisat(original, reduced)
+        with pytest.raises(VariableLimitError, match="witness limit of 30$"):
+            check_equisat_body(original, _body(reduced))
+    # mono23sat4's output on ``over`` is ``over``, and its lemma decides at any size
+    huge = CnfFormula(over.clauses, 10**30)
+    for original, reduced in ((over, over), (over, huge), (huge, huge)):
+        assert check_equisat(original, reduced)
+        assert check_equisat_body(original, _body(reduced))
+
+
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
 def test_block_pass_consumes_every_clause_and_refuses_every_prefix_without_reading_past_it(block_chars, monkeypatch):
     monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
