@@ -153,14 +153,14 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
     """Run every target on a 3-SAT-4 instance and return one CSV row per
     target, matching CSV_HEADER.  Raises RuntimeError when a target's
     measured size differs from the closed form stated by ``Target.size``."""
-    census = _census(formula.clauses)
+    census = _census(list(formula.rows()))
     measured_rows = []
     for name, target in TARGETS.items():
         start = time.perf_counter()
         out, _ = target.reduce(formula)
         millis = (time.perf_counter() - start) * 1000.0
-        if name == "mono23sat4":  # the 2-clauses of mixed elimination, by sign
-            pairs = Counter((len(c), c.sign) for c in out.clauses)
+        if name == "mono23sat4":  # its 2-clauses are monotone: count them by their first literal's sign
+            pairs = Counter(c[0] > 0 for c in out.rows() if len(c) == 2)
         # variables and clauses as the store holds them: ``out.num_vars`` and ``len(out)`` are the closed form's
         measured = (max((formula.num_vars, *out.variables())), out.flat.count(0))
         expected = target.size(formula.num_vars, len(formula), census)
@@ -169,5 +169,5 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
                 f"blowup identity violated for {name}: measured vars/clauses {measured}, expected {expected}"
             )
         measured_rows.append((name, *measured, f"{millis:.3f}"))
-    prefix = (seed, formula.num_vars, len(formula), census[0], pairs[2, 1], pairs[2, -1])
+    prefix = (seed, formula.num_vars, len(formula), census[0], pairs[True], pairs[False])
     return [tuple(map(str, prefix + row)) for row in measured_rows]

@@ -9,9 +9,9 @@ A ``CnfFormula`` stores its clauses in one flat tuple of literals, each
 clause's literals in canonical order and then a 0, as a ``dimacs.Block``
 holds them: one store, as in MiniSat's clause arena (Een & Sorensson,
 2003).  Parsing, the reductions and the generator write that store
-directly; serializing, profile checks, the equisat certificate and the
-counts read it.  ``CnfFormula.clauses``, the ``Clause`` values, is a view
-built from the store the first time it is read.
+directly, and every reader in the package reads it, clause by clause through
+``CnfFormula.rows()``.  ``CnfFormula.clauses``, the ``Clause`` values, is a
+view for callers outside the package, built from the store when first read.
 """
 
 from __future__ import annotations
@@ -135,8 +135,11 @@ class CnfFormula:
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
         """The clauses as ``Clause`` values, built from the store when first read."""
-        flat = self.flat
-        return tuple(map(_trusted_clause, block_rows(flat, clause_ends(flat))))
+        return tuple(map(_trusted_clause, self.rows()))
+
+    def rows(self) -> Iterable[tuple[int, ...]]:
+        """Each clause as the plain tuple of its literals, read afresh from the store."""
+        return block_rows(self.flat, clause_ends(self.flat))
 
     def variables(self) -> frozenset[int]:
         """All variables referenced by at least one clause."""

@@ -186,7 +186,7 @@ FORCE_TRUE_GADGET = CnfFormula.from_ints((
     (20, 18, 21),
     (-21, -19, -13),
 ))
-FORCE_FALSE_GADGET = CnfFormula.from_ints(map(neg, clause) for clause in FORCE_TRUE_GADGET)
+FORCE_FALSE_GADGET = CnfFormula.from_ints(map(neg, clause) for clause in FORCE_TRUE_GADGET.rows())
 GADGET_DESIGNATED = 3
 
 
@@ -214,7 +214,7 @@ def instantiate_gadget(gadget: CnfFormula, alloc: FreshAllocator) -> tuple[list[
     offset = alloc.fresh_many(gadget.num_vars)[0] - 1
     clauses = [
         Clause(tuple(lit + offset if lit > 0 else lit - offset for lit in pattern))
-        for pattern in gadget.clauses
+        for pattern in gadget.rows()
     ]
     return clauses, GADGET_DESIGNATED + offset
 
@@ -338,7 +338,7 @@ class Target:
         also accepts monotone (2,3)-SAT-4 input; one whose profile allows
         them labels every 2-clause "gold", so it takes none from the input.
         """
-        clauses = formula.clauses
+        clauses = list(formula.rows())
         strict = PROFILES["3sat4"]
         # the widths decide first: a 2-clause fails the strict check, whose report is built only to be raised
         if not (set(map(len, clauses)) <= strict.widths and check_profile(formula, strict).ok):
@@ -414,7 +414,7 @@ class Runs:
             yield row, _table(ins, bridges, block)
 
 
-def _census(clauses: Sequence[Clause]) -> tuple[int, int]:
+def _census(clauses: Sequence[Sequence[int]]) -> tuple[int, int]:
     """The mixed clauses among clauses of widths 2 and 3, and the 2-clauses
     once each mixed one has split off its own.  A clause is mixed exactly
     when its first literal's product with its second or with its last is

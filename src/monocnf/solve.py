@@ -79,11 +79,11 @@ def evaluate(formula: CnfFormula, assignment: Mapping[int, bool]) -> bool:
 
     The assignment must cover every variable the formula references.
     """
-    missing = formula.variables() - assignment.keys()
-    if missing:  # quote the first and count the rest, so the message stays one line
+    if not all(map(assignment.__contains__, map(abs, filter(None, formula.flat)))):  # builds no set
+        missing = formula.variables() - assignment.keys()  # quote the first and count the rest: one line
         more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
         raise ValueError(f"partial assignment: missing variables: {min(missing)}{more}")
-    for clause in formula.clauses:
+    for clause in formula.rows():
         for lit in clause:
             if assignment[abs(lit)] == (lit > 0):
                 break
@@ -92,7 +92,7 @@ def evaluate(formula: CnfFormula, assignment: Mapping[int, bool]) -> bool:
     return True
 
 
-def _truth_table(clauses: Iterable[Clause], variables: Sequence[int]) -> tuple[int, dict[int, int], int]:
+def _truth_table(clauses: Iterable[Sequence[int]], variables: Sequence[int]) -> tuple[int, dict[int, int], int]:
     """Evaluate clauses over every assignment of ``variables`` at once.
 
     ``variables[i]`` is bit ``i`` of the assignment counter.  Returns the
@@ -139,7 +139,7 @@ def solve_exhaustive(formula: CnfFormula) -> SatVerdict:
     DEFAULT_VAR_LIMIT.
     """
     _check_exhaustive_limit(formula.num_vars)
-    mask, _, _ = _truth_table(formula.clauses, range(1, formula.num_vars + 1))
+    mask, _, _ = _truth_table(formula.rows(), range(1, formula.num_vars + 1))
     explored = 1 << formula.num_vars
     if not mask:
         return SatVerdict(satisfiable=False, witness=None, explored=explored)
@@ -193,7 +193,7 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     """
     n = formula.num_vars
     _check_witness_limit(formula)
-    clauses = formula.clauses
+    clauses = list(formula.rows())
     # The search runs over variables 1..m, m the largest a clause holds (a
     # clause is sorted by variable): a header may declare millions more.
     m = max(map(abs, map(itemgetter(-1), clauses)), default=0)
@@ -341,7 +341,7 @@ def _certified_blocks(
     (``Target.size``) is the output's is tried, in table order, each on a
     fresh walk of the blocks; two are tried only when their growth is equal
     or the input has no 2-clause."""
-    clauses, n = original.clauses, original.num_vars
+    clauses, n = list(original.rows()), original.num_vars
     if not set(map(len, clauses)) <= {2, 3} or any(len(c) == 2 and c[0] * c[1] < 0 for c in clauses):
         return False
     census = _census(clauses)

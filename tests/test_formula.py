@@ -13,11 +13,14 @@ from monocnf import (
     DimacsDocument,
     FormulaError,
     GenConfig,
+    blowup_rows,
     check_profile,
+    evaluate,
     generate,
     occurrences,
     parse,
     serialize,
+    solve_dpll,
 )
 from monocnf.formula import _trusted_clause
 from naive import reference_serialize
@@ -205,6 +208,13 @@ def test_counts_read_the_store_and_build_no_view(target):
             counts = (len(formula), formula.variables(), occurrences(formula))
             check_profile(formula, PROFILES["mono23sat4"])
             serialize(DimacsDocument(formula))
+            # so do the package's readers of clauses: the reductions, DPLL, evaluate and the blowup table
+            TARGETS["mono3sat4"].runs(formula)
+            TARGETS["mono3sat4"].reduce(formula)
+            verdict = solve_dpll(formula)
+            evaluate(formula, verdict.witness or dict.fromkeys(range(1, formula.num_vars + 1), True))
+            if target == "mono3sat4":  # every formula of its lists is a 3-SAT-4 instance
+                blowup_rows(0, formula)
             assert "clauses" not in vars(formula)
             clauses = formula.clauses  # built now, from the store
             assert "clauses" in vars(formula) and all(type(clause) is Clause for clause in clauses)

@@ -58,6 +58,22 @@ def test_evaluate_missing_variables_error_is_one_short_line():
     assert str(excinfo.value) == "partial assignment: missing variables: 1 (and 9998 more)"
 
 
+def test_evaluate_checks_a_covering_assignment_without_building_the_variable_set(monkeypatch):
+    formula = CnfFormula.from_ints([[1, -2], [2, 3]], 5)
+    partial = {1: True, 2: True}
+
+    def refuse(self):
+        raise AssertionError("CnfFormula.variables was called")
+
+    monkeypatch.setattr(CnfFormula, "variables", refuse)
+    assert evaluate(formula, {**partial, 3: False})  # variables 4 and 5 are declared, not referenced
+    assert "clauses" not in vars(formula)
+    monkeypatch.undo()
+    with pytest.raises(ValueError) as excinfo:
+        evaluate(formula, partial)
+    assert str(excinfo.value) == "partial assignment: missing variables: 3"
+
+
 def test_evaluate_basic():
     formula = CnfFormula.from_ints([[1, -2], [2]])
     assert evaluate(formula, {1: True, 2: True})
@@ -328,8 +344,14 @@ def test_a_certified_verdict_never_builds_the_reduced_clauses(name, monkeypatch)
     reduced, _ = TARGETS[name].reduce(original)
     _refuse_dpll(monkeypatch)
     assert check_equisat(original, reduced)
-    # the pass compared the reduced formula's store with the runs
-    assert "clauses" not in vars(reduced)
+    # the pass compared the reduced formula's store with the runs, laid out from the original's
+    assert "clauses" not in vars(original) and "clauses" not in vars(reduced)
+    # swapped, the sides are no target's input and output, and DPLL decides each from its store
+    calls = _counted_dpll(monkeypatch)
+    assert check_equisat(reduced, original)
+    assert calls == [reduced, original]
+    assert "clauses" not in vars(original) and "clauses" not in vars(reduced)
+    assert solve_exhaustive(original).satisfiable and "clauses" not in vars(original)
 
 
 @pytest.mark.parametrize("name", ["mono3sat5", "mono3sat5-compact", "mono3sat4"])
