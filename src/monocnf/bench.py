@@ -2,9 +2,12 @@
 
 The generator draws width-3 clauses over distinct variables with
 independent random polarities, keeping every variable within four clause
-memberships (the occurrence budget), in time linear in the clause count.
+memberships (the occurrence budget).  It makes O(clauses) draws plus one
+list deletion per exhausted variable, and each deletion moves O(variables)
+list entries, so past about 100k variables the deletions dominate.
 Randomness comes from SplitMix64, a fixed 64-bit stream generator, so a
-seed reproduces the same instance on any platform and Python version.
+seed reproduces the same instance on any platform and Python version;
+``generate`` applies its step inline.
 
 Blowup accounting runs every target of ``reduce.TARGETS`` on an
 instance, reports output sizes and wall time as CSV rows, and checks the
@@ -35,7 +38,8 @@ class SplitMix64:
     golden-ratio increment, output scrambled by two xor-multiply rounds.
 
     Fixed algorithm, no platform dependence; documented in the README so
-    seeds stay reproducible.
+    seeds stay reproducible.  ``generate`` draws this stream inline, so a
+    change here must be made there too.
     """
 
     def __init__(self, seed: int):
@@ -104,8 +108,13 @@ def generate(cfg: GenConfig) -> CnfFormula:
     variable leaves the list when its budget reaches 0.  If fewer than 3
     are left before the clause count is met, generation restarts on the
     same stream, so tight configurations still end deterministically.
+
+    The draws are ``SplitMix64``'s, taken inline from a local state: a
+    pick is ``below(last + 1)`` and a coin ``coin()``.  A pick's draw of
+    at most ``_U64 - last`` is accepted unchecked, since ``below``'s limit
+    is never below ``2**64 - last``; only a larger one computes the limit.
     """
-    rng = SplitMix64(cfg.seed)
+    state = cfg.seed & _U64
     for _ in range(_MAX_ATTEMPTS):
         budget = [4] * (cfg.variable_count + 1)
         eligible = list(range(1, cfg.variable_count + 1))
@@ -117,16 +126,26 @@ def generate(cfg: GenConfig) -> CnfFormula:
             moved: dict[int, int] = {}
             picks = []
             for last in range(size - 1, size - 4, -1):
-                i = rng.below(last + 1)
+                while True:
+                    state = (state + 0x9E3779B97F4A7C15) & _U64
+                    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+                    z ^= z >> 31
+                    if z <= _U64 - last or z < (1 << 64) - (1 << 64) % (last + 1):
+                        break
+                i = z % (last + 1)
                 picks.append(moved.get(i, eligible[i]))
                 moved[i] = moved.get(last, eligible[last])
             picks.sort()
-            flat += [v if rng.coin() else -v for v in picks]
-            flat.append(0)
             for v in picks:
+                state = (state + 0x9E3779B97F4A7C15) & _U64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+                flat.append(v if (z ^ (z >> 31)) & 1 else -v)
                 budget[v] -= 1
                 if not budget[v]:
                     del eligible[bisect_left(eligible, v)]
+            flat.append(0)
         else:
             return _stored_formula(tuple(flat), cfg.variable_count, cfg.clause_count)
     raise GenerationError(

@@ -56,6 +56,44 @@ def test_below_rejects_nonpositive_bound():
         SplitMix64(5).below(0)
 
 
+def _seed_whose_first_draw_is(value):
+    # the mix is a bijection: each xorshift is undone by iterating it, each
+    # odd multiplier by its inverse mod 2**64
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(value, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & bench._U64, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & bench._U64, 30)
+    seed = (z - 0x9E3779B97F4A7C15) & bench._U64
+    assert SplitMix64(seed).next_u64() == value
+    return seed
+
+
+# 2**64 % bound is 1 for 3 and 5, so their limit is 2**64 - 1; 274177
+# divides 2**64 + 1, so its limit is 2**64 - 274176, the least it can be
+@pytest.mark.parametrize("bound", [3, 5, 274177])
+def test_below_rejects_exactly_the_draws_at_or_above_its_limit(bound):
+    limit = (1 << 64) - (1 << 64) % bound
+    assert SplitMix64(_seed_whose_first_draw_is(limit - 1)).below(bound) == (limit - 1) % bound
+    rng = SplitMix64(_seed_whose_first_draw_is(limit))
+    rng.next_u64()
+    assert SplitMix64(_seed_whose_first_draw_is(limit)).below(bound) == rng.next_u64() % bound
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (5, 6), (274177, 1)])
+def test_generate_matches_reference_when_its_first_pick_meets_the_rejection_test(n, m):
+    # the first pick's draw: the largest the pre-test accepts, the next one
+    # (accepted by the limit, except for 274177 whose limit it is) and 2**64 - 1
+    last = n - 1
+    for first in (bench._U64 - last, bench._U64 - last + 1, bench._U64):
+        seed = _seed_whose_first_draw_is(first)
+        assert list(generate(GenConfig(n, m, seed)).clauses) == reference_generate(n, m, seed), first
+
+
 def test_gen_config_validation():
     GenConfig(3, 4, 0)  # 12 literal slots, 12 occurrence budget
     with pytest.raises(GenerationError, match="allow only 12"):
