@@ -1,12 +1,16 @@
 """Desk-scale satisfiability: exhaustive enumeration, DPLL, forcing checks.
 
-The exhaustive engine evaluates the whole truth table bit-parallel: each
-variable maps to a big-integer column whose bit ``j`` is that variable's
-value in assignment number ``j`` (variable ``i`` is bit ``i - 1`` of an
-ascending assignment counter).  A clause mask ORs its literal columns, a
-formula mask ANDs its clause masks, and the surviving bits are exactly
-the models.  This keeps full enumeration over 2^21 assignments in the
-tens of milliseconds while remaining an exact, deterministic sweep.
+The exhaustive engine sweeps the truth table bit-parallel, one slice of
+2^16 consecutive assignments at a time (variable ``i`` is bit ``i - 1`` of
+an ascending assignment counter).  Each of the low 16 variables maps to a
+big-integer column of 8 KiB whose bit ``j`` is that variable's value in
+assignment ``j`` of the slice; a higher variable is constant over the
+slice.  A clause mask ORs its literal columns, a slice's mask ANDs its
+clause masks, and the surviving bits are exactly the slice's models.  So
+memory stays at a slice's columns, 256 KiB with both signs, whatever the
+variable count, and a search stops at the first slice holding a model:
+the gadget's 2^21 assignments take a few milliseconds, an exact,
+deterministic sweep.
 
 DPLL (Davis, Logemann & Loveland, 1962) runs depth-first over an explicit
 stack of pending branches.  Propagation is incremental, as in Chaff
@@ -16,13 +20,13 @@ counts per literal, and a trail of set literals that a backtrack undoes.
 Setting a literal costs the clauses it occurs in, not a pass over the
 formula.
 
-``solve_exhaustive`` and ``verify_forcing`` share the truth table.
+``solve_exhaustive`` and ``verify_forcing`` share the sweep.
 ``check_equisat`` first tries to prove the verdicts equal without deciding
 either side: the reductions replace each input clause C with clauses T
 over C's variables and fresh ones Z that occur nowhere else, and when
 ∃Z. T ≡ C for every replacement, the output is equisatisfiable with the
 input at every size.  The replacements are the rows of ``Target.rows``,
-one per input shape.  The truth table checks that lemma once per row and
+one per input shape.  The sweep checks that lemma once per row and
 sign.  One linear pass compares the output's flat literals, 0-terminated
 clauses as a ``CnfFormula`` stores them, with the runs on the input,
 ``reduce.Runs``, which number the fresh variables as the reduction does,
@@ -40,7 +44,7 @@ from functools import cache
 from heapq import heappop, heappush
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dimacs import Body, parse
 from .formula import Clause, CnfFormula
@@ -51,6 +55,8 @@ Assignment = dict[int, bool]
 DEFAULT_VAR_LIMIT = 24
 # DPLL's witness lists every declared variable; a mono3sat4 output at n=100k has ~2.3M
 WITNESS_VAR_LIMIT = 1 << 22
+# the exhaustive sweep covers 2^16 assignments at a time: a column is 8 KiB
+_SLICE_VARS = 16
 
 
 class VariableLimitError(ValueError):
@@ -61,7 +67,9 @@ class VariableLimitError(ValueError):
 class SatVerdict:
     satisfiable: bool
     witness: Assignment | None
-    explored: int  # assignments enumerated, or branching decisions taken
+    # branching decisions taken, or the exhaustive table's size 2^num_vars,
+    # even when its sweep stops at the first slice holding a model
+    explored: int
 
 
 @dataclass(frozen=True)
@@ -92,36 +100,55 @@ def evaluate(formula: CnfFormula, assignment: Mapping[int, bool]) -> bool:
     return True
 
 
-def _truth_table(clauses: Iterable[Sequence[int]], variables: Sequence[int]) -> tuple[int, dict[int, int], int]:
-    """Evaluate clauses over every assignment of ``variables`` at once.
+def _sweep(clauses: Iterable[Sequence[int]], variables: Sequence[int]) -> Iterator[int]:
+    """Yield the model mask of each slice of 2^_SLICE_VARS consecutive
+    assignment counter values, in ascending order.
 
-    ``variables[i]`` is bit ``i`` of the assignment counter.  Returns the
-    model mask, the columns built for the variables the clauses reference
-    (all of them unless the mask emptied first), and the full mask.
+    ``variables[i]`` is bit ``i`` of the counter, so the low variables
+    are bit-parallel columns within a slice and each higher one is
+    constant over it: a clause it satisfies is skipped and a literal it
+    falsifies is dropped.  Bit ``j`` of slice ``s``'s mask is counter
+    value ``s << _SLICE_VARS | j``.
     """
-    size = 1 << len(variables)
-    full = (1 << size) - 1
-    position = {v: i for i, v in enumerate(variables)}
-    columns: dict[int, int] = {}
-    mask = full
-    for clause in clauses:
-        clause_mask = 0
-        for lit in clause:
-            var = abs(lit)
-            col = columns.get(var)
-            if col is None:
-                half = 1 << position[var]
-                col = ((1 << half) - 1) << half
-                width = half << 1
-                while width < size:
-                    col |= col << width
-                    width <<= 1
-                columns[var] = col
-            clause_mask |= col if lit > 0 else full ^ col
-        mask &= clause_mask
-        if not mask:
-            break
-    return mask, columns, full
+    clauses = list(clauses)
+    low, high = variables[:_SLICE_VARS], variables[_SLICE_VARS:]
+    full = (1 << (1 << len(low))) - 1
+    column: dict[int, int] = {}
+    for var, col in zip(low, _columns(len(low))):
+        column[var], column[-var] = col, full ^ col
+    place = {var: i for i, var in enumerate(high)}
+    for s in range(1 << len(high)):
+        mask = full
+        for clause in clauses:
+            clause_mask = 0
+            for lit in clause:
+                i = place.get(abs(lit))
+                if i is None:
+                    clause_mask |= column[lit]
+                elif (s >> i & 1) == (lit > 0):
+                    break
+            else:
+                mask &= clause_mask
+                if not mask:
+                    break
+        yield mask
+
+
+@cache
+def _columns(count: int) -> tuple[int, ...]:
+    """Column ``i`` of a slice over ``count`` variables: bit ``j`` is bit ``i``
+    of ``j``.  Kept for each count up to 16, about 256 KiB in all."""
+    size = 1 << count
+    columns = []
+    for i in range(count):
+        half = 1 << i
+        col = ((1 << half) - 1) << half
+        width = half << 1
+        while width < size:
+            col |= col << width
+            width <<= 1
+        columns.append(col)
+    return tuple(columns)
 
 
 def _check_exhaustive_limit(count: int) -> None:
@@ -132,19 +159,23 @@ def _check_exhaustive_limit(count: int) -> None:
 
 
 def solve_exhaustive(formula: CnfFormula) -> SatVerdict:
-    """Decide satisfiability by enumerating all 2^num_vars assignments.
+    """Decide satisfiability by enumerating the 2^num_vars assignments,
+    slice by slice, up to the first slice holding a model.
 
     The witness is the first satisfying assignment in ascending counter
     order.  Raises VariableLimitError when num_vars exceeds
     DEFAULT_VAR_LIMIT.
     """
     _check_exhaustive_limit(formula.num_vars)
-    mask, _, _ = _truth_table(formula.rows(), range(1, formula.num_vars + 1))
+    variables = range(1, formula.num_vars + 1)
     explored = 1 << formula.num_vars
-    if not mask:
+    for s, mask in enumerate(_sweep(formula.rows(), variables)):
+        if mask:
+            first = s << _SLICE_VARS | ((mask & -mask).bit_length() - 1)
+            break
+    else:
         return SatVerdict(satisfiable=False, witness=None, explored=explored)
-    first = (mask & -mask).bit_length() - 1
-    witness = {v: bool(first >> (v - 1) & 1) for v in range(1, formula.num_vars + 1)}
+    witness = {v: bool(first >> (v - 1) & 1) for v in variables}
     if not evaluate(formula, witness):
         raise RuntimeError("internal error: exhaustive witness failed re-evaluation")
     return SatVerdict(satisfiable=True, witness=witness, explored=explored)
@@ -162,14 +193,23 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     if designated not in universe:
         raise ValueError(f"designated variable {designated} does not occur in the clauses")
     _check_exhaustive_limit(len(universe))
-    mask, columns, full = _truth_table(clauses, sorted(universe))
-    count = mask.bit_count()
-    # with no model, every variable would read as forced both ways
-    live = columns.items() if count else ()
+    variables = sorted(universe)
+    # the OR of the model masks, of the numbers of the slices holding a model, and of their complements
+    union = ones = zeros = count = 0
+    for s, mask in enumerate(_sweep(clauses, variables)):
+        if mask:
+            count += mask.bit_count()
+            union, ones, zeros = union | mask, ones | s, zeros | ~s
+    # bit i is set when some model sets variables[i] true, or false
+    low = _columns(min(len(variables), _SLICE_VARS))
+    some_true = ones << len(low) | sum(1 << i for i, col in enumerate(low) if union & col)
+    some_false = zeros << len(low) | sum(1 << i for i, col in enumerate(low) if union & ~col)
+    if not count:  # with no model, every variable would read as forced both ways
+        some_true = some_false = -1
     return ForcingReport(
         satisfiable=count > 0,
-        forced_true=frozenset(v for v, col in live if not mask & (full ^ col)),
-        forced_false=frozenset(v for v, col in live if not mask & col),
+        forced_true=frozenset(v for i, v in enumerate(variables) if not some_false >> i & 1),
+        forced_false=frozenset(v for i, v in enumerate(variables) if not some_true >> i & 1),
         model_count=count,
     )
 
@@ -358,8 +398,8 @@ def _lemma_holds(target: Target) -> bool:
     an equivalent up to the row's fresh variables.  One probe clause per
     shape and sign, the cheap pair probes first, is laid out by ``Runs`` as in
     an output over 3 variables and 1 mixed clause: bridge 4, block from 5.
-    Checked once per process, when first needed: about a tenth of a second
-    for all four targets, most of it for the gadget's rows."""
+    Checked once per process, when first needed: about 20 ms for all four
+    targets, most of it for the gadget's rows."""
     for probe in ((1, 2), (-1, -2), (1, 2, 3), (1, 2, -3), (1, -2, -3)):
         ((row, table),) = Runs(target, (probe,), 3, 1)
         if not _projects_to(_over(row.clauses, table), probe):
@@ -371,16 +411,15 @@ def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> boo
     """Whether ∃Z. clauses ≡ clause, where Z are the variables of
     ``clauses`` that ``clause`` does not hold.  Each assignment of the
     clause's variables is fixed in turn, and the clauses it leaves must
-    have a model over Z, by truth table, exactly when it satisfies the
-    clause.  The clauses that hold none of its variables are tabled once."""
+    have a model over Z exactly when it satisfies the clause.  Each check
+    sweeps the table of Z slice by slice and stops at the first slice
+    holding a model, so no table over all of Z is kept."""
     fixed = [abs(lit) for lit in clause]
     hidden = sorted(set(map(abs, chain.from_iterable(clauses))).difference(fixed))
-    touched = [c for c in clauses if not set(fixed).isdisjoint(map(abs, c))]
-    rest = _truth_table([c for c in clauses if c not in touched], hidden)[0]
     for bits in range(1 << len(fixed)):
         true = {var if bits >> i & 1 else -var for i, var in enumerate(fixed)}
-        left = [[lit for lit in c if -lit not in true] for c in touched if true.isdisjoint(c)]
-        if (all(left) and rest & _truth_table(left, hidden)[0] != 0) == true.isdisjoint(clause):
+        left = [[lit for lit in c if -lit not in true] for c in clauses if true.isdisjoint(c)]
+        if any(_sweep(left, hidden)) == true.isdisjoint(clause):
             return False
     return True
 

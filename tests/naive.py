@@ -5,7 +5,9 @@ independent of the package's data structures and bit tricks, so the two
 implementations can honestly disagree.  The DIMACS and profile
 references are the exception: they read and write the package's
 documents and reports, so that their results and errors compare equal to
-the package's own.
+the package's own.  ``reference_truth_table`` keeps the bit trick the
+exhaustive engine first shipped, one column over the whole table per
+variable, as the oracle for the engine's slice-by-slice sweep.
 """
 
 from itertools import product
@@ -58,6 +60,40 @@ def naive_model_census(
     if count == 0:
         return 0, set(), set()
     return count, always_true, always_false
+
+
+def reference_truth_table(
+    clauses: Iterable[Sequence[int]], variables: Sequence[int]
+) -> tuple[int, dict[int, int], int]:
+    """Evaluate clauses over every assignment of ``variables`` at once.
+
+    ``variables[i]`` is bit ``i`` of the assignment counter.  Returns the
+    model mask, the columns built for the variables the clauses reference
+    (all of them unless the mask emptied first), and the full mask.
+    """
+    size = 1 << len(variables)
+    full = (1 << size) - 1
+    position = {v: i for i, v in enumerate(variables)}
+    columns: dict[int, int] = {}
+    mask = full
+    for clause in clauses:
+        clause_mask = 0
+        for lit in clause:
+            var = abs(lit)
+            col = columns.get(var)
+            if col is None:
+                half = 1 << position[var]
+                col = ((1 << half) - 1) << half
+                width = half << 1
+                while width < size:
+                    col |= col << width
+                    width <<= 1
+                columns[var] = col
+            clause_mask |= col if lit > 0 else full ^ col
+        mask &= clause_mask
+        if not mask:
+            break
+    return mask, columns, full
 
 
 def reference_dpll(clauses: Iterable[Iterable[int]]) -> tuple[dict[int, bool] | None, int]:

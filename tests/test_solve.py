@@ -14,6 +14,7 @@ from monocnf import (
     Clause,
     CnfFormula,
     DimacsDocument,
+    ForcingReport,
     GenConfig,
     PROFILES,
     SplitMix64,
@@ -35,10 +36,11 @@ from monocnf import (
 )
 from monocnf.cli import run
 from monocnf.dimacs import Body
+from monocnf.reduce import Runs, _over
 from monocnf.solve import check_equisat_body
 
 from conftest import BLOCK_CHARS
-from naive import naive_model_census, naive_satisfiable, reference_dpll
+from naive import naive_model_census, naive_satisfiable, reference_dpll, reference_truth_table
 
 # At least two of three true and at least two of three false: no unit, no
 # pure literal, and unsatisfiable.
@@ -327,6 +329,110 @@ def test_verify_forcing_matches_naive_census_on_random_collections():
         # the census reports remapped indices
         assert {remap[v] for v in report.forced_true} == always_true
         assert {remap[v] for v in report.forced_false} == always_false
+
+
+@pytest.mark.parametrize("slice_vars", [1, 3])
+def test_random_oracle_checks_hold_in_narrow_slices(slice_vars, monkeypatch):
+    # narrow slices carry the 7-variable corpora across many slice boundaries
+    monkeypatch.setattr(solve, "_SLICE_VARS", slice_vars)
+    test_engines_agree_with_naive_oracle_on_random_formulas()
+    test_verify_forcing_matches_naive_census_on_random_collections()
+
+
+def _chain(num_vars: int) -> CnfFormula:
+    """Adjacent variables differ, and the units set both ends true: UNSAT at an even count."""
+    pairs = [[v, v + 1] for v in range(1, num_vars)] + [[-v, -v - 1] for v in range(1, num_vars)]
+    return CnfFormula.from_ints([*pairs, [1], [num_vars]], num_vars=num_vars)
+
+
+def _wide_corpus():
+    """Seeded 3-CNF over 17-24 variables near the threshold, so past the
+    sweep's first slice; the chain; and a formula whose units set the high
+    variables true, so its first model lies in the last slice."""
+    rng = random.Random(35)
+    for num_vars in (17, 18, 19, 20, 21, 22, 23, 24, 24, 24):
+        clauses = []
+        for _ in range(rng.randint(3 * num_vars, 5 * num_vars)):
+            clauses.append([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)])
+        yield CnfFormula.from_ints(clauses, num_vars=num_vars)
+    yield _chain(24)
+    yield CnfFormula.from_ints([[v] for v in range(17, 25)] + [[1, -2], [2, 3], [-3, -16]], num_vars=24)
+
+
+def test_exhaustive_matches_the_whole_table_past_the_first_slice():
+    firsts = []
+    for formula in _wide_corpus():
+        variables = range(1, formula.num_vars + 1)
+        mask = reference_truth_table(formula.rows(), variables)[0]
+        first = (mask & -mask).bit_length() - 1
+        witness = {v: bool(first >> (v - 1) & 1) for v in variables} if mask else None
+        verdict = solve_exhaustive(formula)
+        assert (verdict.satisfiable, verdict.witness, verdict.explored) == (mask != 0, witness, 1 << len(variables))
+        firsts.append(first)
+    # UNSAT, a model in the first slice, in a later one, and in the last of 2^8
+    assert min(firsts) == -1 and 0 <= min(f for f in firsts if f >= 0) < 1 << 16
+    assert any(1 << 16 <= f < 255 << 16 for f in firsts) and firsts[-1] >> 16 == 255
+
+
+def test_verify_forcing_matches_the_whole_table_past_the_first_slice():
+    forced = 0
+    for formula in _wide_corpus():
+        variables = sorted(formula.variables())
+        mask, columns, full = reference_truth_table(formula.rows(), variables)
+        live = columns.items() if mask else ()
+        expected = ForcingReport(
+            satisfiable=mask != 0,
+            forced_true=frozenset(v for v, col in live if not mask & (full ^ col)),
+            forced_false=frozenset(v for v, col in live if not mask & col),
+            model_count=mask.bit_count(),
+        )
+        assert verify_forcing(formula.clauses, variables[0]) == expected
+        forced += len(expected.forced_true | expected.forced_false)
+    assert forced >= 24  # the last-slice formula forces every variable
+
+
+def _reference_projects_to(clauses, clause) -> bool:
+    """``solve._projects_to`` with a whole table over Z for each assignment of the clause's variables."""
+    fixed = [abs(lit) for lit in clause]
+    hidden = sorted({abs(lit) for c in clauses for lit in c}.difference(fixed))
+    for bits in range(1 << len(fixed)):
+        true = {var if bits >> i & 1 else -var for i, var in enumerate(fixed)}
+        left = [[lit for lit in c if -lit not in true] for c in clauses if true.isdisjoint(c)]
+        if (reference_truth_table(left, hidden)[0] != 0) == true.isdisjoint(clause):
+            return False
+    return True
+
+
+def test_projection_matches_the_whole_table_past_the_first_slice():
+    # the widest rows of each target, as _lemma_holds lays them out, each
+    # whole and with one seeded clause dropped
+    rng = random.Random(35)
+    answers = []
+    for target in TARGETS.values():
+        for probe in ((1, 2), (1, 2, -3)):
+            ((row, table),) = Runs(target, (probe,), 3, 1)
+            clauses = _over(row.clauses, table)
+            if len({abs(lit) for c in clauses for lit in c}) < 17:
+                continue
+            dropped = rng.randrange(len(clauses))
+            for case in (clauses, clauses[:dropped] + clauses[dropped + 1 :]):
+                answer = solve._projects_to(case, probe)
+                assert answer == _reference_projects_to(case, probe), (target, probe, dropped)
+                answers.append(answer)
+    assert True in answers and False in answers
+
+
+def test_exhaustive_memory_is_a_slice_not_the_table():
+    # the whole table of 24 columns over 2^24 assignments peaked above 48 MiB;
+    # a slice's columns, 256 KiB with both signs, are all the sweep holds
+    tracemalloc.start()
+    try:
+        verdict = solve_exhaustive(_chain(24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.satisfiable
+    assert peak < 2 * 2**20
 
 
 def test_check_equisat():
