@@ -5,7 +5,6 @@ from .bench import (
     CSV_HEADER,
     GenConfig,
     GenerationError,
-    SplitMix64,
     blowup_rows,
     generate,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Profile",
     "ProfileError",
     "SatVerdict",
-    "SplitMix64",
     "TARGETS",
     "Target",
     "VariableLimitError",

@@ -5,9 +5,9 @@ independent random polarities, keeping every variable within four clause
 memberships (the occurrence budget).  It makes O(clauses) draws plus one
 list deletion per exhausted variable, and each deletion moves O(variables)
 list entries, so past about 100k variables the deletions dominate.
-Randomness comes from SplitMix64, a fixed 64-bit stream generator, so a
-seed reproduces the same instance on any platform and Python version;
-``generate`` applies its step inline.
+Randomness comes from SplitMix64, the fixed 64-bit stream the README
+specifies, so a seed reproduces the same instance on any platform and
+Python version; ``generate`` draws it inline.
 
 Blowup accounting runs every target of ``reduce.TARGETS`` on an
 instance, reports output sizes and wall time as CSV rows, and checks the
@@ -31,39 +31,6 @@ class GenerationError(ValueError):
 
 
 _U64 = (1 << 64) - 1
-
-
-class SplitMix64:
-    """SplitMix64 pseudorandom stream: 64-bit state advanced by the
-    golden-ratio increment, output scrambled by two xor-multiply rounds.
-
-    Fixed algorithm, no platform dependence; documented in the README so
-    seeds stay reproducible.  ``generate`` draws this stream inline, so a
-    change here must be made there too.
-    """
-
-    def __init__(self, seed: int):
-        self._state = seed & _U64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), by rejection to avoid modulo bias."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        limit = _U64 + 1 - ((_U64 + 1) % bound)
-        while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % bound
-
-    def coin(self) -> bool:
-        return bool(self.next_u64() & 1)
 
 
 # generate sizes its lists by the variable count, so it is bounded first
@@ -109,10 +76,11 @@ def generate(cfg: GenConfig) -> CnfFormula:
     are left before the clause count is met, generation restarts on the
     same stream, so tight configurations still end deterministically.
 
-    The draws are ``SplitMix64``'s, taken inline from a local state: a
-    pick is ``below(last + 1)`` and a coin ``coin()``.  A pick's draw of
-    at most ``_U64 - last`` is accepted unchecked, since ``below``'s limit
-    is never below ``2**64 - last``; only a larger one computes the limit.
+    Each draw is a SplitMix64 step on a local state.  A pick among
+    ``k = last + 1`` entries redraws while the draw is at or above the
+    largest multiple of k up to 2**64, then takes the draw mod k; that
+    multiple exceeds ``_U64 - last``, so only a larger draw computes it.
+    A sign coin is a draw's low bit: 1 keeps the literal positive.
     """
     state = cfg.seed & _U64
     for _ in range(_MAX_ATTEMPTS):

@@ -31,6 +31,8 @@ from .reduce import FORCE_FALSE_GADGET, FORCE_TRUE_GADGET, GADGET_DESIGNATED, TA
 from .solve import (
     WITNESS_VAR_LIMIT,
     VariableLimitError,
+    _check_exhaustive_limit,
+    _check_witness_limit,
     check_equisat_body,
     solve_dpll,
     solve_exhaustive,
@@ -65,12 +67,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
+# each method's limit on the declared variable count, and the method
+_METHODS = {"exhaustive": (_check_exhaustive_limit, solve_exhaustive), "dpll": (_check_witness_limit, solve_dpll)}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    doc = dimacs.load(args.input)
-    if args.method == "exhaustive":
-        verdict = solve_exhaustive(doc.formula)
-    else:
-        verdict = solve_dpll(doc.formula)
+    check_limit, decide = _METHODS[args.method]
+    with open(args.input, "rb") as handle:
+        body = dimacs.Body(handle.read())
+    next(iter(body), None)  # reads the header, which precedes the first block
+    check_limit(body.num_vars)  # before the body is parsed: at the limit's scale, that parse is the peak
+    formula = dimacs.parse(body.text).formula
+    del body  # the text is not needed once parsed
+    verdict = decide(formula)
     if verdict.witness is None:
         print("UNSAT")
     else:
@@ -166,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide satisfiability and print a witness")
     p.add_argument(
-        "--method", choices=("exhaustive", "dpll"), default="dpll",
+        "--method", choices=_METHODS, default="dpll",
         help="decision procedure (default: dpll)",
     )
     p.add_argument("input", help="input DIMACS CNF file")

@@ -214,8 +214,8 @@ def verify_forcing(clauses: Sequence[Clause], designated: int) -> ForcingReport:
     )
 
 
-def _check_witness_limit(*formulas: CnfFormula) -> None:
-    if any(formula.num_vars > WITNESS_VAR_LIMIT for formula in formulas):
+def _check_witness_limit(*counts: int) -> None:
+    if max(counts) > WITNESS_VAR_LIMIT:
         raise VariableLimitError(f"declared variable count exceeds the witness limit of {WITNESS_VAR_LIMIT}")
 
 
@@ -232,7 +232,7 @@ def solve_dpll(formula: CnfFormula) -> SatVerdict:
     WITNESS_VAR_LIMIT.
     """
     n = formula.num_vars
-    _check_witness_limit(formula)
+    _check_witness_limit(n)
     clauses = list(formula.rows())
     # The search runs over variables 1..m, m the largest a clause holds (a
     # clause is sorted by variable): a header may declare millions more.
@@ -343,7 +343,7 @@ def check_equisat(original: CnfFormula, reduced: CnfFormula) -> bool:
     ``_certified``), the verdicts are equal by the scheme's lemma and
     neither side is decided, whatever either declares.  Otherwise
     ``solve_dpll`` decides both (see ``_dpll_agrees``)."""
-    return _certified(original, reduced) or _dpll_agrees(original, reduced)
+    return _certified(original, reduced) or _dpll_agrees(original, reduced.num_vars, lambda: reduced)
 
 
 def check_equisat_body(original: CnfFormula, body: Body) -> bool:
@@ -351,17 +351,19 @@ def check_equisat_body(original: CnfFormula, body: Body) -> bool:
     building that formula when it is a target's output on ``original``: the
     pass reads the body's blocks as they are tokenized, and reading them to
     the end runs the body's own checks.  Otherwise the body's text is parsed
-    whole for DPLL."""
+    whole for DPLL, once the header's count is within DPLL's witness bound."""
     next(iter(body), None)  # reads the header, which precedes the first block
     certified = _certified_blocks(original, body.num_clauses, lambda: map(itemgetter(0), body))
-    return certified or _dpll_agrees(original, parse(body.text).formula)
+    return certified or _dpll_agrees(original, body.num_vars, lambda: parse(body.text).formula)
 
 
-def _dpll_agrees(original: CnfFormula, reduced: CnfFormula) -> bool:
-    """Whether ``solve_dpll`` gives both formulas the same verdict.  A side
-    over its witness bound is refused before either side is searched."""
-    _check_witness_limit(original, reduced)
-    return solve_dpll(original).satisfiable == solve_dpll(reduced).satisfiable
+def _dpll_agrees(original: CnfFormula, num_vars: int, reduced: Callable[[], CnfFormula]) -> bool:
+    """Whether ``solve_dpll`` gives ``original`` and ``reduced()``, which
+    declares ``num_vars`` variables, the same verdict.  A side over its
+    witness bound is refused before ``reduced()`` is built or either side is
+    searched."""
+    _check_witness_limit(original.num_vars, num_vars)
+    return solve_dpll(original).satisfiable == solve_dpll(reduced()).satisfiable
 
 
 def _certified(original: CnfFormula, reduced: CnfFormula) -> bool:

@@ -8,6 +8,8 @@ documents and reports, so that their results and errors compare equal to
 the package's own.  ``reference_truth_table`` keeps the bit trick the
 exhaustive engine first shipped, one column over the whole table per
 variable, as the oracle for the engine's slice-by-slice sweep.
+``SplitMix64`` is the README's stream as a class, one step per call, as
+the reference for the step ``generate`` draws inline.
 """
 
 from itertools import product
@@ -20,7 +22,6 @@ from monocnf import (
     DimacsError,
     FormulaError,
     Profile,
-    SplitMix64,
     Violation,
     ViolationReport,
     occurrences,
@@ -180,12 +181,47 @@ def reference_dpll(clauses: Iterable[Iterable[int]]) -> tuple[dict[int, bool] | 
     return model, decisions
 
 
+_U64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 pseudorandom stream: 64-bit state advanced by the
+    golden-ratio increment, output scrambled by two xor-multiply rounds.
+
+    The reference for the stream the README specifies, which ``generate``
+    draws inline; the tests draw their own random inputs from it too.
+    """
+
+    def __init__(self, seed: int):
+        self._state = seed & _U64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        """Uniform integer in [0, bound), by rejection to avoid modulo bias."""
+        if bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        limit = _U64 + 1 - ((_U64 + 1) % bound)
+        while True:
+            value = self.next_u64()
+            if value < limit:
+                return value % bound
+
+    def coin(self) -> bool:
+        return bool(self.next_u64() & 1)
+
+
 def reference_generate(num_vars: int, num_clauses: int, seed: int) -> list[tuple[int, ...]] | None:
     """The clauses of the instance the package's generator first produced,
     frozen here as the reference for its stream: each clause rebuilds the
     list of variables with occurrence budget left and swap-removes three
     picks from it.  A failed attempt restarts on the same stream; None
-    after 1000 attempts.  It shares only the package's SplitMix64 stream.
+    after 1000 attempts.  It shares no code with the package.
     """
 
     def sample_distinct(rng: SplitMix64, pool: list[int], count: int) -> list[int]:

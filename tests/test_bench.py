@@ -12,7 +12,6 @@ from monocnf import (
     DimacsDocument,
     GenConfig,
     GenerationError,
-    SplitMix64,
     Target,
     blowup_rows,
     check_profile,
@@ -21,7 +20,7 @@ from monocnf import (
     serialize,
 )
 from monocnf import bench
-from naive import reference_generate
+from naive import SplitMix64, reference_generate
 
 # first outputs of the SplitMix64 reference stream, frozen from a run
 # that matches the published vectors for these seeds

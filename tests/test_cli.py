@@ -489,6 +489,25 @@ def test_witness_limit_is_input_error(tmp_path, capsys, monkeypatch):
     assert len(witness.split()) == 32
 
 
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS[:-1])
+@pytest.mark.parametrize(
+    "method, num_vars, error",
+    [
+        pytest.param("dpll", 4194305, "error: declared variable count exceeds the witness limit of 4194304\n", id="dpll"),
+        pytest.param("exhaustive", 25, "error: variable count exceeds the exhaustive limit of 24\n", id="exhaustive"),
+    ],
+)
+def test_solve_refuses_a_header_over_the_limit_before_parsing_the_body(
+    method, num_vars, error, block_chars, tmp_path, capsys, monkeypatch
+):
+    # the bad token lies past the first block: only the header and that
+    # block are read before the method's limit refuses the file
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block_chars)
+    source = _write(tmp_path, "over.cnf", f"p cnf {num_vars} 2\n1 2 3 0\n1 2 x 0\n")
+    assert run(["solve", "--method", method, source]) == 3
+    assert capsys.readouterr() == ("", error)
+
+
 def test_memory_error_is_one_error_line_and_exit_3(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError

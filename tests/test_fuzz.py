@@ -11,7 +11,6 @@ from monocnf import (
     DimacsDocument,
     DimacsError,
     GenConfig,
-    SplitMix64,
     dimacs,
     eliminate_mixed,
     generate,
@@ -22,7 +21,7 @@ from monocnf import (
 )
 from monocnf.cli import run
 from conftest import BLOCK_CHARS
-from naive import reference_parse
+from naive import SplitMix64, reference_parse
 
 SEED = 0x5EED
 CASES = 1500

@@ -1,7 +1,7 @@
 """Profile definitions and membership checking."""
 
-from monocnf import PROFILES, Clause, CnfFormula, Profile, SplitMix64, ViolationReport, check_profile
-from naive import reference_check_profile
+from monocnf import PROFILES, Clause, CnfFormula, Profile, ViolationReport, check_profile
+from naive import SplitMix64, reference_check_profile
 
 
 def test_profile_table():

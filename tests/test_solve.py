@@ -17,7 +17,6 @@ from monocnf import (
     ForcingReport,
     GenConfig,
     PROFILES,
-    SplitMix64,
     VariableLimitError,
     check_equisat,
     dimacs,
@@ -40,7 +39,7 @@ from monocnf.reduce import Runs, _over
 from monocnf.solve import check_equisat_body
 
 from conftest import BLOCK_CHARS
-from naive import naive_model_census, naive_satisfiable, reference_dpll, reference_truth_table
+from naive import SplitMix64, naive_model_census, naive_satisfiable, reference_dpll, reference_truth_table
 
 # At least two of three true and at least two of three false: no unit, no
 # pure literal, and unsatisfiable.
@@ -701,6 +700,21 @@ def test_only_the_dpll_fallback_applies_the_witness_limit(monkeypatch):
     for original, reduced in ((over, over), (over, huge), (huge, huge)):
         assert check_equisat(original, reduced)
         assert check_equisat_body(original, _body(reduced))
+
+
+def test_check_equisat_body_refuses_a_header_over_the_witness_limit_before_parsing(monkeypatch):
+    monkeypatch.setattr(solve, "WITNESS_VAR_LIMIT", 30)
+
+    def refuse(text):
+        raise AssertionError("parse was called")
+
+    monkeypatch.setattr(solve, "parse", refuse)
+    # neither is a reduction of the other, so only DPLL could decide
+    at_limit = CnfFormula.from_ints([[1, 2, 3]], 30)
+    over = CnfFormula.from_ints([[4, 5, 6]], 31)
+    for original, reduced in ((at_limit, over), (over, at_limit)):
+        with pytest.raises(VariableLimitError, match="witness limit of 30$"):
+            check_equisat_body(original, _body(reduced))
 
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
