@@ -13,13 +13,15 @@ Three layers:
 * Pipelines: the ``TARGETS`` table maps each target name to its output
   profile and its 2-clause template (the pair itself, r3, compact r3, or
   widening plus gadget), compiled once from its rule.  ``Target.rows``
-  states the scheme once: one row of output clauses per input shape, the
-  growth per 2-clause read from the pair row.  ``Target.size`` states the
-  output's counts, and ``Target.runs`` lays out a target's output as one
-  row per input clause; ``Target.text``,
-  ``Target.trace`` and ``Target.reduce`` read the rows as DIMACS body lines,
-  trace comments and the formula's store, and ``eliminate_mixed``,
-  ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run table entries.
+  states the scheme once: one row of output clauses per input shape and
+  sign, the negative rows compiled as mirror images, and the growth per
+  2-clause read from the pair row.  ``Target.size`` states the output's
+  counts, and ``Target.runs`` lays out a target's output as one run per
+  input clause, a row over a lookup table that ``Runs`` builds as one list;
+  ``Target.text``, ``Target.trace`` and ``Target.reduce`` read the runs as
+  DIMACS body lines, trace comments and the formula's store, and
+  ``eliminate_mixed``, ``to_monotone_3sat5`` and ``to_monotone_3sat4`` run
+  table entries.
 
 Every pipeline is deterministic: clauses are processed in input order,
 a replaced clause's children are inserted at its position, and fresh
@@ -222,7 +224,7 @@ def instantiate_gadget(gadget: CnfFormula, alloc: FreshAllocator) -> tuple[list[
 def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
     """A positive 2-clause widened by a fresh variable, then the gadget
     forcing that variable false.  Only the positive probe of ``_target``
-    runs it; a negative pair reads the mirror of the result (see ``_split``)."""
+    runs it; a negative pair reads the mirror of the result (see ``_mirror``)."""
     gadget, designated = instantiate_gadget(FORCE_FALSE_GADGET, alloc)
     return [Clause(pair + (designated,)), *gadget]
 
@@ -231,36 +233,11 @@ def _widen_with_gadget(pair: Clause, alloc: FreshAllocator) -> list[Clause]:
 Clauses = tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _split(clause: Sequence[int]) -> tuple[str | None, Sequence[int], int]:
-    """The shape of a clause of width 2 or 3, the key of its row in
-    ``Target.rows`` (None for a mixed 2-clause), its input slot values and
-    its sign.  A monotone clause's slots are its literals.  A mixed clause's
-    are the two literals of one sign, then the third one negated, and its
-    sign is theirs: the other mixed shape, and a negative pair, read their
-    row as the mirror image, every fresh slot negated.  Three products
-    decide, with no sort."""
-    if len(clause) == 2:
-        x, y = clause
-        return "pair" if x * y > 0 else None, clause, 1 if x > 0 else -1
-    x, y, z = clause
-    if x * y > 0:
-        if x * z > 0:
-            return "kept", clause, 1
-        return "mixed", (x, y, -z), 1 if x > 0 else -1
-    if x * z > 0:
-        return "mixed", (x, z, -y), 1 if x > 0 else -1
-    return "mixed", (y, z, -x), 1 if y > 0 else -1
-
-
-def _table(ins: Sequence[int], fresh: range, more: range = range(0)) -> list[int]:
-    """A run's lookup table: slot k reads ``ins[k - 1]`` up to the input's
-    width, then the variables of ``fresh`` and of ``more``, ranges of step 1
-    or -1 (the clause's sign); slot -k reads the negation of slot k.
-    Negated and reversed, such a range r is ``range(r.step - r.stop,
-    r.step - r.start, r.step)``: no fresh variable is negated one by one."""
-    mirror_more = range(more.step - more.stop, more.step - more.start, more.step)
-    mirror_fresh = range(fresh.step - fresh.stop, fresh.step - fresh.start, fresh.step)
-    return [0, *ins, *fresh, *more, *mirror_more, *mirror_fresh, *map(neg, reversed(ins))]
+def _mirror(clauses: Clauses, width: int) -> Clauses:
+    """``clauses`` with every fresh slot, past the input's ``width``, negated:
+    the row of the other sign, over a table that holds its fresh variables
+    positive."""
+    return tuple((label, tuple(-slot if abs(slot) > width else slot for slot in lits)) for label, lits in clauses)
 
 
 def _over(clauses: Clauses, table: Sequence[int]) -> list[tuple[int, ...]]:
@@ -277,12 +254,17 @@ GOLD: Clauses = tuple(
 class Row:
     """One row compiled for its readers: input slots 1 to ``width``, then
     fresh slots up to its largest, the first ``bridges`` from the bridge
-    pool and the other ``block`` from the pool of the expansion blocks."""
+    pool and the other ``block`` from the pool of the expansion blocks.
+
+    A row is read from a run's lookup table (see ``Runs``): slot k reads
+    entry k and slot -k entry -k, the negation of entry k, and entry 0
+    reads 0.  A table holds its fresh variables positive, so a row of either
+    sign reads them the same way: the sign is compiled into the row."""
 
     def __init__(self, clauses: Clauses, width: int, bridges: int = 0):
         self.clauses = clauses
         slots = tuple(chain.from_iterable(lits for _, lits in clauses))
-        self.bridges, self.block = bridges, max(map(abs, slots)) - width - bridges
+        self.block = max(map(abs, slots)) - width - bridges
         self.pick = itemgetter(*slots)  # the row's literals from a table, as a tuple: every row has 2 slots or more
         # its DIMACS lines, a format over ``pick``'s literals
         self.text = clause_format(len(lits) for _, lits in clauses)
@@ -290,33 +272,41 @@ class Row:
         self.flat = itemgetter(*chain.from_iterable((*lits, 0) for _, lits in clauses))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Target:
     """One reduction target: the class its output meets and the template
     that replaces each monotone 2-clause left by mixed elimination (one
     (rule label, slot literals) per clause; mixed elimination's is the
     pair itself).  It lays out its output as runs and renders them as
-    DIMACS text and trace comments."""
+    DIMACS text and trace comments.  A target equals and hashes as itself,
+    so a cache keyed by it never hashes the template."""
 
     profile: str
     template: Clauses
 
     @cached_property
     def rows(self) -> dict[str, Row]:
-        """The scheme, one row per shape of ``_split``: the kept 3-clause
-        over slots 1 to 3; the template over a pair in slots 1 and 2, fresh
-        slots from 3; gold's split of a mixed clause in slots 1 to 3 over the
-        bridge slot 4, its 2-clause child replaced by the template with fresh
-        slots from 5.  The reduction writes these rows, ``solve._lemma_holds``
-        proves each at a probe of its shape, and ``solve._is_instance``
-        compares an output with the runs of these rows: the lemma vets what
-        the pass accepts by construction."""
+        """The scheme, one row per input shape and sign: the kept 3-clause
+        over slots 1 to 3; the template over a positive pair in slots 1 and
+        2, fresh slots from 3; gold's split of a mixed clause with two
+        positive literals, in slots 1 to 3 (the third one negated), over the
+        bridge slot 4, its 2-clause child replaced by the template with
+        fresh slots from 5.  "-pair" and "-mixed" are the mirror images, for
+        a negative pair and a mixed clause with two negative literals: every
+        fresh slot negated (``_mirror``).  The reduction writes these rows,
+        ``solve._lemma_holds`` proves each at a probe of its shape and sign,
+        and ``solve._is_instance`` compares an output with the runs of these
+        rows: the lemma vets what the pass accepts by construction."""
         wide, (_, narrow) = GOLD
-        _, ins, sign = _split(narrow)
-        pair = Row(self.template, 2)
-        expansion = _over(self.template, _table(ins, range(sign * 5, sign * (5 + pair.block), sign)))
+        rows = {"kept": Row((("input", (1, 2, 3)),), 3), "pair": Row(self.template, 2)}
+        rows["-pair"] = Row(_mirror(self.template, 2), 2)
+        # the narrow child reads the pair row of its sign, over a table laid out as ``Runs`` lays out a pair's
+        last = 5 + rows["pair"].block
+        table = [0, *narrow, *range(5, last), *range(1 - last, -4), *map(neg, reversed(narrow))]
+        expansion = _over(rows["pair" if narrow[0] > 0 else "-pair"].clauses, table)
         mixed = (wide, *zip((label for label, _ in self.template), expansion))
-        return {"kept": Row((("input", (1, 2, 3)),), 3), "pair": pair, "mixed": Row(mixed, 3, 1)}
+        rows["mixed"], rows["-mixed"] = Row(mixed, 3, 1), Row(_mirror(mixed, 3), 3, 1)
+        return rows
 
     @property
     def growth(self) -> tuple[int, int]:
@@ -331,8 +321,8 @@ class Target:
         them, and its runs.
 
         Each input clause becomes one run ``(row, table)``, in input order:
-        its shape's row over the lookup table of its slot values (see
-        ``_split`` and ``_table``), its fresh variables numbered by ``Runs``.
+        the row of its shape and sign over the lookup table of its slot
+        values and its fresh variables, as ``Runs`` lays them out.
 
         Every target accepts 3-SAT-4 input.  One whose profile bars 2-clauses
         also accepts monotone (2,3)-SAT-4 input; one whose profile allows
@@ -395,7 +385,14 @@ class Runs:
     variables, the bridges from ``num_vars + 1`` and the expansion blocks
     from ``num_vars + mixed + 1``, so each is in one run and the counts are
     those ``Target.size`` states from the census; ``solve._certified``
-    compares an output with its runs."""
+    compares an output with its runs.
+
+    A clause's slot values are its literals, or for a mixed clause the two
+    literals of one sign, then the third one negated; the sign of the first
+    slot picks the row (see ``Target.rows``).  Three products decide, with
+    no sort.  Its table is one list: 0, the slot values, its bridge, its
+    block, then all of those negated in reverse order.  A kept clause's row
+    reads no negated or fresh slot, so its table ends at slot 3."""
 
     target: Target
     clauses: Sequence[Sequence[int]]
@@ -403,15 +400,35 @@ class Runs:
     mixed: int  # its mixed clauses, one bridge each
 
     def __iter__(self) -> Iterator[Run]:
-        rows, bridge, first = self.target.rows, self.num_vars + 1, self.num_vars + self.mixed + 1
+        rows = self.target.rows
+        kept, pair, mixed, mirror_pair, mirror_mixed = map(rows.get, ("kept", "pair", "mixed", "-pair", "-mixed"))
+        # a mixed clause's block is its 2-clause child's, as ``Target.size`` counts it
+        bridge, first, block = self.num_vars + 1, self.num_vars + self.mixed + 1, pair.block
         for clause in self.clauses:
-            shape, ins, sign = _split(clause)
-            row = rows[shape]
-            bridges = range(sign * bridge, sign * (bridge + row.bridges), sign)
-            block = range(sign * first, sign * (first + row.block), sign)
-            bridge += row.bridges
-            first += row.block
-            yield row, _table(ins, bridges, block)
+            if len(clause) == 2:
+                x, y = clause
+                last = first + block
+                yield pair if x > 0 else mirror_pair, [
+                    0, x, y, *range(first, last), *range(1 - last, 1 - first), -y, -x
+                ]
+                first = last
+                continue
+            x, y, z = clause
+            if x * y > 0:
+                if x * z > 0:
+                    yield kept, [0, x, y, z]
+                    continue
+                z = -z
+            elif x * z > 0:
+                y, z = z, -y
+            else:
+                x, y, z = y, z, -x
+            last = first + block
+            yield mixed if x > 0 else mirror_mixed, [
+                0, x, y, z, bridge, *range(first, last), *range(1 - last, 1 - first), -bridge, -z, -y, -x
+            ]
+            bridge += 1
+            first = last
 
 
 def _census(clauses: Sequence[Sequence[int]]) -> tuple[int, int]:

@@ -26,8 +26,8 @@ either side: the reductions replace each input clause C with clauses T
 over C's variables and fresh ones Z that occur nowhere else, and when
 ∃Z. T ≡ C for every replacement, the output is equisatisfiable with the
 input at every size.  The replacements are the rows of ``Target.rows``,
-one per input shape.  The sweep checks that lemma once per row and
-sign.  One linear pass compares the output's flat literals, 0-terminated
+one per input shape and sign.  The sweep checks that lemma once per
+row.  One linear pass compares the output's flat literals, 0-terminated
 clauses as a ``CnfFormula`` stores them, with the runs on the input,
 ``reduce.Runs``, which number the fresh variables as the reduction does,
 of each target whose clause count is the output's.  ``check_equisat_body``
@@ -398,10 +398,11 @@ def _certified_blocks(
 def _lemma_holds(target: Target) -> bool:
     """Whether each of the target's rows replaces a clause of its shape by
     an equivalent up to the row's fresh variables.  One probe clause per
-    shape and sign, the cheap pair probes first, is laid out by ``Runs`` as in
-    an output over 3 variables and 1 mixed clause: bridge 4, block from 5.
-    Checked once per process, when first needed: about 20 ms for all four
-    targets, most of it for the gadget's rows."""
+    row, the cheap pair probes first, is laid out by ``Runs`` as in an
+    output over 3 variables and 1 mixed clause: bridge 4, block from 5.
+    The negative probes read the mirrored rows.  Checked once per target
+    object, when first needed, so a lookup hashes no template: about 20 ms
+    for all four targets, most of it for the gadget's rows."""
     for probe in ((1, 2), (-1, -2), (1, 2, 3), (1, 2, -3), (1, -2, -3)):
         ((row, table),) = Runs(target, (probe,), 3, 1)
         if not _projects_to(_over(row.clauses, table), probe):
@@ -431,10 +432,12 @@ def _is_instance(blocks: Iterable[Sequence[int]], runs: Iterable[Run]) -> bool:
     ended by a 0 as in a ``dimacs.Block``, is exactly ``runs``.  One pass, in
     run order, compares the next literals with each run's group of clauses
     (``Row.flat``), so the literals and the clause ends are compared at
-    once.  A group that straddles a block end is compared in parts.  Every
-    literal must be consumed, and an output that runs out before the runs do
-    is refused, not read past."""
-    blocks = map(tuple, blocks)
+    once.  A group that straddles a block end is compared in parts.  An
+    empty block holds no literal and is skipped, so an empty output's one
+    empty store is the runs of an empty input.  Every literal must be
+    consumed, and an output that runs out before the runs do is refused, not
+    read past."""
+    blocks = filter(None, map(tuple, blocks))
     flat, at = (), 0
     for row, table in runs:
         group = row.flat(table)

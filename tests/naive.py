@@ -9,21 +9,29 @@ the package's own.  ``reference_truth_table`` keeps the bit trick the
 exhaustive engine first shipped, one column over the whole table per
 variable, as the oracle for the engine's slice-by-slice sweep.
 ``SplitMix64`` is the README's stream as a class, one step per call, as
-the reference for the step ``generate`` draws inline.
+the reference for the step ``generate`` draws inline.  ``reference_reduce``
+builds a target's output clause by clause from the public rules, as the
+reference for the runs that lay it out.
 """
 
 from itertools import product
 from typing import Iterable, Sequence
 
 from monocnf import (
+    FORCE_FALSE_GADGET,
+    FORCE_TRUE_GADGET,
     Clause,
     CnfFormula,
     DimacsDocument,
     DimacsError,
     FormulaError,
+    FreshAllocator,
     Profile,
     Violation,
     ViolationReport,
+    apply_r3,
+    gold_step,
+    instantiate_gadget,
     occurrences,
 )
 from monocnf.dimacs import _HEADER_RE, _check_comment, _clip
@@ -251,6 +259,48 @@ def reference_generate(num_vars: int, num_clauses: int, seed: int) -> list[tuple
         if clauses is not None:
             return clauses
     return None
+
+
+def reference_reduce(
+    target_name: str, clauses: Iterable[Iterable[int]], num_vars: int
+) -> tuple[int, list[tuple[str, int, tuple[int, ...]]]]:
+    """The output of the target ``target_name`` on a checked input of
+    ``num_vars`` variables: its variable count and, per output clause, its
+    rule label, the index of its input clause and its literals.
+
+    Each input clause is replaced in input order.  A monotone 3-clause is
+    kept.  A mixed one is split by ``gold_step`` over the next bridge,
+    counted from ``num_vars + 1``, wider child first, and its narrower
+    child is expanded like an input 2-clause.  A 2-clause is kept by
+    mixed elimination, expanded by ``apply_r3`` for the mono3sat5 targets,
+    or widened by the designated variable of a fresh forcing gadget, negated
+    for a negative pair, for mono3sat4.  The expansions draw from one pool
+    counted from past the last bridge.
+    """
+    clauses = [Clause(clause) for clause in clauses]
+    mixed = sum(len(clause) == 3 and len({lit > 0 for lit in clause}) == 2 for clause in clauses)
+    bridges, blocks = FreshAllocator(num_vars + 1), FreshAllocator(num_vars + mixed + 1)
+
+    def expand(pair: Clause) -> list[tuple[str, Clause]]:
+        if target_name == "mono23sat4":
+            return [("gold", pair)]
+        if target_name == "mono3sat4":
+            sign = 1 if pair[0] > 0 else -1
+            gadget, designated = instantiate_gadget(FORCE_FALSE_GADGET if sign > 0 else FORCE_TRUE_GADGET, blocks)
+            return [("widen", Clause((*pair, sign * designated))), *(("gadget", clause) for clause in gadget)]
+        return [("r3", clause) for clause in apply_r3(pair, blocks, compact=target_name == "mono3sat5-compact")]
+
+    out: list[tuple[str, int, tuple[int, ...]]] = []
+    for source, clause in enumerate(clauses):
+        if len(clause) == 2:
+            produced = expand(clause)
+        elif len({lit > 0 for lit in clause}) == 1:
+            produced = [("input", clause)]
+        else:
+            wide, narrow = sorted(gold_step(clause, bridges), key=len, reverse=True)
+            produced = [("gold", wide), *expand(narrow)]
+        out.extend((label, source, tuple(lits)) for label, lits in produced)
+    return blocks.fresh() - 1, out  # the variables end just below the next fresh one
 
 
 def reference_parse(text: str | bytes) -> DimacsDocument:

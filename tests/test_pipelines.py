@@ -31,6 +31,9 @@ from monocnf import (
     to_monotone_3sat5,
 )
 from monocnf import reduce
+from monocnf.reduce import Runs
+
+from naive import reference_reduce
 
 # monotone (2,3)-SAT-4 and unsatisfiable: the positive pairs allow at
 # most one false variable, the negative pairs at most one true, which is
@@ -274,10 +277,50 @@ def test_template_instance_equals_direct_rule_output(name, sign):
     # far-apart pairs, and fresh variables just above the pair
     for x, y, first in [(1, 2, 3), (1, 1000, 1001), (7, 9, 10), (2, 5, 40), (999, 1000, 5000)]:
         pair = Clause((sign * x, sign * y))
-        lookup = reduce._table(pair, range(sign * first, sign * (first + target.growth[0]), sign)).__getitem__
+        # one pair over first - 1 input variables and no mixed clause: its block starts at first
+        ((row, table),) = Runs(target, (pair,), first - 1, 0)
         # plain tuples: the renamed slots must already be in canonical order
-        instance = [(label, tuple(map(lookup, slots))) for label, slots in target.template]
+        instance = [(label, tuple(map(table.__getitem__, slots))) for label, slots in row.clauses]
         assert instance == _direct_expansion(name, pair, first)
+
+
+# the six sign positions of a mixed 3-clause: every sign pattern but the two monotone ones
+MIXED_SIGNS = [signs for signs in itertools.product((1, -1), repeat=3) if len(set(signs)) == 2]
+
+
+def _reference_inputs() -> list[tuple[str, CnfFormula]]:
+    """Generated 3-SAT-4 instances, the monotone (2,3)-SAT-4 instances that
+    mixed elimination makes of them, and each mixed clause shape in every
+    sign position, alone and all together beside kept clauses and pairs."""
+    generated = [generate(GenConfig(n, n * 4 // 3, seed)) for n, seed in ((12, 5), (40, 17), (70, 3))]
+    alone = [CnfFormula.from_ints([[s * v for s, v in zip(signs, (2, 5, 9))]], 9) for signs in MIXED_SIGNS]
+    together = [[s * (3 * i + k) for k, s in enumerate(signs, 1)] for i, signs in enumerate(MIXED_SIGNS)]
+    kept = [[19, 20, 21], [-22, -23, -24]]
+    return [
+        *(("3sat4", formula) for formula in (*generated, *alone, CnfFormula.from_ints(together + kept))),
+        *(("mono23sat4", eliminate_mixed(formula)[0]) for formula in generated),
+        ("mono23sat4", CnfFormula.from_ints([[1, 2], [-3, -4], [5, 6, 7], [-8, -9, -10], [-11, -12]], 14)),
+    ]
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_reduction_matches_the_reference_built_from_the_rules(name):
+    target, negative_pairs = TARGETS[name], 0
+    for profile, formula in _reference_inputs():
+        if profile == "mono23sat4" and 2 in PROFILES[target.profile].widths:
+            with pytest.raises(ProfileError):
+                target.reduce(formula)
+            continue
+        negative_pairs += sum(len(c) == 2 and c[0] < 0 for c in formula.rows())
+        num_vars, expected = reference_reduce(name, formula.rows(), formula.num_vars)
+        out, trace = target.reduce(formula)
+        assert (out.num_vars, list(out.rows())) == (num_vars, [lits for _, _, lits in expected])
+        assert trace == tuple(f"trace {i} {label} {source}" for i, (label, source, _) in enumerate(expected))
+        size_vars, size_clauses, runs = target.runs(formula)
+        assert (size_vars, size_clauses) == (num_vars, len(expected))
+        assert "".join(target.text(runs)) == "".join(f"{' '.join(map(str, lits))} 0\n" for _, _, lits in expected)
+        assert tuple(target.trace(runs)) == trace
+    assert negative_pairs > 0 or 2 in PROFILES[target.profile].widths
 
 
 def test_readme_blowup_table_matches_target_growth():

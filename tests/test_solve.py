@@ -702,6 +702,18 @@ def test_only_the_dpll_fallback_applies_the_witness_limit(monkeypatch):
         assert check_equisat_body(original, _body(reduced))
 
 
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_an_empty_reduction_is_certified_on_both_paths(name, monkeypatch):
+    # an empty formula's store is one empty block, which holds no literal and
+    # no run; over the witness limit only the certificate can decide
+    original = CnfFormula([], 5_000_000)
+    reduced, trace = TARGETS[name].reduce(original)
+    assert (len(reduced), reduced.num_vars, trace) == (0, 5_000_000, ())
+    _refuse_dpll(monkeypatch)
+    assert check_equisat(original, reduced)
+    assert check_equisat_body(original, _body(reduced))
+
+
 def test_check_equisat_body_refuses_a_header_over_the_witness_limit_before_parsing(monkeypatch):
     monkeypatch.setattr(solve, "WITNESS_VAR_LIMIT", 30)
 
