@@ -7,7 +7,9 @@ list deletion per exhausted variable, and each deletion moves O(variables)
 list entries, so past about 100k variables the deletions dominate.
 Randomness comes from SplitMix64, the fixed 64-bit stream the README
 specifies, so a seed reproduces the same instance on any platform and
-Python version; ``generate`` draws it inline.
+Python version.  ``_draws`` is the package's one statement of the stream:
+it computes 1,024 outputs at a time, one per 128-bit lane of a Python
+int, so each step of the mix runs once per batch in C.
 
 Blowup accounting runs every target of ``reduce.TARGETS`` on an
 instance, reports output sizes and wall time as CSV rows, and checks the
@@ -16,10 +18,14 @@ measured counts against the closed forms stated by ``Target.size``.
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count
+from typing import Iterator
 
 from .dimacs import _clip
 from .formula import CnfFormula, _stored_formula
@@ -31,6 +37,37 @@ class GenerationError(ValueError):
 
 
 _U64 = (1 << 64) - 1
+
+# lane k of a batch is bits 128k to 128k + 127 of one int, so a 64-bit
+# word times a 64-bit constant never carries into the next lane
+_LANES = 1024
+_GAMMA = 0x9E3779B97F4A7C15
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _LANES, "little")
+_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
+_STEPS = _GAMMA * int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(1, _LANES + 1)), "little")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _batch(state: int) -> array:
+    """The SplitMix64 outputs of the ``_LANES`` steps after ``state``.
+
+    A right shift pulls the next lane's low bits into a lane's high half,
+    so each xor is masked back to 64 bits before its multiply; only each
+    lane's low word is read.  ``array`` reads host byte order, hence the
+    swap on a big-endian host (untested: CI runs little-endian only).
+    """
+    z = ((state & _U64) * _ONES + _STEPS) & _LOW
+    z = ((z ^ z >> 30) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+    z = ((z ^ z >> 27) & _LOW) * 0x94D049BB133111EB & _LOW
+    words = array("Q", (z ^ z >> 31).to_bytes(16 * _LANES, "little"))[0::2]
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _draws(state: int) -> Iterator[int]:
+    """The SplitMix64 stream after ``state``, in order, a batch at a time."""
+    return chain.from_iterable(map(_batch, count(state, _LANES * _GAMMA)))
 
 
 # generate sizes its lists by the variable count, so it is bounded first
@@ -76,13 +113,14 @@ def generate(cfg: GenConfig) -> CnfFormula:
     are left before the clause count is met, generation restarts on the
     same stream, so tight configurations still end deterministically.
 
-    Each draw is a SplitMix64 step on a local state.  A pick among
+    Every draw is the next output of one SplitMix64 stream, ``_draws``
+    from the seed, kept across restarts.  A pick among
     ``k = last + 1`` entries redraws while the draw is at or above the
     largest multiple of k up to 2**64, then takes the draw mod k; that
     multiple exceeds ``_U64 - last``, so only a larger draw computes it.
     A sign coin is a draw's low bit: 1 keeps the literal positive.
     """
-    state = cfg.seed & _U64
+    draw = _draws(cfg.seed).__next__
     for _ in range(_MAX_ATTEMPTS):
         budget = [4] * (cfg.variable_count + 1)
         eligible = list(range(1, cfg.variable_count + 1))
@@ -95,10 +133,7 @@ def generate(cfg: GenConfig) -> CnfFormula:
             picks = []
             for last in range(size - 1, size - 4, -1):
                 while True:
-                    state = (state + 0x9E3779B97F4A7C15) & _U64
-                    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-                    z ^= z >> 31
+                    z = draw()
                     if z <= _U64 - last or z < (1 << 64) - (1 << 64) % (last + 1):
                         break
                 i = z % (last + 1)
@@ -106,10 +141,7 @@ def generate(cfg: GenConfig) -> CnfFormula:
                 moved[i] = moved.get(last, eligible[last])
             picks.sort()
             for v in picks:
-                state = (state + 0x9E3779B97F4A7C15) & _U64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-                flat.append(v if (z ^ (z >> 31)) & 1 else -v)
+                flat.append(v if draw() & 1 else -v)
                 budget[v] -= 1
                 if not budget[v]:
                     del eligible[bisect_left(eligible, v)]

@@ -1,6 +1,7 @@
 """Seeded generation and blowup accounting."""
 
 import hashlib
+from itertools import islice
 
 import pytest
 
@@ -39,6 +40,20 @@ def test_splitmix64_reference_vectors(seed, expected):
 
 def test_splitmix64_masks_seed_to_64_bits():
     assert SplitMix64(1 << 64).next_u64() == SPLITMIX_VECTORS[0][0]
+
+
+# every state wraps past 2**64 within a batch, as the increment is 0.62 * 2**64;
+# the last seed's state wraps to exactly 0 at the fifth step
+@pytest.mark.parametrize("seed", [0, 1, 1234567, bench._U64, -5 * 0x9E3779B97F4A7C15 & bench._U64])
+def test_batched_stream_matches_reference_across_batches(seed):
+    rng = SplitMix64(seed)
+    count = 3 * bench._LANES + 5
+    assert list(islice(bench._draws(seed), count)) == [rng.next_u64() for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed,expected", sorted(SPLITMIX_VECTORS.items()))
+def test_batched_stream_gives_the_reference_vectors(seed, expected):
+    assert tuple(islice(bench._draws(seed), 3)) == expected
 
 
 def test_below_stays_in_range_and_is_deterministic():
@@ -156,6 +171,15 @@ def test_generate_gives_up_after_max_attempts(monkeypatch):
         generate(GenConfig(6, 8, 0))
     assert str(info.value) == "no valid instance after 1 attempts for vars=6 clauses=8 seed=0"
     assert generate(GenConfig(6, 8, 1)).clauses  # its first attempt succeeds
+
+
+def test_generate_matches_reference_across_batches_and_restarts(monkeypatch):
+    # n=300, m=400 uses the whole budget; seed 12's first two attempts run
+    # out of eligible variables, and each attempt draws over 2,000 words
+    assert list(generate(GenConfig(300, 400, 12)).clauses) == reference_generate(300, 400, 12)
+    monkeypatch.setattr(bench, "_MAX_ATTEMPTS", 2)
+    with pytest.raises(GenerationError, match="after 2 attempts"):
+        generate(GenConfig(300, 400, 12))
 
 
 def test_generated_instances_satisfy_3sat4_profile():
