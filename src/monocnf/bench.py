@@ -18,9 +18,8 @@ measured counts against the closed forms stated by ``Target.size``.
 
 from __future__ import annotations
 
-import sys
+import struct
 import time
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -45,24 +44,21 @@ _GAMMA = 0x9E3779B97F4A7C15
 _ONES = int.from_bytes((b"\1" + bytes(15)) * _LANES, "little")
 _LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
 _STEPS = _GAMMA * int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(1, _LANES + 1)), "little")
-_BIG_ENDIAN = sys.byteorder == "big"
+# each lane's low word, little-endian on any host, skipping its high word
+_LOW_WORDS = struct.Struct("<" + "Q8x" * _LANES)
 
 
-def _batch(state: int) -> array:
+def _batch(state: int) -> tuple[int, ...]:
     """The SplitMix64 outputs of the ``_LANES`` steps after ``state``.
 
     A right shift pulls the next lane's low bits into a lane's high half,
     so each xor is masked back to 64 bits before its multiply; only each
-    lane's low word is read.  ``array`` reads host byte order, hence the
-    swap on a big-endian host (untested: CI runs little-endian only).
+    lane's low word is read.
     """
     z = ((state & _U64) * _ONES + _STEPS) & _LOW
     z = ((z ^ z >> 30) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
     z = ((z ^ z >> 27) & _LOW) * 0x94D049BB133111EB & _LOW
-    words = array("Q", (z ^ z >> 31).to_bytes(16 * _LANES, "little"))[0::2]
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words
+    return _LOW_WORDS.unpack((z ^ z >> 31).to_bytes(16 * _LANES, "little"))
 
 
 def _draws(state: int) -> Iterator[int]:

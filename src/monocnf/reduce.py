@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, repeat
 from operator import itemgetter, mul, neg
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dimacs import clause_format
 from .formula import Clause, CnfFormula, _stored_formula, _trusted_clause, occurrences
@@ -253,18 +253,17 @@ GOLD: Clauses = tuple(
 
 class Row:
     """One row compiled for its readers: input slots 1 to ``width``, then
-    fresh slots up to its largest, the first ``bridges`` from the bridge
-    pool and the other ``block`` from the pool of the expansion blocks.
+    ``block`` fresh slots up to its largest; only a pair row's block is read.
 
     A row is read from a run's lookup table (see ``Runs``): slot k reads
     entry k and slot -k entry -k, the negation of entry k, and entry 0
     reads 0.  A table holds its fresh variables positive, so a row of either
     sign reads them the same way: the sign is compiled into the row."""
 
-    def __init__(self, clauses: Clauses, width: int, bridges: int = 0):
+    def __init__(self, clauses: Clauses, width: int):
         self.clauses = clauses
         slots = tuple(chain.from_iterable(lits for _, lits in clauses))
-        self.block = max(map(abs, slots)) - width - bridges
+        self.block = max(map(abs, slots)) - width
         self.pick = itemgetter(*slots)  # the row's literals from a table, as a tuple: every row has 2 slots or more
         # its DIMACS lines, a format over ``pick``'s literals
         self.text = clause_format(len(lits) for _, lits in clauses)
@@ -291,21 +290,20 @@ class Target:
         2, fresh slots from 3; gold's split of a mixed clause with two
         positive literals, in slots 1 to 3 (the third one negated), over the
         bridge slot 4, its 2-clause child replaced by the template with
-        fresh slots from 5.  "-pair" and "-mixed" are the mirror images, for
-        a negative pair and a mixed clause with two negative literals: every
-        fresh slot negated (``_mirror``).  The reduction writes these rows,
-        ``solve._lemma_holds`` proves each at a probe of its shape and sign,
-        and ``solve._is_instance`` compares an output with the runs of these
-        rows: the lemma vets what the pass accepts by construction."""
+        fresh slots from 5: the run of that child, as ``Runs`` lays it out in
+        an input over 4 variables.  "-pair" and "-mixed" are the mirror
+        images, for a negative pair and a mixed clause with two negative
+        literals: every fresh slot negated (``_mirror``).  The reduction
+        writes these rows, ``solve._lemma_holds`` proves each at a probe of
+        its shape and sign, and ``solve._is_instance`` compares an output
+        with the runs of these rows: the lemma vets what the pass accepts by
+        construction."""
         wide, (_, narrow) = GOLD
         rows = {"kept": Row((("input", (1, 2, 3)),), 3), "pair": Row(self.template, 2)}
         rows["-pair"] = Row(_mirror(self.template, 2), 2)
-        # the narrow child reads the pair row of its sign, over a table laid out as ``Runs`` lays out a pair's
-        last = 5 + rows["pair"].block
-        table = [0, *narrow, *range(5, last), *range(1 - last, -4), *map(neg, reversed(narrow))]
-        expansion = _over(rows["pair" if narrow[0] > 0 else "-pair"].clauses, table)
-        mixed = (wide, *zip((label for label, _ in self.template), expansion))
-        rows["mixed"], rows["-mixed"] = Row(mixed, 3, 1), Row(_mirror(mixed, 3), 3, 1)
+        ((row, table),) = Runs(rows, (narrow,), 4, 0)
+        mixed = (wide, *zip((label for label, _ in row.clauses), _over(row.clauses, table)))
+        rows["mixed"], rows["-mixed"] = Row(mixed, 3), Row(_mirror(mixed, 3), 3)
         return rows
 
     @property
@@ -338,7 +336,7 @@ class Target:
                 raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", check_profile(formula, strict))
         census = _census(clauses)
         n = formula.num_vars
-        return (*self.size(n, len(clauses), census), Runs(self, clauses, n, census[0]))
+        return (*self.size(n, len(clauses), census), Runs(self.rows, clauses, n, census[0]))
 
     def size(self, num_vars: int, num_clauses: int, census: tuple[int, int]) -> tuple[int, int]:
         """The variable and clause counts of the output on an input of these
@@ -354,7 +352,6 @@ class Target:
         ``trace`` comments, with which ``DimacsDocument`` serializes to the
         bytes of ``monocnf reduce --trace``."""
         num_vars, num_clauses, runs = self.runs(formula)
-        runs = list(runs)
         flat = tuple(chain.from_iterable(row.flat(table) for row, table in runs))
         return _stored_formula(flat, num_vars, num_clauses), tuple(self.trace(runs))
 
@@ -379,13 +376,14 @@ Run = tuple[Row, list[int]]
 
 @dataclass(frozen=True)
 class Runs:
-    """The runs of ``Target.runs`` on a checked input.  Each walk lays them
-    out afresh, so a caller may read them twice without holding them all
-    or checking the input again.  This is the one place that numbers fresh
-    variables, the bridges from ``num_vars + 1`` and the expansion blocks
-    from ``num_vars + mixed + 1``, so each is in one run and the counts are
-    those ``Target.size`` states from the census; ``solve._certified``
-    compares an output with its runs.
+    """The runs of a target's ``rows`` on a checked input.  Each walk lays
+    them out afresh, so a caller may read them twice without holding them
+    all or checking the input again.  This is the one place that numbers
+    fresh variables, the bridges from ``num_vars + 1`` and the expansion
+    blocks from ``num_vars + mixed + 1``, so each is in one run and the
+    counts are those ``Target.size`` states from the census; ``solve``
+    compares an output with its runs, and ``Target.rows`` reads its mixed
+    rows off a walk over the pair rows alone.
 
     A clause's slot values are its literals, or for a mixed clause the two
     literals of one sign, then the third one negated; the sign of the first
@@ -394,14 +392,13 @@ class Runs:
     block, then all of those negated in reverse order.  A kept clause's row
     reads no negated or fresh slot, so its table ends at slot 3."""
 
-    target: Target
+    rows: Mapping[str, Row]  # ``Target.rows``: a walk over 2-clauses reads only the pair rows
     clauses: Sequence[Sequence[int]]
     num_vars: int  # the input's variable count
     mixed: int  # its mixed clauses, one bridge each
 
     def __iter__(self) -> Iterator[Run]:
-        rows = self.target.rows
-        kept, pair, mixed, mirror_pair, mirror_mixed = map(rows.get, ("kept", "pair", "mixed", "-pair", "-mixed"))
+        kept, pair, mixed, mirror_pair, mirror_mixed = map(self.rows.get, ("kept", "pair", "mixed", "-pair", "-mixed"))
         # a mixed clause's block is its 2-clause child's, as ``Target.size`` counts it
         bridge, first, block = self.num_vars + 1, self.num_vars + self.mixed + 1, pair.block
         for clause in self.clauses:

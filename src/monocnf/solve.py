@@ -388,7 +388,7 @@ def _certified_blocks(
         return False
     census = _census(clauses)
     return any(
-        _is_instance(blocks(), Runs(target, clauses, n, census[0])) and _lemma_holds(target)
+        _is_instance(blocks(), Runs(target.rows, clauses, n, census[0])) and _lemma_holds(target)
         for target in TARGETS.values()
         if target.size(n, len(clauses), census)[1] == num_clauses
     )
@@ -404,7 +404,7 @@ def _lemma_holds(target: Target) -> bool:
     object, when first needed, so a lookup hashes no template: about 20 ms
     for all four targets, most of it for the gadget's rows."""
     for probe in ((1, 2), (-1, -2), (1, 2, 3), (1, 2, -3), (1, -2, -3)):
-        ((row, table),) = Runs(target, (probe,), 3, 1)
+        ((row, table),) = Runs(target.rows, (probe,), 3, 1)
         if not _projects_to(_over(row.clauses, table), probe):
             return False
     return True

@@ -278,7 +278,7 @@ def test_template_instance_equals_direct_rule_output(name, sign):
     for x, y, first in [(1, 2, 3), (1, 1000, 1001), (7, 9, 10), (2, 5, 40), (999, 1000, 5000)]:
         pair = Clause((sign * x, sign * y))
         # one pair over first - 1 input variables and no mixed clause: its block starts at first
-        ((row, table),) = Runs(target, (pair,), first - 1, 0)
+        ((row, table),) = Runs(target.rows, (pair,), first - 1, 0)
         # plain tuples: the renamed slots must already be in canonical order
         instance = [(label, tuple(map(table.__getitem__, slots))) for label, slots in row.clauses]
         assert instance == _direct_expansion(name, pair, first)

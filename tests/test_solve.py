@@ -409,7 +409,7 @@ def test_projection_matches_the_whole_table_past_the_first_slice():
     answers = []
     for target in TARGETS.values():
         for probe in ((1, 2), (1, 2, -3)):
-            ((row, table),) = Runs(target, (probe,), 3, 1)
+            ((row, table),) = Runs(target.rows, (probe,), 3, 1)
             clauses = _over(row.clauses, table)
             if len({abs(lit) for c in clauses for lit in c}) < 17:
                 continue
