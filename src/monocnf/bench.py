@@ -8,8 +8,8 @@ list entries, so past about 100k variables the deletions dominate.
 Randomness comes from SplitMix64, the fixed 64-bit stream the README
 specifies, so a seed reproduces the same instance on any platform and
 Python version.  ``_draws`` is the package's one statement of the stream:
-it computes 1,024 outputs at a time, one per 128-bit lane of a Python
-int, so each step of the mix runs once per batch in C.
+it computes 256 outputs at a time, one per 128-bit lane of a Python int,
+so each step of the mix runs once per batch in C.
 
 Blowup accounting runs every target of ``reduce.TARGETS`` on an
 instance, reports output sizes and wall time as CSV rows, and checks the
@@ -24,7 +24,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .dimacs import _clip
 from .formula import CnfFormula, _stored_formula
@@ -39,7 +39,7 @@ _U64 = (1 << 64) - 1
 
 # lane k of a batch is bits 128k to 128k + 127 of one int, so a 64-bit
 # word times a 64-bit constant never carries into the next lane
-_LANES = 1024
+_LANES = 256
 _GAMMA = 0x9E3779B97F4A7C15
 _ONES = int.from_bytes((b"\1" + bytes(15)) * _LANES, "little")
 _LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
@@ -98,22 +98,36 @@ class GenConfig:
 
 _MAX_ATTEMPTS = 1000
 
+# the draws every pick accepts: last < _MAX_VARIABLES, so _U64 - last > _SAFE
+_SAFE = _U64 - _MAX_VARIABLES
+
+
+def _accepted(z: int, last: int, draw: Callable[[], int]) -> int:
+    """The first draw, from ``z`` on, that a pick among ``last + 1``
+    entries accepts: at most ``_U64 - last``, or below the largest
+    multiple of ``last + 1`` up to 2**64."""
+    while not (z <= _U64 - last or z < (1 << 64) - (1 << 64) % (last + 1)):
+        z = draw()
+    return z
+
 
 def generate(cfg: GenConfig) -> CnfFormula:
     """Deterministic random 3-SAT-4 instance for the given config.
 
     Each clause swap-removes 3 distinct variables, uniformly, from the
-    ascending list of those with occurrence budget left (simulated in
-    ``moved``, without a copy) and flips a sign coin per literal; a
-    variable leaves the list when its budget reaches 0.  If fewer than 3
-    are left before the clause count is met, generation restarts on the
-    same stream, so tight configurations still end deterministically.
+    ascending list of those with occurrence budget left and flips a sign
+    coin per literal; a variable leaves the list when its budget reaches
+    0.  The three picks are written out, their swap-removes simulated by
+    index alone, without a copy.  If fewer than 3 are left before the
+    clause count is met, generation restarts on the same stream, so tight
+    configurations still end deterministically.
 
     Every draw is the next output of one SplitMix64 stream, ``_draws``
-    from the seed, kept across restarts.  A pick among
-    ``k = last + 1`` entries redraws while the draw is at or above the
-    largest multiple of k up to 2**64, then takes the draw mod k; that
-    multiple exceeds ``_U64 - last``, so only a larger draw computes it.
+    from the seed, kept across restarts.  A pick among ``last + 1``
+    entries redraws while the draw is at or above the largest multiple of
+    ``last + 1`` up to 2**64, then takes the draw mod ``last + 1``.  That
+    multiple exceeds ``_U64 - last``, which exceeds ``_SAFE``, so only a
+    draw above ``_SAFE`` goes to ``_accepted`` for the exact test.
     A sign coin is a draw's low bit: 1 keeps the literal positive.
     """
     draw = _draws(cfg.seed).__next__
@@ -122,21 +136,22 @@ def generate(cfg: GenConfig) -> CnfFormula:
         eligible = list(range(1, cfg.variable_count + 1))
         flat: list[int] = []  # the formula's store: each clause's literals, then a 0
         for _ in range(cfg.clause_count):
-            size = len(eligible)
-            if size < 3:
+            last = len(eligible) - 1
+            if last < 2:
                 break
-            moved: dict[int, int] = {}
-            picks = []
-            for last in range(size - 1, size - 4, -1):
-                while True:
-                    z = draw()
-                    if z <= _U64 - last or z < (1 << 64) - (1 << 64) % (last + 1):
-                        break
-                i = z % (last + 1)
-                picks.append(moved.get(i, eligible[i]))
-                moved[i] = moved.get(last, eligible[last])
-            picks.sort()
-            for v in picks:
+            z = draw()
+            i = (z if z <= _SAFE else _accepted(z, last, draw)) % (last + 1)
+            z = draw()
+            j = (z if z <= _SAFE else _accepted(z, last - 1, draw)) % last
+            z = draw()
+            k = (z if z <= _SAFE else _accepted(z, last - 2, draw)) % (last - 1)
+            # after the first swap-remove, slot i holds the entry at last; after
+            # the second, slot j holds the one at last - 1 (at last if i was last - 1)
+            for v in sorted((
+                eligible[i],
+                eligible[last if j == i else j],
+                eligible[(last if i == last - 1 else last - 1) if k == j else last if k == i else k],
+            )):
                 flat.append(v if draw() & 1 else -v)
                 budget[v] -= 1
                 if not budget[v]:

@@ -70,9 +70,9 @@ def test_below_rejects_nonpositive_bound():
         SplitMix64(5).below(0)
 
 
-def _seed_whose_first_draw_is(value):
+def _seed_whose_draw_is(value, nth=1):
     # the mix is a bijection: each xorshift is undone by iterating it, each
-    # odd multiplier by its inverse mod 2**64
+    # odd multiplier by its inverse mod 2**64; the nth draw mixes seed + nth*gamma
     def unshift(y, k):
         x = y
         for _ in range(64 // k):
@@ -82,8 +82,9 @@ def _seed_whose_first_draw_is(value):
     z = unshift(value, 31)
     z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & bench._U64, 27)
     z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & bench._U64, 30)
-    seed = (z - 0x9E3779B97F4A7C15) & bench._U64
-    assert SplitMix64(seed).next_u64() == value
+    seed = (z - nth * 0x9E3779B97F4A7C15) & bench._U64
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(nth)][-1] == value
     return seed
 
 
@@ -92,20 +93,52 @@ def _seed_whose_first_draw_is(value):
 @pytest.mark.parametrize("bound", [3, 5, 274177])
 def test_below_rejects_exactly_the_draws_at_or_above_its_limit(bound):
     limit = (1 << 64) - (1 << 64) % bound
-    assert SplitMix64(_seed_whose_first_draw_is(limit - 1)).below(bound) == (limit - 1) % bound
-    rng = SplitMix64(_seed_whose_first_draw_is(limit))
+    assert SplitMix64(_seed_whose_draw_is(limit - 1)).below(bound) == (limit - 1) % bound
+    rng = SplitMix64(_seed_whose_draw_is(limit))
     rng.next_u64()
-    assert SplitMix64(_seed_whose_first_draw_is(limit)).below(bound) == rng.next_u64() % bound
+    assert SplitMix64(_seed_whose_draw_is(limit)).below(bound) == rng.next_u64() % bound
 
 
-@pytest.mark.parametrize("n,m", [(3, 1), (5, 6), (274177, 1)])
-def test_generate_matches_reference_when_its_first_pick_meets_the_rejection_test(n, m):
-    # the first pick's draw: the largest the pre-test accepts, the next one
-    # (accepted by the limit, except for 274177 whose limit it is) and 2**64 - 1
+# 274177 divides 2**64 + 1, so a pick among 274177 entries has the least
+# limit there is; n = 274177, 274178 and 274179 put it on the first,
+# second and third pick of the first clause
+@pytest.mark.parametrize("n,m", [(3, 1), (5, 6), (274177, 1), (274178, 1), (274179, 1)])
+@pytest.mark.parametrize("position", [1, 2, 3])
+def test_generate_matches_reference_when_a_pick_meets_the_rejection_test(n, m, position):
+    # the pick's draw: _SAFE, the largest every pick accepts, and the next;
+    # the largest this pick's exact test accepts at once and the next
+    # (accepted by the limit, except where the limit is the least); 2**64 - 1
+    last = n - position
+    for value in (bench._SAFE, bench._SAFE + 1, bench._U64 - last, bench._U64 - last + 1, bench._U64):
+        if value > bench._U64:
+            continue  # the third pick at n = 3 has one entry: every draw passes at once
+        seed = _seed_whose_draw_is(value, position)
+        assert list(generate(GenConfig(n, m, seed)).clauses) == reference_generate(n, m, seed), value
+
+
+def _swap_remove_case(i, j, k, last):
+    """Which branch of ``generate``'s written-out swap-removes the first
+    clause's indices take."""
+    if j == i:
+        return "j == i"
+    if k == j:
+        return "k == j, i == last - 1" if i == last - 1 else "k == j"
+    return "k == i" if k == i else None
+
+
+@pytest.mark.parametrize("case", ["j == i", "k == j, i == last - 1", "k == j", "k == i"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_generate_matches_reference_on_each_swap_remove_case(n, case):
     last = n - 1
-    for first in (bench._U64 - last, bench._U64 - last + 1, bench._U64):
-        seed = _seed_whose_first_draw_is(first)
-        assert list(generate(GenConfig(n, m, seed)).clauses) == reference_generate(n, m, seed), first
+    for seed in range(1000):
+        rng = SplitMix64(seed)
+        indices = rng.below(last + 1), rng.below(last), rng.below(last - 1)
+        if _swap_remove_case(*indices, last) == case:
+            break
+    else:
+        pytest.fail(f"no seed below 1000 meets {case!r} at n={n}")
+    m = 4 * n // 3
+    assert list(generate(GenConfig(n, m, seed)).clauses) == reference_generate(n, m, seed)
 
 
 def test_gen_config_validation():
