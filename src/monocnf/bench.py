@@ -3,8 +3,9 @@
 The generator draws width-3 clauses over distinct variables with
 independent random polarities, keeping every variable within four clause
 memberships (the occurrence budget).  It makes O(clauses) draws plus one
-list deletion per exhausted variable, and each deletion moves O(variables)
-list entries, so past about 100k variables the deletions dominate.
+list deletion per exhausted variable, at the index its pick resolved; each
+deletion moves O(variables) list entries, so past about 100k variables the
+deletions dominate.
 Randomness comes from SplitMix64, the fixed 64-bit stream the README
 specifies, so a seed reproduces the same instance on any platform and
 Python version.  ``_draws`` is the package's one statement of the stream:
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import struct
 import time
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
@@ -118,9 +118,12 @@ def generate(cfg: GenConfig) -> CnfFormula:
     ascending list of those with occurrence budget left and flips a sign
     coin per literal; a variable leaves the list when its budget reaches
     0.  The three picks are written out, their swap-removes simulated by
-    index alone, without a copy.  If fewer than 3 are left before the
-    clause count is met, generation restarts on the same stream, so tight
-    configurations still end deterministically.
+    index alone, without a copy.  The list is ascending, so the picks'
+    sorted indices give the clause's variables in order, and each
+    exhausted variable takes one list deletion, at the index its pick
+    resolved.  If fewer than 3 are left before the clause count is met,
+    generation restarts on the same stream, so tight configurations still
+    end deterministically.
 
     Every draw is the next output of one SplitMix64 stream, ``_draws``
     from the seed, kept across restarts.  A pick among ``last + 1``
@@ -147,16 +150,23 @@ def generate(cfg: GenConfig) -> CnfFormula:
             k = (z if z <= _SAFE else _accepted(z, last - 2, draw)) % (last - 1)
             # after the first swap-remove, slot i holds the entry at last; after
             # the second, slot j holds the one at last - 1 (at last if i was last - 1)
-            for v in sorted((
-                eligible[i],
-                eligible[last if j == i else j],
-                eligible[(last if i == last - 1 else last - 1) if k == j else last if k == i else k],
-            )):
-                flat.append(v if draw() & 1 else -v)
-                budget[v] -= 1
-                if not budget[v]:
-                    del eligible[bisect_left(eligible, v)]
-            flat.append(0)
+            p, q, r = sorted((
+                i,
+                last if j == i else j,
+                (last if i == last - 1 else last - 1) if k == j else last if k == i else k,
+            ))
+            a, b, c = eligible[p], eligible[q], eligible[r]
+            flat += (a if draw() & 1 else -a, b if draw() & 1 else -b, c if draw() & 1 else -c, 0)
+            budget[a] -= 1
+            budget[b] -= 1
+            budget[c] -= 1
+            # the highest index first, so the lower ones still point at their entries
+            if not budget[c]:
+                del eligible[r]
+            if not budget[b]:
+                del eligible[q]
+            if not budget[a]:
+                del eligible[p]
         else:
             return _stored_formula(tuple(flat), cfg.variable_count, cfg.clause_count)
     raise GenerationError(

@@ -19,6 +19,7 @@ import argparse
 import csv
 import gc
 import sys
+from functools import cache
 from itertools import islice
 from typing import NoReturn, Sequence
 
@@ -166,12 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="embed per-clause provenance comments")
     p.add_argument("input", help="input DIMACS CNF file")
     p.add_argument("output", help="output DIMACS CNF file")
-    p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("validate", help="check a DIMACS formula against a profile")
     p.add_argument("--profile", required=True, choices=sorted(PROFILES))
     p.add_argument("input", help="input DIMACS CNF file")
-    p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("solve", help="decide satisfiability and print a witness")
     p.add_argument(
@@ -179,21 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision procedure (default: dpll)",
     )
     p.add_argument("input", help="input DIMACS CNF file")
-    p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("verify-gadget", help="exhaustively check the forcing gadget")
     p.add_argument(
         "--sign", choices=("true", "false"), default="true",
         help="which forcing direction to verify (default: true)",
     )
-    p.set_defaults(handler=_cmd_verify_gadget)
 
     p = sub.add_parser("gen", help="generate a seeded random 3-SAT-4 instance")
     p.add_argument("--vars", type=int, required=True, help="number of variables (at least 3)")
     p.add_argument("--clauses", type=int, required=True, help="number of clauses")
     p.add_argument("--seed", type=int, required=True, help="64-bit generator seed")
     p.add_argument("output", help="output DIMACS CNF file")
-    p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser(
         "check-equisat", help="compare the SAT verdicts of two formulas",
@@ -205,21 +201,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("original", help="original DIMACS CNF file")
     p.add_argument("reduced", help="reduced DIMACS CNF file")
-    p.set_defaults(handler=_cmd_check_equisat)
 
     p = sub.add_parser("blowup", help="emit a CSV growth report over a seed range")
     p.add_argument("--seeds", type=int, required=True, help="run seeds 0 through K-1")
     p.add_argument("--vars", type=int, required=True, help="variables per instance")
     p.add_argument("--clauses", type=int, required=True, help="clauses per instance")
-    p.set_defaults(handler=_cmd_blowup)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built once per process."""
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # a command may hold millions of clauses; each holds only ints, so none
@@ -227,7 +226,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
+        # looked up by the command's name as it runs: the cached parser holds no handler
+        return globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -141,6 +141,35 @@ def test_generate_matches_reference_on_each_swap_remove_case(n, case):
     assert list(generate(GenConfig(n, m, seed)).clauses) == reference_generate(n, m, seed)
 
 
+def _exhaustions(clauses, n):
+    """For each clause a later one follows: how many of its variables it
+    exhausts, and whether its highest variable, exhausted, was the last
+    entry of the ascending list of variables with budget left."""
+    budget = [4] * (n + 1)
+    for clause in clauses[:-1]:
+        top = max(v for v in range(1, n + 1) if budget[v])
+        variables = [abs(lit) for lit in clause]
+        for v in variables:
+            budget[v] -= 1
+        yield sum(not budget[v] for v in variables), max(variables) == top and not budget[top]
+
+
+@pytest.mark.parametrize("at_last", [False, True], ids=["elsewhere", "at-last"])
+@pytest.mark.parametrize("exhausted", [2, 3])
+@pytest.mark.parametrize("n", range(6, 9))
+def test_generate_matches_reference_when_a_clause_exhausts_several_variables(n, exhausted, at_last):
+    # a clause's exhausted variables leave the list highest index first; in
+    # any other order a later deletion hits the wrong entry or none
+    m = 4 * n // 3
+    for seed in range(1000):
+        expected = reference_generate(n, m, seed)
+        if (exhausted, at_last) in _exhaustions(expected, n):
+            break
+    else:
+        pytest.fail(f"no seed below 1000 has a clause exhausting {exhausted} variables (at_last={at_last}) at n={n}")
+    assert list(generate(GenConfig(n, m, seed)).clauses) == expected
+
+
 def test_gen_config_validation():
     GenConfig(3, 4, 0)  # 12 literal slots, 12 occurrence budget
     with pytest.raises(GenerationError, match="allow only 12"):

@@ -1,10 +1,15 @@
 """Command-line interface: subcommand behavior, streams, exit codes."""
 
 import gc
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 
+import monocnf
 from monocnf import TARGETS, CnfFormula, DimacsDocument, DimacsError, ProfileError, bench, dimacs, parse, serialize, solve
 from monocnf import cli
 from monocnf.cli import run
@@ -550,3 +555,35 @@ def test_run_restores_the_callers_collector_state(tmp_path, capsys, monkeypatch)
     capsys.readouterr()
     assert during == [False, False]
     assert after == [True, True, False, False]
+
+
+def test_commands_in_one_process_each_act_as_they_do_alone(tmp_path, capsys, monkeypatch):
+    # run parses every command with one parser per process; each command
+    # must still exit and print as it does in a process of its own
+    commands = [
+        ["gen", "--vars", "30", "--clauses", "40", "--seed", "1", "g.cnf"],
+        ["gen", "--vars", "9" * 5000, "--clauses", "1", "--seed", "0", "x.cnf"],
+        ["reduce", "--target", "mono3sat4", "--compact-r3", "g.cnf", "r.cnf"],
+        ["validate", "--profile", "mono3sat4", "g.cnf"],
+    ]
+    alone, together = tmp_path / "alone", tmp_path / "together"
+    alone.mkdir()
+    together.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(monocnf.__file__).parents[1]))
+    expected = []
+    for argv in commands:
+        child = subprocess.run(
+            [sys.executable, "-m", "monocnf", *argv], cwd=alone, env=env, capture_output=True, text=True
+        )
+        expected.append((child.returncode, child.stdout, child.stderr))
+    monkeypatch.chdir(together)
+    capsys.readouterr()
+    for argv, outcome in zip(commands, expected):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == outcome, argv[0]
+    assert [code for code, _, _ in expected] == [0, 2, 2, 1]
+    assert all(len(line) < 300 for line in expected[1][2].splitlines())
+    assert (together / "g.cnf").read_bytes() == (alone / "g.cnf").read_bytes()
+    assert not (together / "x.cnf").exists() and not (together / "r.cnf").exists()
+    assert cli.build_parser() is not cli.build_parser()
