@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, Sequence
 from .formula import Clause, CnfFormula, FormulaError, _stored_formula, clause_ends
 
 _HEADER_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)$")
-_BODY_RE = re.compile(r"[0-9+\- \t\r\n]*")
-_COMMAS = str.maketrans(" \t\r\n", ",,,,")  # the blanks _BODY_RE allows
+_BODY_BYTES = b"0123456789+- \t\r\n"  # all a regular block may hold
+_COMMAS = str.maketrans(" \t\r\n", ",,,,")  # the blanks of _BODY_BYTES
 _BLOCK_CHARS = 1 << 16  # a few thousand lines: bounds each block's token list
 _ECHO_LIMIT = 40
 
@@ -76,18 +76,26 @@ def _check_comment(comment: str, line: int | None = None) -> None:
 # a block's clauses as one sequence of their literals, each clause ended by
 # a 0, with the literals' magnitudes, the offsets of the zeros (a range when
 # every clause has width 3, see ``formula.clause_ends``) and the largest
-# variable
+# variable.  The magnitudes are laid out by ``ends``: with a list, one per
+# literal and 0 per clause end, aligned with the literals; with a range,
+# column after column (every clause's first, then its second, then its
+# third), no clause end among them.
 Block = tuple[Sequence[int], list[int], Sequence[int], int]
 
 
 def _block(flat: Sequence[int]) -> Block:
-    """The ``Block`` of the clauses whose literals are ``flat``.  A clause
-    in canonical order ends with its largest variable, so in width 3 the
-    largest is read from the third column alone: ``_block_clauses`` refuses
-    a block out of canonical order before it trusts that."""
+    """The ``Block`` of the clauses whose literals are ``flat``.  In width
+    3 the magnitudes are taken column by column, with no ``abs`` of the
+    zeros, so the canonical test compares contiguous thirds.  A clause in
+    canonical order ends with its largest variable, so the largest is then
+    read from the last third alone: ``_block_clauses`` refuses a block out
+    of canonical order before it trusts that."""
     ends = clause_ends(flat)
+    if type(ends) is range:
+        mags = [*map(abs, flat[0::4]), *map(abs, flat[1::4]), *map(abs, flat[2::4])]
+        return flat, mags, ends, max(mags[2 * len(ends) :], default=0)
     mags = list(map(abs, flat))
-    return flat, mags, ends, max(mags[2::4] if type(ends) is range else mags, default=0)
+    return flat, mags, ends, max(mags, default=0)
 
 
 def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | None]:
@@ -95,18 +103,22 @@ def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | N
     ``_BLOCK_CHARS`` long, and its clauses as read, or None unless it is
     regular: ASCII digits, minus signs and blanks only, no zero-padded literal,
     every literal in range, every clause nonempty, in ascending variable order
-    (as ``serialize`` writes it) and ended by a 0 in the block.  The line loop
-    reads any other block, so only it builds a ``Clause`` from text."""
+    (as ``serialize`` writes it) and ended by a 0 in the block.  The charset
+    is tested on the block's own slice, so a non-ASCII character elsewhere
+    in the text sends no other block away.  The line loop reads any other
+    block, so only it builds a ``Clause`` from text."""
     stop = text.find("\n", start + _BLOCK_CHARS)
     stop = len(text) if stop < 0 else stop + 1
-    if not _BODY_RE.fullmatch(text, start, stop):
+    chunk = text[start:stop]
+    # isascii() reads a flag of the str, and keeps a lone surrogate away from encode()
+    if not chunk.isascii() or chunk.encode().translate(None, _BODY_BYTES):
         return stop, None
     # each run of blanks becomes one comma, so the C JSON scanner reads
-    # split()'s tokens as int() would: the regex keeps floats, true, null
-    # and brackets away from it; it refuses every token int() refuses and
-    # also "+1" and "007", and the line loop reads a refused block with the
-    # same clauses and errors
-    chunk = text[start:stop].translate(_COMMAS)
+    # split()'s tokens as int() would: the charset test keeps floats, true,
+    # null and brackets away from it; it refuses every token int() refuses
+    # and also "+1" and "007", and the line loop reads a refused block with
+    # the same clauses and errors
+    chunk = chunk.translate(_COMMAS)
     while ",," in chunk:
         chunk = chunk.replace(",,", ",")
     try:
@@ -117,8 +129,8 @@ def _block_clauses(text: str, start: int, num_vars: int) -> tuple[int, Block | N
     if flat[-1:] != [0]:
         return stop, None
     # a clause out of canonical order or with a repeated variable is left to the line loop
-    if type(ends) is range:  # ascent by columns: the first below the second below the third
-        canonical = all(map(lt, mags[0::4], mags[1::4])) and all(map(lt, mags[1::4], mags[2::4]))
+    if type(ends) is range:  # ascent by columns: each magnitude below the one a third further on
+        canonical = all(map(lt, mags, mags[len(ends) :]))
     elif 1 in map(sub, ends, [-1, *ends]):
         return stop, None  # a 0 first or right after another: an empty clause
     else:  # strict ascent fails only at the zero that ends each clause

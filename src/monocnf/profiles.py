@@ -95,7 +95,9 @@ def check_blocks(blocks: Iterable[Block], profile: Profile, limit: int) -> Viola
     runs only on a block that fails one of them, and numbers its clauses
     on from the clauses of the blocks before.  Occurrences are added to
     one count indexed by variable, which grows to the largest variable
-    seen but never past ``limit``; past it a ``Counter`` holds them.
+    seen but never past ``limit``; past it a ``Counter`` holds them.  The
+    list is scanned per variable only when its largest count is over the
+    cap.
     """
     violations: list[Violation] = []
     counts: list[int] | Counter[int] = [0]
@@ -116,11 +118,11 @@ def check_blocks(blocks: Iterable[Block], profile: Profile, limit: int) -> Viola
                 counts = Counter(dict(compress(enumerate(counts), counts)))
             else:
                 counts += repeat(0, top + 1 - len(counts))
-        for var in compress(mags, mags):  # not the clause ends
+        for var in mags if type(ends) is range else compress(mags, mags):  # no clause end: see ``Block``
             counts[var] += 1
     cap = profile.occurrence_cap
     if type(counts) is list:
-        over: Iterable[int] = compress(count(), map(cap.__lt__, counts))
+        over: Iterable[int] = compress(count(), map(cap.__lt__, counts)) if max(counts) > cap else ()
     else:
         over = sorted(compress(counts, map(cap.__lt__, counts.values())))
     for var in over:
@@ -134,8 +136,11 @@ def _has_mixed(flat: Sequence[int], ends: Sequence[int]) -> bool:
     literals is negative: when every width is 3, its first literal's
     product with its second or its third; otherwise a product of
     neighbours, which is 0 across a clause end.  The first test reads a
-    quarter of the literals per product and takes about half the time."""
+    quarter of the literals per product and takes about half the time.  An
+    empty block holds no product, and no mixed clause."""
     if type(ends) is range:
         first = flat[0::4]
-        return min(map(mul, first, flat[1::4])) < 0 or min(map(mul, first, flat[2::4])) < 0
-    return min(map(mul, flat, flat[1:])) < 0
+        return (
+            min(map(mul, first, flat[1::4]), default=0) < 0 or min(map(mul, first, flat[2::4]), default=0) < 0
+        )
+    return min(map(mul, flat, flat[1:]), default=0) < 0

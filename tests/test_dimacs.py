@@ -1,10 +1,12 @@
 """DIMACS parsing, canonical serialization, and error reporting."""
 
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -250,6 +252,31 @@ def test_only_the_block_holding_a_clause_out_of_canonical_order_is_read_line_by_
     at = text.index("5 4 -3 0")
     assert [not accepted for _, _, accepted in calls] == [start <= at < stop for start, stop, _ in calls]
     assert len(calls) > 1
+
+
+# the characters a regular block may hold; "+3" and "03" pass that test and
+# the JSON scanner refuses them
+REGULAR_CHARS = "0123456789+- \t\r\n"
+SPLICED = [*map(chr, range(128)), "\u0663", "\uff11", "\xa0", "\u2028", "\ud800"]
+
+
+@pytest.mark.parametrize("char", SPLICED, ids=[f"U+{ord(char):04X}" for char in SPLICED])
+def test_only_a_block_of_digits_signs_and_blanks_reaches_the_json_scanner(monkeypatch, char):
+    clauses = [[4, 5, 6]] * 50 + [[1, 2, 3]] + [[-7, -8, -9]] * 50
+    base = serialize(DimacsDocument(CnfFormula.from_ints(clauses, num_vars=100)))
+    at = base.index("\n1 2 3 0\n") + 5  # before the 3, so a digit makes 13-93 and "-" makes -3
+    text = base[:at] + char + base[at:]  # a lone surrogate stays in a str
+    scanned = []
+    monkeypatch.setattr(dimacs, "json", SimpleNamespace(loads=lambda chunk: scanned.append(chunk) or json.loads(chunk)))
+    stop, block = dimacs._block_clauses(text, text.index("\n") + 1, 100)
+    assert stop == len(text)
+    assert bool(scanned) == (char in REGULAR_CHARS)
+    assert (block is None) == (char not in REGULAR_CHARS or char in "+0")
+    # the line loop reads the block with the same clauses or the same error
+    outcome = _outcome(text)
+    read = dimacs._block_clauses
+    monkeypatch.setattr(dimacs, "_block_clauses", lambda *args: (read(*args)[0], None))
+    assert _outcome(text) == outcome
 
 
 @pytest.mark.parametrize(

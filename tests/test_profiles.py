@@ -1,6 +1,10 @@
 """Profile definitions and membership checking."""
 
-from monocnf import PROFILES, Clause, CnfFormula, Profile, ViolationReport, check_profile
+import pytest
+
+from monocnf import PROFILES, Clause, CnfFormula, Profile, ViolationReport, check_profile, profiles
+from monocnf.dimacs import _block
+from monocnf.profiles import check_blocks
 from naive import SplitMix64, reference_check_profile
 
 
@@ -102,6 +106,55 @@ def test_one_mixed_clause_among_clauses_of_the_other_width():
         formula = CnfFormula.from_ints([*others, mixed])
         report = check_profile(formula, PROFILES["mono23sat4"])
         assert [str(v) for v in report] == ["monotonicity violation at clause 2: mixed clause in a monotone profile"]
+
+
+# width-3 clauses whose report under mono23sat4 names a mixed clause and
+# variables 1 and 9 over the cap, with 2 exactly at it
+WIDTH_3 = [[1, 2, 3], [1, 2, 4], [1, -5, 6], [1, 2, 7], [1, 3, 8]]
+WIDTH_3 += [[7, 8, 9], [-9, -10, -11], [9, 10, 11], [9, 12, 13], [9, 14, 15]]
+WIDTH_3_REPORT = [
+    "monotonicity violation at clause 2: mixed clause in a monotone profile",
+    "occurrence violation at variable 1: 5 occurrences, cap is 4",
+    "occurrence violation at variable 9: 5 occurrences, cap is 4",
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 8, 1 << 14], ids=["every-clause", "one-clause", "two-clauses", "one-block"])
+def test_width_3_magnitudes_by_column_count_as_the_list_layout_does(monkeypatch, chunk):
+    monkeypatch.setattr(profiles, "_CHUNK", chunk)
+    columns = CnfFormula.from_ints(WIDTH_3)
+    # one monotone 2-clause on fresh variables puts its block in the list layout
+    listed = CnfFormula.from_ints([*WIDTH_3, [20, 21]])
+    # width 3: the magnitudes column after column; else one per literal and clause end
+    assert _block(columns.flat)[1] == [abs(clause[column]) for column in range(3) for clause in WIDTH_3]
+    assert _block(listed.flat)[1] == [*map(abs, listed.flat)]
+    for formula in (columns, listed):
+        report = check_profile(formula, PROFILES["mono23sat4"])
+        assert [str(v) for v in report] == WIDTH_3_REPORT
+        assert report == reference_check_profile(formula, PROFILES["mono23sat4"])
+
+
+def _report(blocks: list[list[int]], limit: int = 100) -> list[str]:
+    return [str(v) for v in check_blocks(map(_block, blocks), PROFILES["mono3sat4"], limit)]
+
+
+def test_a_count_at_the_cap_passes_and_one_over_it_across_two_blocks_is_reported_once():
+    at_cap = [[1, 2, 3, 0, 1, 4, 5, 0], [1, 6, 7, 0, 1, 8, 9, 0]]
+    assert _report(at_cap) == []
+    over = [[*at_cap[0], 1, 10, 11, 0], at_cap[1]]
+    assert _report(over) == ["occurrence violation at variable 1: 5 occurrences, cap is 4"]
+    # a variable past the limit sends the count to a Counter, with the same report
+    assert _report(over, limit=5) == _report(over)
+    assert _report(over, limit=0) == _report(over)
+    # or part way, when the second block's largest variable is past it
+    assert _report(over[::-1], limit=9) == _report(over)
+
+
+def test_an_empty_block_counts_nothing():
+    assert _block([])[1:] == ([], range(3, 0, 4), 0)
+    blocks = [[1, 2, 3, 0] * 3, [], [1, 4, 5, 0, 1, 6, 7, 0], []]
+    assert _report(blocks) == ["occurrence violation at variable 1: 5 occurrences, cap is 4"]
+    assert _report([[]]) == _report([]) == []
 
 
 # a monotone profile of every width the random formulas hold, so that
