@@ -27,7 +27,7 @@ from itertools import chain, count
 from typing import Callable, Iterator
 
 from .dimacs import _clip
-from .formula import CnfFormula, _stored_formula
+from .formula import CnfFormula, _stored_formula, clause_ends
 from .reduce import TARGETS, _census
 
 
@@ -193,7 +193,7 @@ def blowup_rows(seed: int, formula: CnfFormula) -> list[tuple[str, ...]]:
     """Run every target on a 3-SAT-4 instance and return one CSV row per
     target, matching CSV_HEADER.  Raises RuntimeError when a target's
     measured size differs from the closed form stated by ``Target.size``."""
-    census = _census(list(formula.rows()))
+    census = _census(formula.flat, clause_ends(formula.flat), list(formula.rows()))
     measured_rows = []
     for name, target in TARGETS.items():
         start = time.perf_counter()

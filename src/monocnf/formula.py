@@ -79,10 +79,12 @@ _trusted_clause = partial(tuple.__new__, Clause)
 
 def clause_ends(flat: Sequence[int]) -> Sequence[int]:
     """The offsets of the zeros that end the clauses of the flat literals
-    ``flat``: a range when every clause has width 3.  The five readers that
-    branch on that range (by columns) are kept for speed alone: with them
-    removed, reduce-bulk fell from 4.54 to 3.23 ops/s in 8 alternating
-    perfbench pairs (seed 5, 5 s runs; 2-vCPU host, Python 3.11)."""
+    ``flat``: a range when every clause has width 3.  The readers that
+    branch on that range (by columns) are kept for speed alone: with the
+    first five removed, reduce-bulk fell from 4.54 to 3.23 ops/s in 8
+    alternating perfbench pairs (seed 5, 5 s runs; 2-vCPU host, Python
+    3.11), and ``reduce._census`` and ``solve._certified_blocks`` read it
+    for the certificate's set-up."""
     if len(flat) == 4 * flat.count(0) and not any(flat[3::4]):
         return range(3, len(flat), 4)
     return list(compress(count(), map(not_, flat)))

@@ -34,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, repeat
-from operator import itemgetter, mul, neg
+from operator import gt, itemgetter, neg, or_, xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dimacs import clause_format
-from .formula import Clause, CnfFormula, _stored_formula, _trusted_clause, occurrences
+from .formula import Clause, CnfFormula, _stored_formula, _trusted_clause, block_rows, clause_ends, occurrences
 from .profiles import PROFILES, ViolationReport, check_profile
 
 
@@ -306,11 +306,12 @@ class Target:
         rows["mixed"], rows["-mixed"] = Row(mixed, 3), Row(_mirror(mixed, 3), 3)
         return rows
 
-    @property
+    @cached_property
     def growth(self) -> tuple[int, int]:
         """What each 2-clause adds, in (variables, clauses): the pair row's
         fresh block (``Row.block``, which ``Runs`` numbers by) and its clauses
-        less the pair, so a template that is the pair itself adds (0, 0)."""
+        less the pair, so a template that is the pair itself adds (0, 0).
+        Cached, as ``rows`` is: the certificate reads it on every verdict."""
         return self.rows["pair"].block, len(self.template) - 1
 
     def runs(self, formula: CnfFormula) -> tuple[int, int, Runs]:
@@ -326,7 +327,9 @@ class Target:
         also accepts monotone (2,3)-SAT-4 input; one whose profile allows
         them labels every 2-clause "gold", so it takes none from the input.
         """
-        clauses = list(formula.rows())
+        flat = formula.flat
+        ends = clause_ends(flat)
+        clauses = list(block_rows(flat, ends))
         strict = PROFILES["3sat4"]
         # the widths decide first: a 2-clause fails the strict check, whose report is built only to be raised
         if not (set(map(len, clauses)) <= strict.widths and check_profile(formula, strict).ok):
@@ -334,7 +337,7 @@ class Target:
                 raise ProfileError("eliminate_mixed requires a 3-SAT-4 instance", check_profile(formula, strict))
             if not check_profile(formula, PROFILES["mono23sat4"]).ok:
                 raise ProfileError("input is neither 3-SAT-4 nor monotone (2,3)-SAT-4", check_profile(formula, strict))
-        census = _census(clauses)
+        census = _census(flat, ends, clauses)
         n = formula.num_vars
         return (*self.size(n, len(clauses), census), Runs(self.rows, clauses, n, census[0]))
 
@@ -428,15 +431,23 @@ class Runs:
             first = last
 
 
-def _census(clauses: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """The mixed clauses among clauses of widths 2 and 3, and the 2-clauses
-    once each mixed one has split off its own.  A clause is mixed exactly
-    when its first literal's product with its second or with its last is
-    negative (see ``profiles._has_mixed``); no Python frame runs per clause."""
-    first = list(map(itemgetter(0), clauses))
-    second, last = (map(mul, first, map(other, clauses)) for other in (itemgetter(1), itemgetter(-1)))
-    mixed = sum(map((0).__gt__, map(min, second, last)))
-    return mixed, mixed + list(map(len, clauses)).count(2)
+def _census(flat: Sequence[int], ends: Sequence[int], clauses: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The mixed clauses among ``clauses`` (the store ``flat``, cut at
+    ``ends``), of widths 2 and 3, and the 2-clauses once each mixed one has
+    split off its own.  A clause is mixed exactly when its first literal's
+    sign differs from its second's or its last's: when the OR of the two
+    XORs is negative.  Those literals are the store's columns when ``ends``
+    is a range, and then there is no 2-clause; no Python frame or ``min``
+    runs per clause."""
+    if type(ends) is range:
+        first, second, last = flat[0::4], flat[1::4], flat[2::4]
+        pairs = 0
+    else:
+        first = list(map(itemgetter(0), clauses))
+        second, last = map(itemgetter(1), clauses), map(itemgetter(-1), clauses)
+        pairs = list(map(len, clauses)).count(2)
+    mixed = sum(map(gt, repeat(0), map(or_, map(xor, first, second), map(xor, first, last))))
+    return mixed, mixed + pairs
 
 
 def _target(profile: str, rule: Callable[..., list[Clause]], labels: tuple[str, ...]) -> Target:

@@ -30,7 +30,9 @@ one per input shape and sign.  The sweep checks that lemma once per
 row.  One linear pass compares the output's flat literals, 0-terminated
 clauses as a ``CnfFormula`` stores them, with the runs on the input,
 ``reduce.Runs``, which number the fresh variables as the reduction does,
-of each target whose clause count is the output's.  ``check_equisat_body``
+of each target whose clause count is the output's, and counts the mixed
+rows the walk lays out against the input's census, which numbered its fresh
+variables.  ``check_equisat_body``
 runs that pass on a DIMACS body block by block as it is tokenized, and
 never builds the output.  Any other output, a renumbered one included, is
 left to DPLL, which decides both sides; only that fallback is bounded by
@@ -47,8 +49,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dimacs import Body, parse
-from .formula import Clause, CnfFormula
-from .reduce import TARGETS, Run, Runs, Target, _census, _over
+from .formula import Clause, CnfFormula, block_rows, clause_ends
+from .reduce import TARGETS, Runs, Target, _census, _over
 
 Assignment = dict[int, bool]
 
@@ -379,18 +381,22 @@ def _certified_blocks(
     """Whether the output of ``num_clauses`` clauses whose flat literals
     ``blocks()`` yields is some target's output on ``original`` and that
     target's lemma holds.  Every input clause needs a row, so its width is
-    2 or 3 and a 2-clause is monotone.  Only a target whose clause count
-    (``Target.size``) is the output's is tried, in table order, each on a
-    fresh walk of the blocks; two are tried only when their growth is equal
-    or the input has no 2-clause."""
-    clauses, n = list(original.rows()), original.num_vars
-    if not set(map(len, clauses)) <= {2, 3} or any(len(c) == 2 and c[0] * c[1] < 0 for c in clauses):
+    2 or 3 (as it is when ``clause_ends`` returns a range) and a 2-clause
+    is monotone (``_is_instance`` refuses a mixed one).  Only a target whose
+    clause count (``Target.size``) is the output's is tried, in table
+    order, each on a fresh walk of the blocks; two are tried only when
+    their growth is equal or the input has no 2-clause."""
+    flat, n = original.flat, original.num_vars
+    ends = clause_ends(flat)
+    clauses = list(block_rows(flat, ends))
+    if type(ends) is not range and not set(map(len, clauses)) <= {2, 3}:
         return False
-    census = _census(clauses)
+    mixed, pairs = _census(flat, ends, clauses)
+    kept = len(clauses) + mixed  # the output's clauses less the growth of its 2-clauses
     return any(
-        _is_instance(blocks(), Runs(target.rows, clauses, n, census[0])) and _lemma_holds(target)
+        _is_instance(blocks(), Runs(target.rows, clauses, n, mixed)) and _lemma_holds(target)
         for target in TARGETS.values()
-        if target.size(n, len(clauses), census)[1] == num_clauses
+        if kept + target.growth[1] * pairs == num_clauses
     )
 
 
@@ -427,7 +433,7 @@ def _projects_to(clauses: Sequence[Sequence[int]], clause: Sequence[int]) -> boo
     return True
 
 
-def _is_instance(blocks: Iterable[Sequence[int]], runs: Iterable[Run]) -> bool:
+def _is_instance(blocks: Iterable[Sequence[int]], runs: Runs) -> bool:
     """Whether the output whose flat literals ``blocks`` yields, each clause
     ended by a 0 as in a ``dimacs.Block``, is exactly ``runs``.  One pass, in
     run order, compares the next literals with each run's group of clauses
@@ -436,10 +442,14 @@ def _is_instance(blocks: Iterable[Sequence[int]], runs: Iterable[Run]) -> bool:
     empty block holds no literal and is skipped, so an empty output's one
     empty store is the runs of an empty input.  Every literal must be
     consumed, and an output that runs out before the runs do is refused, not
-    read past."""
+    read past.  The walk must lay out as many mixed rows as the census that
+    numbered its fresh variables counts mixed clauses (``Runs.mixed``):
+    with fewer, the last bridges would be the first block's variables."""
     blocks = filter(None, map(tuple, blocks))
-    flat, at = (), 0
+    bridged = (runs.rows["mixed"], runs.rows["-mixed"])
+    flat, at, mixed = (), 0, 0
     for row, table in runs:
+        mixed += row in bridged
         group = row.flat(table)
         end = at + len(group)
         while flat[at:end] != group:
@@ -451,4 +461,4 @@ def _is_instance(blocks: Iterable[Sequence[int]], runs: Iterable[Run]) -> bool:
                 return False
             at, end = 0, len(group)
         at = end
-    return at == len(flat) and next(blocks, None) is None
+    return at == len(flat) and next(blocks, None) is None and mixed == runs.mixed

@@ -200,6 +200,20 @@ def test_gen_is_deterministic(tmp_path):
     assert (tmp_path / "a.cnf").read_bytes() == (tmp_path / "b.cnf").read_bytes()
 
 
+@pytest.mark.parametrize("seed, alias", [("-1", "18446744073709551615"), ("0", "18446744073709551616")])
+def test_gen_reads_its_seed_modulo_2_to_the_64(tmp_path, seed, alias):
+    # the generator's state is one 64-bit word: a seed outside [0, 2^64)
+    # draws the stream of its residue, and the comment echoes it as given
+    texts = []
+    for value in (seed, alias, "1"):
+        out = tmp_path / f"{value}.cnf"
+        assert run(["gen", "--vars", "9", "--clauses", "12", "--seed", value, str(out)]) == 0
+        texts.append(out.read_text())
+    heads = [text.split("\n", 1) for text in texts]
+    assert [comment for comment, _ in heads] == [f"c gen vars=9 clauses=12 seed={value}" for value in (seed, alias, "1")]
+    assert heads[0][1] == heads[1][1] != heads[2][1]
+
+
 def test_gen_infeasible_budget_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "gen.cnf")
     assert run(["gen", "--vars", "3", "--clauses", "5", "--seed", "1", out]) == 2

@@ -30,7 +30,8 @@ from monocnf import (
     to_monotone_3sat4,
     to_monotone_3sat5,
 )
-from monocnf import reduce
+from monocnf import reduce, solve
+from monocnf.formula import clause_ends
 from monocnf.reduce import Runs
 
 from naive import reference_reduce
@@ -219,13 +220,65 @@ def test_monotone_23_input_enters_without_a_strict_report(monkeypatch):
     assert profiles == [PROFILES["3sat4"]]
 
 
+def _censuses(formula: CnfFormula) -> set[tuple[int, int]]:
+    """``reduce._census`` of ``formula`` on each layout that reads it: by the
+    store's columns when every clause has width 3, and by its clauses."""
+    flat, rows = formula.flat, list(formula.rows())
+    ends = clause_ends(flat)
+    layouts = (ends, list(ends)) if type(ends) is range else (ends,)
+    return {reduce._census(flat, layout, rows) for layout in layouts}
+
+
+def _reference_census(formula: CnfFormula) -> tuple[int, int]:
+    rows = list(formula.rows())
+    mixed = sum(not Clause(clause).sign for clause in rows)
+    return mixed, mixed + sum(len(clause) == 2 for clause in rows)
+
+
 def test_census_counts_mixed_clauses_and_pairs():
+    for n, seed in itertools.product((3, 20, 200), range(8)):
+        formula = generate(GenConfig(n, 4 * n // 3, seed))
+        split, _ = eliminate_mixed(formula)
+        # the split's 2-clauses put its store in the list layout
+        assert type(clause_ends(split.flat)) is not range or not _reference_census(formula)[0]
+        for store in (formula, split):
+            assert _censuses(store) == {_reference_census(store)}, (n, seed)
+
+
+@pytest.mark.parametrize(
+    "clauses",
+    [
+        pytest.param([], id="empty"),
+        pytest.param([[1, 2], [-3, -4], [2, 5], [-1, -5]], id="pairs"),
+        pytest.param([[1, -2], [-3, 4], [5, 6]], id="mixed-pairs"),
+        pytest.param([[-1, -2, -3], [-2, -4, -5], [-1, -3, -6]], id="negative"),
+        *(
+            pytest.param([[a, 2 * b, 3 * c]], id=f"signs{a:+d}{b:+d}{c:+d}")
+            for a, b, c in itertools.product((1, -1), repeat=3)
+        ),
+        pytest.param([[-1, 2, 3], [4, -5, 6], [7, 8, -9], [1, 4, 7], [-2, -5, -8]], id="odd-first-second-third"),
+        pytest.param([[1, -2, 3], [4, 5], [-6, -7, 8], [-1, -9]], id="widths-2-and-3"),
+    ],
+)
+def test_census_matches_a_per_clause_reference_on_both_layouts(clauses):
+    formula = CnfFormula.from_ints(clauses)
+    assert _censuses(formula) == {_reference_census(formula)}
+
+
+@pytest.mark.parametrize("name", ["mono3sat5", "mono3sat5-compact", "mono3sat4"])
+def test_a_widening_target_on_the_split_writes_its_store_on_the_input(name):
+    # the chain composes: gold's split numbers the bridges as the one-step
+    # pipeline does, and the widening numbers its blocks after them, so the
+    # two steps write the same store, and the split, whose 2-clauses put
+    # its store in the list layout, certifies it as an original
+    target = TARGETS[name]
     for seed in range(20):
-        formula = generate(GenConfig(20, 26, seed))
-        for clauses in (formula.clauses, eliminate_mixed(formula)[0].clauses):
-            mixed = sum(not clause.sign for clause in clauses)
-            pairs = mixed + sum(len(clause) == 2 for clause in clauses)
-            assert reduce._census(clauses) == (mixed, pairs)
+        formula = generate(GenConfig(200, 266, seed))
+        split, _ = eliminate_mixed(formula)
+        reduced, _ = target.reduce(formula)
+        assert target.reduce(split)[0] == reduced, seed
+        assert type(clause_ends(split.flat)) is not range
+        assert solve._certified(split, reduced) and solve._certified(formula, reduced)
 
 
 def test_eliminate_mixed_rejects_monotone_23_input():

@@ -4,7 +4,7 @@ import hashlib
 import random
 import tracemalloc
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 import pytest
@@ -35,6 +35,7 @@ from monocnf import (
 )
 from monocnf.cli import run
 from monocnf.dimacs import Body
+from monocnf.formula import _stored_formula, clause_ends
 from monocnf.reduce import Runs, _over
 from monocnf.solve import check_equisat_body
 
@@ -590,6 +591,57 @@ def test_an_output_of_a_template_whose_lemma_fails_is_left_to_dpll(monkeypatch):
     reduced, _ = broken.reduce(original)
     assert solve._is_instance(_flat(reduced), broken.runs(original)[2])
     assert not solve._certified(original, reduced)
+
+
+def test_the_certificate_refuses_an_output_numbered_by_a_census_one_mixed_clause_short(monkeypatch):
+    # the writer and the certificate share the census: with one mixed clause
+    # uncounted, each reads the same runs, and only the count of the mixed
+    # rows the walk lays out tells that the last bridge is the first block's
+    census = reduce._census
+
+    def short(flat, ends, clauses):
+        mixed, pairs = census(flat, ends, clauses)
+        return mixed - 1, pairs - 1
+
+    monkeypatch.setattr(reduce, "_census", short)
+    monkeypatch.setattr(solve, "_census", short)
+    original = generate(GenConfig(30, 40, 3))
+    reduced, _ = to_monotone_3sat4(original)
+    assert (reduced.num_vars, max(map(abs, reduced.flat))) == (646, 667)
+    runs = TARGETS["mono3sat4"].runs(original)[2]
+    assert reduced.flat == tuple(chain.from_iterable(row.flat(table) for row, table in runs))
+    assert not solve._is_instance(_flat(reduced), runs)
+    assert not solve._certified(original, reduced)
+    # DPLL decides: its witness check finds the store past its declared count
+    calls = _counted_dpll(monkeypatch)
+    with pytest.raises(ValueError, match="partial assignment: missing variables: 649"):
+        check_equisat(original, reduced)
+    assert calls == [original, reduced]
+    # and, declared at the count it uses, the store's verdict is DPLL's
+    declared = _stored_formula(reduced.flat, 667, len(reduced))
+    assert not solve._certified(original, declared)
+    calls.clear()
+    expected = solve_dpll(original).satisfiable == solve_dpll(declared).satisfiable
+    assert check_equisat(original, declared) == expected
+    assert calls == [original, declared]
+
+
+@pytest.mark.parametrize("pair", [(1, -2), (-1, 2)])
+def test_the_certificate_refuses_a_mixed_2_clause(pair):
+    # no row replaces a mixed 2-clause: the census counts it mixed and the
+    # walk lays it out as a pair, so no output is certified, not even the
+    # walk's own store declaring the clause count the census asks for
+    original = CnfFormula.from_ints([pair, (3, 4, 5), (-3, -4, 6)])
+    rows = list(original.rows())
+    mixed, pairs = reduce._census(original.flat, clause_ends(original.flat), rows)
+    assert (mixed, pairs) == (2, 3)  # the pair, and the mixed 3-clause
+    for target in TARGETS.values():
+        runs = Runs(target.rows, rows, original.num_vars, mixed)
+        flat = tuple(chain.from_iterable(row.flat(table) for row, table in runs))
+        stated = target.size(original.num_vars, len(rows), (mixed, pairs))
+        for count in (flat.count(0), stated[1]):
+            written = _stored_formula(flat, stated[0], count)
+            assert not solve._certified(original, written), (target, count)
 
 
 @pytest.mark.parametrize("name", list(TARGETS))
